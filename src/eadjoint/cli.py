@@ -21,6 +21,7 @@ from .errors import (
     FiberConditionError,
     NotAMemberError,
     NotInNullConeError,
+    OutOfRangeError,
 )
 from .invariants import Point, evaluate_invariants, word_invariants
 from .nullcone import (
@@ -51,6 +52,7 @@ _ERROR_CODES = (
     (FiberConditionError, "fiber_condition_violated"),
     (NotInNullConeError, "not_in_null_cone"),
     (NotAMemberError, "not_a_member"),
+    (OutOfRangeError, "out_of_range"),
 )
 
 
@@ -166,9 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None,
-                   help="override the per-cell trial count")
+                   help="override the per-cell trial count (at least 1)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for independent cells")
+                   help="worker processes for independent cells (at least 1; "
+                   "capped at the cell and CPU counts)")
     p.add_argument("--box", type=int, default=None,
                    help="cocharacter search box for the nullcone suite")
     p.set_defaults(fn=_cmd_verify)

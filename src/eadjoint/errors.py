@@ -27,3 +27,7 @@ class NotInNullConeError(EadjointError):
 
 class NotAMemberError(EadjointError):
     """Certificate requested for a component the point does not belong to."""
+
+
+class OutOfRangeError(EadjointError):
+    """A size, count or index in a request lies outside its documented range."""

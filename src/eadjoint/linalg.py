@@ -3,14 +3,16 @@
 Everything here is root-free and exact: entries are Python ``int`` or
 ``fractions.Fraction`` (an integral ``Fraction`` is stored as ``int``), ranks
 and echelon forms come from integer-preserving elimination, and subspaces
-carry a canonical reduced column echelon basis so that equal subspaces have
-equal basis matrices.  All values are immutable and all operations are pure,
+are held as canonical primitive integer echelon rows (with a canonical
+reduced column echelon basis matrix on demand), so that equal subspaces have
+equal representations.  All values are immutable and all operations are pure,
 so concurrent use needs no synchronization.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -40,13 +42,31 @@ def rational_to_str(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+MAX_RATIONAL_DIGITS = 1000
+_RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_str(s: str) -> Rational:
+    """Parse 'num' or 'num/den' (optional sign, ASCII digits, surrounding
+    whitespace ignored); numerator and denominator have at most
+    MAX_RATIONAL_DIGITS digits each.  Decimals, exponents and digit
+    separators are rejected."""
     if not isinstance(s, str):
         raise ValueError(f"rational must be a string, got {type(s).__name__}")
-    try:
-        return _canon(Fraction(s.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {s!r}") from exc
+    m = _RATIONAL_RE.fullmatch(s.strip())
+    if m is None:
+        raise ValueError(f"malformed rational {s!r}")
+    sign, num, den = m.groups()
+    if len(num) > MAX_RATIONAL_DIGITS or (den and len(den) > MAX_RATIONAL_DIGITS):
+        raise ValueError(
+            f"rational with more than {MAX_RATIONAL_DIGITS} digits in a part"
+        )
+    num = -int(num) if sign == "-" else int(num)
+    if den is None:
+        return num
+    if not int(den):
+        raise ValueError(f"malformed rational {s!r}: zero denominator")
+    return _canon(Fraction(num, int(den)))
 
 
 class RationalMatrix:
@@ -281,31 +301,8 @@ class RationalMatrix:
 
     def _int_rows(self):
         """Rows scaled to integers (row scaling preserves rank/RREF/kernel)."""
-        out = []
-        c = self.cols
-        e = self.entries
-        for i in range(self.rows):
-            row = e[i * c : (i + 1) * c]
-            l = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    d = x.denominator
-                    l = l * d // gcd(l, d)
-            if l == 1:
-                # a Fraction can carry denominator 1 after arithmetic
-                out.append(
-                    [x.numerator if isinstance(x, Fraction) else x for x in row]
-                )
-            else:
-                out.append(
-                    [
-                        x.numerator * (l // x.denominator)
-                        if isinstance(x, Fraction)
-                        else x * l
-                        for x in row
-                    ]
-                )
-        return out
+        c, e = self.cols, self.entries
+        return [_scaled_to_int(e[i * c : (i + 1) * c])[1] for i in range(self.rows)]
 
     def rank(self) -> int:
         return _k.rank_int(self._int_rows(), self.cols)
@@ -340,16 +337,11 @@ class RationalMatrix:
         n = self.rows
         if n == 0:
             return 1
-        a = self._int_rows()
+        a = []
         denom = 1
-        c = self.cols
-        e = self.entries
         for i in range(n):
-            l = 1
-            for x in e[i * c : (i + 1) * c]:
-                if isinstance(x, Fraction):
-                    d = x.denominator
-                    l = l * d // gcd(l, d)
+            l, row = _scaled_to_int(self.entries[i * n : (i + 1) * n])
+            a.append(row)
             denom *= l
         sign = 1
         prev = 1
@@ -376,34 +368,37 @@ class RationalMatrix:
         return _canon(Fraction(sign * a[n - 1][n - 1], denom))
 
 
+def _scaled_to_int(values):
+    """(l, l * values) for the least integer l > 0 making every value integral.
+
+    The one place rational entries are cleared to integers: per row for the
+    elimination kernels, per matrix in ``integer_rescaled``.
+    """
+    # exact type tests: isinstance against the Fraction ABC is slow here
+    l = 1
+    for x in values:
+        if type(x) is not int:
+            d = x.denominator
+            l = l * d // gcd(l, d)
+    if l == 1:
+        # a Fraction can carry denominator 1 after arithmetic
+        return 1, [x if type(x) is int else x.numerator for x in values]
+    return l, [
+        x * l if type(x) is int else x.numerator * (l // x.denominator)
+        for x in values
+    ]
+
+
 def integer_rescaled(m: RationalMatrix) -> RationalMatrix:
     """The positive integer multiple of m clearing every denominator.
 
     Useful wherever only the zero pattern, spans or kernels of a matrix
     matter; those are unchanged under scaling by a positive rational.
     """
-    l = 1
-    for x in m.entries:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            l = l * d // gcd(l, d)
-    if l == 1:
-        if all(isinstance(x, int) for x in m.entries):
-            return m
-        return RationalMatrix(
-            m.rows,
-            m.cols,
-            [x.numerator if isinstance(x, Fraction) else x for x in m.entries],
-            validate=False,
-        )
+    if all(type(x) is int for x in m.entries):
+        return m
     return RationalMatrix(
-        m.rows,
-        m.cols,
-        [
-            x.numerator * (l // x.denominator) if isinstance(x, Fraction) else x * l
-            for x in m.entries
-        ],
-        validate=False,
+        m.rows, m.cols, _scaled_to_int(m.entries)[1], validate=False
     )
 
 
@@ -428,48 +423,71 @@ def trace_product(a: RationalMatrix, b: RationalMatrix) -> Rational:
 
 
 class Subspace:
-    """A linear subspace of Q^n with a canonical echelon basis.
+    """A linear subspace of Q^n, stored as primitive integer echelon rows.
 
-    The basis matrix is in reduced column echelon form (leading 1 of each
-    column at a strictly increasing row index, zeros elsewhere in pivot
-    rows), which is unique per subspace: two equal subspaces always carry
-    identical basis matrices.
+    The stored form is what ``rre_int`` returns for any spanning set: the
+    reduced row echelon form of the spanning vectors, each row scaled to a
+    primitive integer vector (content 1) with a positive pivot entry.  That
+    form is unique per subspace, so equal subspaces carry equal rows, and
+    every operation below runs on these rows through the integer kernels
+    without building a Fraction.
+
+    ``basis`` is the same subspace as a reduced column echelon matrix
+    (leading 1 of each column at a strictly increasing row index, zeros
+    elsewhere in pivot rows), built on first access and cached; it is just
+    as unique, so two equal subspaces always carry identical basis matrices.
     """
 
-    __slots__ = ("ambient_dim", "dim", "basis")
+    __slots__ = ("ambient_dim", "dim", "_rows", "_pivots", "_basis")
 
-    def __init__(self, ambient_dim, basis: RationalMatrix):
-        # callers must hand in an already-canonical basis; use the
+    def __init__(self, ambient_dim, rows, pivots):
+        # callers hand in rows already in the stored form; use the
         # constructors below for arbitrary spanning sets
         self.ambient_dim = ambient_dim
-        self.dim = basis.cols
-        self.basis = basis
+        self.dim = len(rows)
+        self._rows = rows
+        self._pivots = pivots
+        self._basis = None
 
     @classmethod
     def from_spanning_columns(cls, m: RationalMatrix) -> "Subspace":
-        rank, _, rows = m.transpose().rref()
-        basis = RationalMatrix.from_rows(rows[:rank]).transpose() if rank else (
-            RationalMatrix.zeros(m.rows, 0)
-        )
-        return cls(m.rows, basis)
+        return _span(m.rows, m.transpose()._int_rows())
 
     @classmethod
     def zero(cls, ambient_dim) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix.zeros(ambient_dim, 0))
+        return cls(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix.identity(ambient_dim))
+        rows = tuple(
+            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
+        )
+        return cls(ambient_dim, rows, tuple(range(ambient_dim)))
+
+    @property
+    def basis(self) -> RationalMatrix:
+        """The canonical ambient_dim x dim basis matrix (exact rationals)."""
+        b = self._basis
+        if b is None:
+            n, d = self.ambient_dim, self.dim
+            e = [0] * (n * d)
+            for j, row in enumerate(self._rows):
+                p = row[self._pivots[j]]
+                for i, x in enumerate(row):
+                    if x:
+                        e[i * d + j] = x // p if x % p == 0 else Fraction(x, p)
+            b = self._basis = RationalMatrix(n, d, e, validate=False)
+        return b
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self._rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -479,62 +497,103 @@ class Subspace:
 
     def contains_vector(self, v) -> bool:
         if isinstance(v, RationalMatrix):
-            col = v
+            if v.rows != self.ambient_dim:
+                raise ShapeError("ambient dimension mismatch")
+            vecs = v.transpose()._int_rows()
         else:
-            col = RationalMatrix.column(v)
-        if col.rows != self.ambient_dim:
-            raise ShapeError("ambient dimension mismatch")
-        if self.dim == 0:
-            return col.is_zero()
-        return RationalMatrix.hstack([self.basis, col]).rank() == self.dim
+            v = [_canon(x) for x in v]
+            if len(v) != self.ambient_dim:
+                raise ShapeError("ambient dimension mismatch")
+            vecs = [_scaled_to_int(v)[1]]
+        return _k.rank_int([*self._rows, *vecs], self.ambient_dim) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         self._same_ambient(other)
-        if other.dim == 0:
-            return True
-        stacked = RationalMatrix.hstack([self.basis, other.basis])
-        return stacked.rank() == self.dim
+        return _k.rank_int([*self._rows, *other._rows], self.ambient_dim) == self.dim
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace.from_spanning_columns(
-            RationalMatrix.hstack([self.basis, other.basis])
-        )
+        return _span(self.ambient_dim, [*self._rows, *other._rows])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
+        n = self.ambient_dim
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # solve basis_self @ x = basis_other @ y;  intersection = basis_self @ x
-        stacked = RationalMatrix.hstack([self.basis, -other.basis])
-        ker = kernel_subspace(stacked)
-        if ker.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        xpart = RationalMatrix.from_rows(ker.basis.to_rows()[: self.dim])
-        return Subspace.from_spanning_columns(self.basis @ xpart)
+            return Subspace.zero(n)
+        # the intersection is the common kernel of both annihilators
+        return _span(n, _kernel_vectors(self._annihilator() + other._annihilator(), n))
 
     def image_under(self, a: RationalMatrix) -> "Subspace":
         if a.cols != self.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        return Subspace.from_spanning_columns(a @ self.basis)
+        # row j of (basis rows) @ a^T is a applied to basis vector j
+        m = a.rows
+        prod = _k.mat_mul(
+            [x for row in self._rows for x in row], self.dim, self.ambient_dim,
+            integer_rescaled(a).transpose().entries, m,
+        )
+        return _span(m, [prod[i * m : (i + 1) * m] for i in range(self.dim)])
 
     def preimage_under(self, a: RationalMatrix) -> "Subspace":
         """The solution space {x : a @ x lies in this subspace}."""
         if a.rows != self.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
-        ann = self.annihilator_rows()
-        if ann.rows == 0:
+        ann = self._annihilator()
+        if not ann:
             return Subspace.full(a.cols)
-        return kernel_subspace(ann @ a)
+        c = a.cols
+        prod = _k.mat_mul(
+            [x for row in ann for x in row], len(ann), self.ambient_dim,
+            integer_rescaled(a).entries, c,
+        )
+        rows = [prod[i * c : (i + 1) * c] for i in range(len(ann))]
+        return _span(c, _kernel_vectors(rows, c))
 
     def annihilator_rows(self) -> RationalMatrix:
         """Matrix whose rows span {z : z @ basis = 0}; its kernel is self."""
-        ker = kernel_subspace(self.basis.transpose())
-        return ker.basis.transpose()
+        return _span(self.ambient_dim, self._annihilator()).basis.transpose()
+
+    def _annihilator(self):
+        """Integer rows spanning {z : z @ basis = 0}, not canonical."""
+        return _kernel_vectors(self._rows, self.ambient_dim)
 
     def _same_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient dimension mismatch")
+
+
+def _span(n, rows) -> Subspace:
+    """The subspace of Q^n spanned by integer row vectors."""
+    rank, pivots, red = _k.rre_int(rows, n)
+    return Subspace(n, tuple(tuple(r) for r in red[:rank]), tuple(pivots))
+
+
+def _kernel_vectors(rows, n):
+    """Integer vectors spanning {x in Q^n : row . x = 0 for every row}.
+
+    One vector per free column f of the reduced rows: f-th entry l, pivot
+    entries -l * row[f] / pivot, with l the least common multiple of the
+    pivots involved, which keeps the vector integral.
+    """
+    rank, pivots, red = _k.rre_int(rows, n)
+    pivot_set = set(pivots)
+    out = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        l = 1
+        for i in range(rank):
+            if red[i][f]:
+                d = red[i][pivots[i]]
+                l = l * d // gcd(l, d)
+        v = [0] * n
+        v[f] = l
+        for i in range(rank):
+            x = red[i][f]
+            if x:
+                v[pivots[i]] = -x * (l // red[i][pivots[i]])
+        out.append(v)
+    return out
 
 
 def column_space(m: RationalMatrix) -> Subspace:
@@ -543,22 +602,7 @@ def column_space(m: RationalMatrix) -> Subspace:
 
 def kernel_subspace(m: RationalMatrix) -> Subspace:
     """Null space {x : m @ x = 0} with canonical basis."""
-    rank, pivots, rows = m.rref()
-    n = m.cols
-    free = [c for c in range(n) if c not in set(pivots)]
-    if not free:
-        return Subspace.zero(n)
-    cols = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for idx, pc in enumerate(pivots):
-            v[pc] = -rows[idx][f]
-        cols.append(v)
-    spanning = RationalMatrix.from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    )
-    return Subspace.from_spanning_columns(spanning)
+    return _span(m.cols, _kernel_vectors(m._int_rows(), m.cols))
 
 
 def rref_decompose(m: RationalMatrix):
@@ -579,7 +623,7 @@ def subspace_compare(s: Subspace, t: Subspace) -> SubspaceRelation:
     """Compare two subspaces by exact rank tests on stacked bases."""
     if s.ambient_dim != t.ambient_dim:
         raise ShapeError("ambient dimension mismatch")
-    joint = RationalMatrix.hstack([s.basis, t.basis]).rank()
+    joint = _k.rank_int([*s._rows, *t._rows], s.ambient_dim)
     s_in_t = joint == t.dim
     t_in_s = joint == s.dim
     if s_in_t and t_in_s:

@@ -13,6 +13,18 @@ an invariant F of dimension k between S and K, and conversely a nilpotent
 map admits invariant subspaces of every dimension between dim S and dim K.
 This criterion is validated against the component sampler by the
 verification suites before anything downstream relies on it.
+
+Both subspaces are classical Kalman subspaces (Kalman 1963): S is the column
+space of the controllability matrix [B, AB, ..., A^{n-1}B] and K is the
+kernel of the observability matrix [C; CA; ...; CA^{n-1}].  So the interval
+is [rank ctrl, n - rank obs], two integer ranks, and S and K are one
+elimination each; no fixed-point iteration is needed.
+
+A certificate (k, g, lambda) is checked from g alone, without inverting it:
+g.w lies in U_k exactly when g is invertible, rows k.. of gB vanish, the
+rows of C lie in the span of the rows k.. of g, and each row g_i A lies in
+the span of the rows of g below row i.  Those are integer rank tests on g
+with its rows cleared of denominators.
 """
 
 from __future__ import annotations
@@ -20,7 +32,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NotAMemberError, NotInNullConeError, ShapeError
+from . import _kernels as _k
+from .errors import NotAMemberError, NotInNullConeError, OutOfRangeError, ShapeError
 from .invariants import Point, evaluate_invariants, group_action
 from .linalg import (
     RationalMatrix,
@@ -268,24 +281,31 @@ class ComponentInterval:
         }
 
 
+def _controllability(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """[b, ab, ..., a^{n-1} b]; its column space is the a-span of im b."""
+    blocks = [b]
+    for _ in range(1, a.rows):
+        blocks.append(a @ blocks[-1])
+    return RationalMatrix.hstack(blocks)
+
+
+def _observability(a: RationalMatrix, c: RationalMatrix) -> RationalMatrix:
+    """[c; ca; ...; c a^{n-1}]; its kernel is the largest a-invariant
+    subspace of ker c."""
+    blocks = [c]
+    for _ in range(1, a.rows):
+        blocks.append(blocks[-1] @ a)
+    return RationalMatrix.vstack(blocks)
+
+
 def invariant_hull_of_image(a: RationalMatrix, b: RationalMatrix) -> Subspace:
     """Smallest a-invariant subspace containing the column space of b."""
-    s = column_space(b)
-    while True:
-        grown = s.sum_with(s.image_under(a))
-        if grown.dim == s.dim:
-            return s
-        s = grown
+    return column_space(_controllability(a, b))
 
 
 def largest_invariant_in_kernel(a: RationalMatrix, c: RationalMatrix) -> Subspace:
     """Largest a-invariant subspace contained in ker c."""
-    k = kernel_subspace(c)
-    while True:
-        shrunk = k.intersect(k.preimage_under(a))
-        if shrunk.dim == k.dim:
-            return k
-        k = shrunk
+    return kernel_subspace(_observability(a, c))
 
 
 def component_interval(w: Point) -> ComponentInterval:
@@ -293,17 +313,18 @@ def component_interval(w: Point) -> ComponentInterval:
 
     For a null point the answer is the interval [dim S, dim K] with S the
     A-span of the image of B and K the largest A-invariant subspace of
-    ker C; both fixed points are reached in at most n steps.  A point with
-    nonzero invariants gets the empty interval.
+    ker C, that is [rank ctrl, n - rank obs] for the controllability and
+    observability matrices.  A point with nonzero invariants gets the empty
+    interval.
     """
     if not in_null_cone(w):
         return ComponentInterval(None, None, False)
     wi = _integer_rescaled_point(w)
-    s = invariant_hull_of_image(wi.A, wi.B)
-    k = largest_invariant_in_kernel(wi.A, wi.C)
-    if s.dim > k.dim:
+    d_min = _controllability(wi.A, wi.B).rank()
+    d_max = w.n - _observability(wi.A, wi.C).rank()
+    if d_min > d_max:
         raise AssertionError("membership interval inverted on a null point")
-    return ComponentInterval(s.dim, k.dim, True)
+    return ComponentInterval(d_min, d_max, True)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +370,49 @@ def point_in_unstable_subspace(w: Point, k) -> bool:
     return True
 
 
+def _certificate_defect(w: Point, cert: Certificate):
+    """None for a valid certificate, else the first condition it fails.
+
+    With g_i the rows of g, the moved point g.w = (gB, C g^-1, g A g^-1)
+    lies in U_k exactly when
+    - "rank g": g is invertible;
+    - "g B": rows k.. of gB vanish;
+    - "C g^-1": the rows of C lie in the span of g_k..g_{n-1}, that is
+      rank [g_{k:}; C] = n - k, so the first k columns of C g^-1 vanish;
+    - "g A g^-1": every g_i A lies in the span of g_{i+1}..g_{n-1}, that is
+      rank [g_{i+1:}; g_i A] = n - i - 1, so g A g^-1 is strictly upper
+      triangular.
+    Scaling a row of g changes none of these, so each row is cleared to
+    integers and only integer products and ranks are needed.  "lambda"
+    means some weight of U_k pairs non-positively with the cocharacter, "k"
+    that k lies outside 0..n.
+    """
+    n, k = w.n, cert.k
+    if cert.g.shape != (n, n):
+        raise ShapeError("group element has wrong size")
+    wi = _integer_rescaled_point(w)
+    if not 0 <= k <= n:
+        return "k"
+    g = cert.g._int_rows()
+    if _k.rank_int(g, n) < n:
+        return "rank g"
+    tail = [x for row in g[k:] for x in row]
+    if any(_k.mat_mul(tail, n - k, n, wi.B.entries, w.p)):
+        return "g B"
+    if _k.rank_int(g[k:] + wi.C._int_rows(), n) != n - k:
+        return "C g^-1"
+    ga = _k.mat_mul([x for row in g for x in row], n, n, wi.A.entries, n)
+    for i in range(n):
+        if _k.rank_int(g[i + 1 :] + [ga[i * n : (i + 1) * n]], n) != n - i - 1:
+            return "g A g^-1"
+    if not all(cert.lam.pairing(coeffs) > 0 for coeffs in x_k_weight_set(n, k)):
+        return "lambda"
+    return None
+
+
 def check_certificate(w: Point, cert: Certificate) -> bool:
-    """Both certificate invariants, bit-exactly."""
-    moved = group_action(cert.g, w)
-    if not point_in_unstable_subspace(moved, cert.k):
-        return False
-    return all(
-        cert.lam.pairing(coeffs) > 0 for coeffs in x_k_weight_set(w.n, cert.k)
-    )
+    """Both certificate invariants, bit-exactly, from g alone (no inverse)."""
+    return _certificate_defect(w, cert) is None
 
 
 def _first_new_basis_column(target: Subspace, current: Subspace):
@@ -407,6 +463,15 @@ def _build_certificate(a: RationalMatrix, s: Subspace, big: Subspace, k: int) ->
     return Certificate(k, basis.inverse(), standard_destabilizer(n, k))
 
 
+def _null_point_subspaces(w: Point):
+    """(integer-rescaled A, S, K) of a null point; raises outside the cone."""
+    if not in_null_cone(w):
+        raise NotInNullConeError("certificates exist only for null points")
+    wi = _integer_rescaled_point(w)
+    a = wi.A
+    return a, invariant_hull_of_image(a, wi.B), largest_invariant_in_kernel(a, wi.C)
+
+
 def adapted_certificate(w: Point, k) -> Certificate:
     """Construct a change of basis carrying a null point into U_k.
 
@@ -418,12 +483,7 @@ def adapted_certificate(w: Point, k) -> Certificate:
     strictly decreasing cocharacter, is returned after both certificate
     conditions are re-verified.
     """
-    if not in_null_cone(w):
-        raise NotInNullConeError("certificates exist only for null points")
-    wi = _integer_rescaled_point(w)
-    a = wi.A
-    s = invariant_hull_of_image(a, wi.B)
-    big = largest_invariant_in_kernel(a, wi.C)
+    a, s, big = _null_point_subspaces(w)
     if not (s.dim <= k <= big.dim):
         raise NotAMemberError(
             f"point is not a member of component {k}: interval is "
@@ -442,12 +502,7 @@ def component_certificates(w: Point):
     invariant-subspace computations across the certificates.  Every
     certificate is re-verified bit-exactly before being returned.
     """
-    if not in_null_cone(w):
-        raise NotInNullConeError("certificates exist only for null points")
-    wi = _integer_rescaled_point(w)
-    a = wi.A
-    s = invariant_hull_of_image(a, wi.B)
-    big = largest_invariant_in_kernel(a, wi.C)
+    a, s, big = _null_point_subspaces(w)
     interval = ComponentInterval(s.dim, big.dim, True)
     certs = {}
     for k in interval.members():
@@ -547,8 +602,6 @@ def component_tangent_dim(n, p, q, k, seed) -> int:
                 v[n * p + q * n + i * n + j] += a.entry(t, j)
                 v[n * p + q * n + j * n + t] -= a.entry(j, i)
             rows.append(v)
-    from . import _kernels as _k
-
     return _k.rank_int(rows, dim_w)
 
 
@@ -568,6 +621,8 @@ class NullconeSummary:
 
 def nullcone_summary(n, p, q) -> NullconeSummary:
     """Closed-form component dimensions (n^2 - n) + pk + q(n - k) and the max."""
+    if n < 1 or p < 1 or q < 1:
+        raise OutOfRangeError("n, p and q must all be positive")
     dims = tuple((n * n - n) + p * k + q * (n - k) for k in range(n + 1))
     return NullconeSummary(dims, max(dims), p == q)
 

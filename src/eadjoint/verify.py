@@ -10,11 +10,11 @@ everything else is exact and must hold on every trial.
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import NotAMemberError
+from .errors import NotAMemberError, OutOfRangeError
 from .invariants import (
     Point,
     evaluate_invariants,
@@ -424,7 +424,7 @@ def _grid(ns, ps=(1, 2, 3), qs=(1, 2, 3)):
 
 
 def _cells_invariance(trials):
-    trials = trials or 200
+    trials = 200 if trials is None else trials
     for n, p, q in _grid(range(1, 5)):
         for r in (1, 2):
             yield (
@@ -435,7 +435,7 @@ def _cells_invariance(trials):
 
 
 def _cells_jacobian(trials):
-    trials = trials or 200
+    trials = 200 if trials is None else trials
     for n, p, q in _grid(range(1, 5)):
         yield (
             "jacobian",
@@ -445,7 +445,7 @@ def _cells_jacobian(trials):
 
 
 def _cells_stabilizer(trials):
-    trials = trials or 3
+    trials = 3 if trials is None else trials
     for n, p, q in _grid(range(1, 7)):
         for k in range(1, n + 1):
             if k >= n - k:
@@ -463,8 +463,8 @@ def _cells_stabilizer(trials):
 
 
 def _cells_nullcone(trials, box=None):
-    eq_trials = trials or 125
-    tangent_trials = trials or 20
+    eq_trials = 125 if trials is None else trials
+    tangent_trials = 20 if trials is None else trials
     for n in range(1, 6):
         yield ("nullcone-classes", f"classes n={n}", {"n": n, "box": box})
     for n in range(1, 5):
@@ -489,7 +489,7 @@ def _cells_nullcone(trials, box=None):
 
 
 def _cells_classifier(trials):
-    trials = trials or 1000
+    trials = 1000 if trials is None else trials
     for n, p, q in _grid(range(1, 5)):
         for k in range(n + 1):
             yield (
@@ -500,7 +500,7 @@ def _cells_classifier(trials):
 
 
 def _cells_certificates(trials):
-    trials = trials or 1000
+    trials = 1000 if trials is None else trials
     for n, p, q in _grid(range(1, 5)):
         for k in range(n + 1):
             yield (
@@ -511,8 +511,8 @@ def _cells_certificates(trials):
 
 
 def _cells_reconstruction(trials):
-    round_trials = trials or 200
-    regular_trials = trials or 20
+    round_trials = 200 if trials is None else trials
+    regular_trials = 20 if trials is None else trials
     for n, p, q in _grid(range(1, 6)):
         yield (
             "reconstruction-roundtrip",
@@ -529,13 +529,13 @@ def _cells_reconstruction(trials):
 
 
 def _cells_sl_relation(trials):
-    trials = trials or 100
+    trials = 100 if trials is None else trials
     for n in range(1, 5):
         yield ("sl-relation", f"n={n}", {"n": n, "trials": trials})
 
 
 def _cells_psi(trials):
-    trials = trials or 25
+    trials = 25 if trials is None else trials
     for n in (2, 3, 4):
         for p, q in ((1, 1), (2, 3), (3, 2)):
             yield (
@@ -569,6 +569,9 @@ def _cell_seed(base_seed, index):
 
 def _run_task(task):
     runner_name, label, seed, params = task
+    if params.get("trials", 1) < 1:
+        # a cell that checks nothing must not count as a pass
+        return CellOutcome(label, seed, False, "cell ran zero trials")
     try:
         detail = _RUNNERS[runner_name](seed, params)
     except Exception as exc:  # a raising cell is a failing cell
@@ -579,6 +582,10 @@ def _run_task(task):
 
 
 def suite_cells(name, trials=None, box=None):
+    """The (runner, label, params) cells of a suite; ``trials`` overrides
+    every per-cell trial count and must be at least 1."""
+    if trials is not None and trials < 1:
+        raise OutOfRangeError(f"trials must be at least 1, got {trials}")
     if name == "nullcone":
         return list(_cells_nullcone(trials, box=box))
     if name not in _BUILDERS:
@@ -587,15 +594,25 @@ def suite_cells(name, trials=None, box=None):
 
 
 def run_suite(name, seed=0, trials=None, jobs=1, box=None) -> VerifyReport:
-    """Run one named suite; deterministic for fixed (name, seed, trials)."""
+    """Run one named suite; deterministic for fixed (name, seed, trials).
+
+    ``jobs`` must be at least 1; more worker processes than cells or CPUs
+    are never started.
+    """
+    if jobs < 1:
+        raise OutOfRangeError(f"jobs must be at least 1, got {jobs}")
     cells = suite_cells(name, trials=trials, box=box)
     tasks = [
         (runner, label, _cell_seed(seed, i), params)
         for i, (runner, label, params) in enumerate(cells)
     ]
     start = time.perf_counter()
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_task, tasks, chunksize=4))
     else:
         outcomes = [_run_task(t) for t in tasks]

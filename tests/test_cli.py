@@ -112,6 +112,13 @@ class TestReconstructAndClassify:
         assert code == 0
         assert json.loads(out) == {"in_null_cone": True, "d_min": 0, "d_max": 2}
 
+    def test_decimal_and_exponent_entries_rejected(self, capsys, monkeypatch):
+        for bad in ("2.5", "3e2", "1_000"):
+            req = {"t": ["1", bad], "gamma": [[["2"]], [["3"]]]}
+            code, out = run_cli(capsys, ["reconstruct"], req, monkeypatch)
+            assert code == 2
+            assert json.loads(out)["error"] == "malformed_input"
+
     def test_classify_non_null(self, capsys, monkeypatch):
         code, out = run_cli(capsys, ["classify"], DIAG_POINT_JSON, monkeypatch)
         assert code == 0
@@ -156,6 +163,12 @@ class TestDimsAndSample:
             "nullcone_dim": 12,
             "equidimensional": False,
         }
+
+    def test_dims_nonpositive_is_a_domain_error(self, capsys):
+        for args in (["--n", "0", "--p", "1", "--q", "1"], ["--n", "2", "--p", "0", "--q", "1"]):
+            code, out = run_cli(capsys, ["dims"] + args)
+            assert code == 1
+            assert json.loads(out)["error"] == "out_of_range"
 
     def test_sample_deterministic(self, capsys):
         args = ["sample", "--n", "3", "--p", "2", "--q", "1", "--k", "1", "--seed", "7"]
@@ -211,6 +224,19 @@ class TestVerifyCommand:
             "psi",
         ]
         assert all(r["failures"] == [] for r in reports)
+
+    def test_trials_below_one_is_a_domain_error(self, capsys):
+        for trials in ("-1", "0"):
+            code, out = run_cli(capsys, ["verify", "--suite", "sl-relation", "--trials", trials])
+            assert code == 1
+            assert json.loads(out)["error"] == "out_of_range"
+
+    def test_jobs_below_one_is_a_domain_error(self, capsys):
+        code, out = run_cli(
+            capsys, ["verify", "--suite", "sl-relation", "--trials", "1", "--jobs", "0"]
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "out_of_range"
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

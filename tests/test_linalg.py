@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from eadjoint.errors import DegenerateSpectrumError, ShapeError, SingularMatrixError
 from eadjoint.linalg import (
+    MAX_RATIONAL_DIGITS,
     PolynomialCoeffs,
     RationalMatrix,
     Subspace,
@@ -154,6 +155,26 @@ class TestMatrixBasics:
             rational_from_str("1.5x")
         with pytest.raises(ValueError):
             rational_from_str("1/0")
+
+    def test_rational_strings_strict(self):
+        # only [+-]digits(/digits), surrounding whitespace ignored
+        assert rational_from_str(" 1/2\n") == Fraction(1, 2)
+        assert rational_from_str("+3") == 3
+        assert rational_from_str("-0") == 0
+        assert rational_from_str("4/2") == 2 and isinstance(rational_from_str("4/2"), int)
+        assert rational_from_str("-6/4") == Fraction(-3, 2)
+        assert rational_from_str("9" * MAX_RATIONAL_DIGITS) == int("9" * MAX_RATIONAL_DIGITS)
+        rejected = [
+            "2.5", ".5", "3e2", "1e100000000", "1_000", "0x10", "inf", "nan", "",
+            " ", "1 /2", "1/ 2", "1/2/3", "--1", "1/-2", "+", "/2", "1/",
+            "\u0663", "1/\u0663", "9" * (MAX_RATIONAL_DIGITS + 1),
+            "1/" + "9" * (MAX_RATIONAL_DIGITS + 1),
+        ]
+        for s in rejected:
+            with pytest.raises(ValueError):
+                rational_from_str(s)
+        with pytest.raises(ValueError):
+            rational_from_str(3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,24 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from eadjoint.errors import NotAMemberError, NotInNullConeError
+from eadjoint.errors import (
+    NotAMemberError,
+    NotInNullConeError,
+    OutOfRangeError,
+    ShapeError,
+    SingularMatrixError,
+)
 from eadjoint.invariants import Point, evaluate_invariants, group_action, zero_point
-from eadjoint.linalg import RationalMatrix, char_poly
+from eadjoint.linalg import RationalMatrix, char_poly, column_space, kernel_subspace
 from eadjoint.nullcone import (
+    Certificate,
     OnePSG,
+    _certificate_defect,
     adapted_certificate,
     check_certificate,
+    component_certificates,
     component_interval,
     component_tangent_dim,
     enumerate_maximal_unstable,
@@ -379,6 +389,11 @@ class TestDimensions:
         assert s.component_dims == (8, 8, 8)
         assert s.equidimensional
 
+    def test_nonpositive_sizes_rejected(self):
+        for n, p, q in [(0, 1, 1), (2, 0, 1), (2, 1, 0), (-1, 1, 1)]:
+            with pytest.raises(OutOfRangeError):
+                nullcone_summary(n, p, q)
+
     def test_max_formula(self):
         for n in range(1, 6):
             for p in range(1, 4):
@@ -424,3 +439,160 @@ class TestWitnesses:
     def test_pinned_family_rejects_small_k(self):
         with pytest.raises(ValueError):
             pinned_row_witness(5, 1, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the fixed-point loops and the group-action check that
+# the Kalman-rank subspaces and the inverse-free certificate check replaced
+
+
+def hull_fixed_point(a, b):
+    """Smallest a-invariant subspace containing im b, grown one step at a time."""
+    s = column_space(b)
+    while True:
+        grown = s.sum_with(s.image_under(a))
+        if grown.dim == s.dim:
+            return s
+        s = grown
+
+
+def core_fixed_point(a, c):
+    """Largest a-invariant subspace of ker c, shrunk one step at a time."""
+    k = kernel_subspace(c)
+    while True:
+        shrunk = k.intersect(k.preimage_under(a))
+        if shrunk.dim == k.dim:
+            return k
+        k = shrunk
+
+
+def group_action_check(w, cert):
+    """Move the point by g and read off the U_k zero pattern and the pairing."""
+    if not 0 <= cert.k <= w.n:
+        return False
+    try:
+        moved = group_action(cert.g, w)
+    except SingularMatrixError:
+        return False
+    return point_in_unstable_subspace(moved, cert.k) and all(
+        cert.lam.pairing(coeffs) > 0 for coeffs in x_k_weight_set(w.n, cert.k)
+    )
+
+
+def differential_points(seed, count):
+    """(kind, point): component samples, samples moved by g, generic points."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = rng.randint(1, 5)
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        kind = ("component", "moved", "generic")[trial % 3]
+        if kind == "generic":
+            w = random_point(rng, n, p, q)
+        else:
+            w = sample_component(n, p, q, rng.randint(0, n), rng.randint(0, 10**9))
+            if kind == "moved":
+                w = group_action(random_invertible(rng, n), w)
+        yield kind, w
+
+
+class TestKalmanSubspaces:
+    def test_interval_matches_fixed_points(self):
+        for kind, w in differential_points(31, 150):
+            iv = component_interval(w)
+            if not in_null_cone(w):
+                assert kind == "generic"
+                assert iv.is_empty()
+                continue
+            hull = hull_fixed_point(w.A, w.B)
+            core = core_fixed_point(w.A, w.C)
+            assert (iv.d_min, iv.d_max) == (hull.dim, core.dim)
+
+    def test_one_shot_subspaces_match_fixed_points(self):
+        # also on generic points, where S and K are not tied to a component
+        for _, w in differential_points(37, 150):
+            hull = invariant_hull_of_image(w.A, w.B)
+            core = largest_invariant_in_kernel(w.A, w.C)
+            assert hull == hull_fixed_point(w.A, w.B)
+            assert hull.basis == hull_fixed_point(w.A, w.B).basis
+            assert core == core_fixed_point(w.A, w.C)
+            assert core.basis == core_fixed_point(w.A, w.C).basis
+
+    def test_certificates_of_moved_points_cover_the_interval(self):
+        for kind, w in differential_points(41, 60):
+            if kind == "generic":
+                continue
+            iv, certs = component_certificates(w)
+            hull = hull_fixed_point(w.A, w.B)
+            core = core_fixed_point(w.A, w.C)
+            assert (iv.d_min, iv.d_max) == (hull.dim, core.dim)
+            assert sorted(certs) == list(range(hull.dim, core.dim + 1))
+
+
+class TestInverseFreeCheck:
+    @staticmethod
+    def corrupted(rng, w, cert):
+        """Certificates near a valid one: most are invalid, a few stay valid."""
+        n = w.n
+        e = list(cert.g.entries)
+        i = rng.randrange(n * n)
+        e[i] = e[i] + rng.choice([1, -1, Fraction(1, 2)])
+        yield Certificate(cert.k, RationalMatrix(n, n, e), cert.lam)
+        for kk in (cert.k - 1, cert.k + 1):
+            if 0 <= kk <= n:
+                yield Certificate(kk, cert.g, cert.lam)
+                yield Certificate(kk, cert.g, standard_destabilizer(n, kk))
+        if n > 1:
+            rows = cert.g.to_rows()
+            a, b = rng.sample(range(n), 2)
+            rows[a] = [x * 2 for x in rows[b]]
+            yield Certificate(cert.k, RationalMatrix.from_rows(rows), cert.lam)
+        rows = cert.g.to_rows()
+        rows[rng.randrange(n)] = [0] * n
+        yield Certificate(cert.k, RationalMatrix.from_rows(rows), cert.lam)
+
+    def test_agrees_with_group_action_check(self):
+        rng = random.Random(43)
+        defects = {}
+        valid = 0
+        for kind, w in differential_points(47, 120):
+            if kind == "generic":
+                continue
+            _, certs = component_certificates(w)
+            for cert in certs.values():
+                assert check_certificate(w, cert)
+                assert group_action_check(w, cert)
+                valid += 1
+                for bad in self.corrupted(rng, w, cert):
+                    ok = check_certificate(w, bad)
+                    assert ok == group_action_check(w, bad)
+                    reason = _certificate_defect(w, bad)
+                    assert (reason is None) == ok
+                    defects[reason] = defects.get(reason, 0) + 1
+        assert valid >= 50
+        # every rank condition rejects some corrupted certificate
+        for reason in ("rank g", "g B", "C g^-1", "g A g^-1", "lambda"):
+            assert defects.get(reason, 0) > 0, (reason, defects)
+
+    def test_out_of_range_k_rejected(self):
+        w = zero_point(2, 1, 1)
+        g = RationalMatrix.identity(2)
+        for k in (-1, 3):
+            assert not check_certificate(w, Certificate(k, g, OnePSG((1, -1))))
+
+    def test_check_uses_no_inverse(self, monkeypatch):
+        import eadjoint.nullcone as nc
+
+        def forbidden(*args):
+            raise AssertionError("check_certificate inverted a matrix")
+
+        w = sample_component(4, 2, 2, 2, 5)
+        _, certs = component_certificates(w)
+        monkeypatch.setattr(RationalMatrix, "inverse", forbidden)
+        monkeypatch.setattr(nc, "group_action", forbidden)
+        for cert in certs.values():
+            assert check_certificate(w, cert)
+
+    def test_wrong_size_rejected(self):
+        w = zero_point(2, 1, 1)
+        with pytest.raises(ShapeError):
+            check_certificate(w, Certificate(1, RationalMatrix.identity(3), OnePSG((1, -1))))

@@ -1,5 +1,7 @@
 import pytest
 
+from eadjoint import verify
+from eadjoint.errors import OutOfRangeError
 from eadjoint.verify import SUITE_NAMES, run_suite, suite_cells
 
 
@@ -61,3 +63,59 @@ class TestFailureReporting:
         assert len(rep.failures) == 4
         assert "exploded" in rep.failures[0].detail
         assert rep.failures[0].seed is not None
+
+
+class TestRequestBounds:
+    def test_trials_below_one_rejected(self):
+        for trials in (0, -1):
+            with pytest.raises(OutOfRangeError):
+                suite_cells("sl-relation", trials=trials)
+            with pytest.raises(OutOfRangeError):
+                run_suite("sl-relation", trials=trials)
+
+    def test_default_trials_only_when_omitted(self):
+        assert suite_cells("sl-relation")[0][2]["trials"] == 100
+        assert suite_cells("sl-relation", trials=1)[0][2]["trials"] == 1
+        nullcone = {label: params for _, label, params in suite_cells("nullcone", trials=2)}
+        assert nullcone["equivalence n=1"]["trials"] == 2
+
+    def test_zero_trial_cell_fails(self):
+        out = verify._run_task(("sl-relation", "n=1", 0, {"n": 1, "trials": 0}))
+        assert not out.ok
+        assert "zero trials" in out.detail
+        assert verify._run_task(("sl-relation", "n=1", 0, {"n": 1, "trials": 1})).ok
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(OutOfRangeError):
+                run_suite("sl-relation", trials=1, jobs=jobs)
+
+    def test_jobs_clamped_to_cells_and_cpus(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            """Records the requested worker count and runs tasks in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        # sl-relation has 4 cells
+        for cpus, jobs, expected in [(3, 10**9, [3]), (64, 50, [4]), (64, 2, [2]),
+                                     (None, 8, []), (8, 1, [])]:
+            started.clear()
+            monkeypatch.setattr(verify.os, "cpu_count", lambda cpus=cpus: cpus)
+            rep = run_suite("sl-relation", seed=2, trials=1, jobs=jobs)
+            assert started == expected
+            assert rep.cells_run == rep.passes == 4
