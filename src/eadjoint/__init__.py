@@ -9,7 +9,7 @@ destabilization certificates.  Every computation is exact over the rationals;
 no floating point, no root extraction.
 """
 
-from ._kernels import available_backends, backend_name
+from ._kernels import backend_name
 from .errors import (
     DegenerateSpectrumError,
     EadjointError,
@@ -78,7 +78,6 @@ from .verify import SUITE_NAMES, VerifyReport, run_suite, run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "available_backends",
     "backend_name",
     "DegenerateSpectrumError",
     "EadjointError",

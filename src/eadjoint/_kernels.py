@@ -1,53 +1,20 @@
-"""Kernel backend selection: compiled extension when available, else pure.
+"""The three integer kernels: the compiled extension when built, else pure.
 
-The compiled module ``eadjoint._core`` is an optional Cython build of the
-kernels in ``eadjoint._corepy``.  Selection happens once at import; setting
-``EADJOINT_PURE_KERNELS=1`` in the environment forces the pure backend.
-``use_backend`` exists so tests and benchmarks can switch at runtime.
+``eadjoint._core`` is an optional Cython build of the kernels in
+``eadjoint._corepy`` with identical results.  It is bound if it imports;
+otherwise the pure twin is.  Callers look the kernels up on this module.
 """
 
-import os
-
-from . import _corepy as _pure
-
 try:
-    from . import _core as _compiled  # type: ignore[attr-defined]
+    from ._core import mat_mul, rank_int, rre_int  # type: ignore[attr-defined]
+
+    _BACKEND = "compiled"
 except ImportError:
-    _compiled = None
+    from ._corepy import mat_mul, rank_int, rre_int
 
-mat_mul = _pure.mat_mul
-rank_int = _pure.rank_int
-rre_int = _pure.rre_int
-_active = "pure"
-
-
-def available_backends():
-    names = ["pure"]
-    if _compiled is not None:
-        names.append("compiled")
-    return names
-
-
-def use_backend(name):
-    """Bind the kernel functions to the named backend ('pure' or 'compiled')."""
-    global mat_mul, rank_int, rre_int, _active
-    if name == "pure":
-        mod = _pure
-    elif name == "compiled":
-        if _compiled is None:
-            raise RuntimeError("compiled kernels are not built")
-        mod = _compiled
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    mat_mul = mod.mat_mul
-    rank_int = mod.rank_int
-    rre_int = mod.rre_int
-    _active = name
+    _BACKEND = "pure"
 
 
 def backend_name():
-    return _active
-
-
-if os.environ.get("EADJOINT_PURE_KERNELS") != "1" and _compiled is not None:
-    use_backend("compiled")
+    """'compiled' or 'pure': which kernels were bound at import."""
+    return _BACKEND

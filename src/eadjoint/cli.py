@@ -19,6 +19,7 @@ from .errors import (
     DegenerateSpectrumError,
     EadjointError,
     FiberConditionError,
+    MultipleCopiesError,
     NotAMemberError,
     NotInNullConeError,
     OutOfRangeError,
@@ -50,6 +51,7 @@ def _read_input(path):
 _ERROR_CODES = (
     (DegenerateSpectrumError, "degenerate_spectrum"),
     (FiberConditionError, "fiber_condition_violated"),
+    (MultipleCopiesError, "multiple_adjoint_copies"),
     (NotInNullConeError, "not_in_null_cone"),
     (NotAMemberError, "not_a_member"),
     (OutOfRangeError, "out_of_range"),
@@ -98,9 +100,7 @@ def _cmd_sample(args):
 
 def _cmd_verify(args):
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = run_suites(
-        names, seed=args.seed, trials=args.trials, jobs=args.jobs, box=args.box
-    )
+    reports = run_suites(names, seed=args.seed, trials=args.trials, jobs=args.jobs)
     # wall time stays off stdout so the output is byte-stable per request
     payload = [r.to_json_obj() for r in reports]
     _emit(payload[0] if len(payload) == 1 else payload)
@@ -172,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for independent cells (at least 1; "
                    "capped at the cell and CPU counts)")
-    p.add_argument("--box", type=int, default=None,
-                   help="cocharacter search box for the nullcone suite")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

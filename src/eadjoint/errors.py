@@ -9,6 +9,10 @@ class ShapeError(EadjointError):
     """Matrix or point dimensions are inconsistent with the operation."""
 
 
+class MultipleCopiesError(ShapeError):
+    """A single-copy (r = 1) operation was applied to a point with r > 1."""
+
+
 class SingularMatrixError(EadjointError):
     """An exactly singular matrix where an invertible one is required."""
 

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FiberConditionError, ShapeError, SingularMatrixError
+from .errors import (
+    FiberConditionError,
+    MultipleCopiesError,
+    OutOfRangeError,
+    ShapeError,
+    SingularMatrixError,
+)
 from .linalg import (
     RationalMatrix,
     Rational,
@@ -64,7 +70,9 @@ class Point:
     @property
     def A(self) -> RationalMatrix:
         if self.r != 1:
-            raise ShapeError("single adjoint copy requested from an r > 1 point")
+            raise MultipleCopiesError(
+                "single adjoint copy requested from an r > 1 point"
+            )
         return self.A_list[0]
 
     def dims(self):
@@ -165,7 +173,7 @@ def matrix_powers(a: RationalMatrix, top: int):
 def evaluate_invariants(w: Point) -> InvariantVector:
     """The quotient-map value of an r = 1 point, exactly."""
     if w.r != 1:
-        raise ShapeError("invariant vector is defined for r = 1 points")
+        raise MultipleCopiesError("invariant vector is defined for r = 1 points")
     n = w.n
     a = w.A
     pows = matrix_powers(a, n)
@@ -220,14 +228,28 @@ class WordInvariants:
         }
 
 
+MAX_WORDS = 10_000  # nonempty words r + r^2 + ... + r^max_len per request
+
+
 def word_invariants(w: Point, max_len: int) -> WordInvariants:
     """All trace words tau_I (nonempty I) and moment words gamma_K, |K|, |I| <= max_len.
 
     tau keys are deduplicated up to cyclic rotation, the only identity that
-    holds a priori; gamma keys are not deduplicated.
+    holds a priori; gamma keys are not deduplicated.  More than
+    ``MAX_WORDS`` nonempty words is an ``OutOfRangeError``, raised before
+    any product is formed.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
+    words, of_length = 0, 1
+    for _ in range(max_len):
+        of_length *= w.r
+        words += of_length
+        if words > MAX_WORDS:
+            raise OutOfRangeError(
+                f"more than {MAX_WORDS} words of length at most {max_len} "
+                f"in {w.r} letters"
+            )
     tau: dict = {}
     gamma: dict = {(): w.C @ w.B}
     frontier = {(): RationalMatrix.identity(w.n)}
@@ -258,7 +280,7 @@ def differential(w: Point, dw: TangentVector) -> InvariantVector:
       d Gamma_k = dC A^k B + sum_i C A^i dA A^{k-1-i} B + C A^k dB
     """
     if w.r != 1:
-        raise ShapeError("differential is defined for r = 1 points")
+        raise MultipleCopiesError("differential is defined for r = 1 points")
     n, p, q = w.n, w.p, w.q
     if dw.dB.shape != (n, p) or dw.dC.shape != (q, n) or dw.dA.shape != (n, n):
         raise ShapeError("tangent vector shapes do not match the point")
@@ -286,7 +308,7 @@ def jacobian_matrix(w: Point) -> RationalMatrix:
     agreement with ``differential`` on random directions is covered by tests.
     """
     if w.r != 1:
-        raise ShapeError("Jacobian is defined for r = 1 points")
+        raise MultipleCopiesError("Jacobian is defined for r = 1 points")
     n, p, q = w.n, w.p, w.q
     pows = matrix_powers(w.A, n)
     lefts = [w.C @ pows[i] for i in range(n)]

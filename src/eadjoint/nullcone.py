@@ -20,6 +20,13 @@ kernel of the observability matrix [C; CA; ...; CA^{n-1}].  So the interval
 is [rank ctrl, n - rank obs], two integer ranks, and S and K are one
 elimination each; no fixed-point iteration is needed.
 
+The components come from the maximal unstable weight sets, which form the
+ladder X_0..X_n up to relabelling the coordinates (Hilbert-Mumford).  The
+ladder search checks that claim exhaustively: the weight set of a
+cocharacter depends only on its sign-annotated order type, so every order
+type is visited once, and each maximal set is relabelled in the coordinate
+order its positive roots fix and compared with its rung.
+
 A certificate (k, g, lambda) is checked from g alone, without inverting it:
 g.w lies in U_k exactly when g is invertible, rows k.. of gB vanish, the
 rows of C lie in the span of the rows k.. of g, and each row g_i A lies in
@@ -29,7 +36,6 @@ with its rows cleared of denominators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import _kernels as _k
@@ -174,61 +180,78 @@ def _weight_set_of(lam_tuple, candidate_weights) -> frozenset:
     return frozenset(out)
 
 
-def _canonical_under_permutations(weight_set, n):
-    best = None
-    for perm in itertools.permutations(range(n)):
-        image = tuple(
-            sorted(tuple(coeffs[perm[i]] for i in range(n)) for coeffs in weight_set)
-        )
-        if best is None or image < best:
-            best = image
-    return best
+def _order_type_cocharacters(n):
+    """One cocharacter for each sign-annotated weak order of n coordinates.
 
-
-def enumerate_maximal_unstable(n, p, q, box=None):
-    """Search the cocharacter box for maximal unstable weight subsets.
-
-    Every cocharacter with entries in [-box, box] selects its positive-pairing
-    weight subset; subsets maximal under inclusion are collected and
-    deduplicated under coordinate permutations.  Only the comparison pattern
-    and the signs of a cocharacter matter, so distinct order types are
-    evaluated once.  The result must be the ladder X_0..X_n of n + 1 classes;
-    anything else raises.
+    The weight set of a cocharacter depends only on how its entries compare
+    with each other and with zero.  Such an order type is an ordered set
+    partition of the coordinates 0..n-1 and a zero marker n: the marker's
+    block sits at level 0, the blocks before it at negative levels and the
+    blocks after it at positive ones.  The orders are grown one item at a
+    time, each item joining an existing level or opening a new one.
     """
-    if box is None:
-        box = n
-    if box < n:
-        raise ValueError("box must be at least n")
+    orders = [()]
+    for _ in range(n + 1):
+        grown = []
+        for ranks in orders:
+            levels = max(ranks, default=-1) + 1
+            grown.extend(ranks + (j,) for j in range(levels))
+            grown.extend(
+                tuple(r + (r >= j) for r in ranks) + (j,) for j in range(levels + 1)
+            )
+        orders = grown
+    return [tuple(r - ranks[n] for r in ranks[:n]) for ranks in orders]
+
+
+def _unstable_weight_sets(n, p, q):
+    """Every nonempty positive-pairing weight subset of a cocharacter."""
     candidates = [w.coeffs for w in weights_of_W(n, p, q) if any(w.coeffs)]
-    seen_patterns = set()
     found = set()
-    for lam in itertools.product(range(-box, box + 1), repeat=n):
-        distinct = sorted(set(lam))
-        ranks = {v: i for i, v in enumerate(distinct)}
-        pattern = (
-            tuple(ranks[v] for v in lam),
-            tuple((v > 0) - (v < 0) for v in distinct),
-        )
-        if pattern in seen_patterns:
-            continue
-        seen_patterns.add(pattern)
+    for lam in _order_type_cocharacters(n):
         s = _weight_set_of(lam, candidates)
         if s:
             found.add(s)
-    maximal = [s for s in found if not any(s < t for t in found)]
-    classes = {}
-    for s in maximal:
-        classes.setdefault(_canonical_under_permutations(s, n), s)
-    expected = {}
-    for k in range(n + 1):
-        expected[_canonical_under_permutations(x_k_weight_set(n, k), n)] = k
-    if set(classes) != set(expected):
+    return found
+
+
+def _ladder_rung(weight_set, n):
+    """k when the set is X_k with its coordinates relabelled, else None.
+
+    In X_k the positive roots e_i - e_j totally order the coordinates, so
+    counting each coordinate's wins recovers the relabelling; k is the
+    number of weights e_i in the set.
+    """
+    units = {tuple(int(t == i) for t in range(n)) for i in range(n)}
+    root_shape = [-1] + [0] * (n - 2) + [1]
+    wins = [0] * n
+    for coeffs in weight_set:
+        if sorted(coeffs) == root_shape:
+            wins[coeffs.index(1)] += 1
+    order = sorted(range(n), key=lambda i: -wins[i])
+    k = len(weight_set & units)
+    relabelled = frozenset(tuple(c[i] for i in order) for c in weight_set)
+    return k if relabelled == x_k_weight_set(n, k) else None
+
+
+def enumerate_maximal_unstable(n, p, q):
+    """Search all cocharacters for the maximal unstable weight subsets.
+
+    Each sign-annotated order type of a cocharacter is visited once and
+    selects its positive-pairing weight subset; the subsets maximal under
+    inclusion are kept.  Every maximal subset must be a rung X_k of the
+    ladder up to relabelling the coordinates, and all n + 1 rungs must
+    occur; anything else raises.
+    """
+    maximal = []
+    for s in sorted(_unstable_weight_sets(n, p, q), key=len, reverse=True):
+        if not any(s < t for t in maximal):
+            maximal.append(s)
+    rungs = {_ladder_rung(s, n) for s in maximal}
+    if rungs != set(range(n + 1)):
         raise AssertionError(
             "maximal unstable classes do not match the expected ladder"
         )
-    return [
-        UnstableSubset(k, x_k_weight_set(n, k)) for k in sorted(expected.values())
-    ]
+    return [UnstableSubset(k, x_k_weight_set(n, k)) for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +565,18 @@ def random_unstable_point(rng, n, p, q, k, bound=DEFAULT_BOUND) -> Point:
     )
 
 
+MAX_SAMPLE_SIZE = 32  # largest n, p and q of a sampled point
+
+
 def sample_component(n, p, q, k, seed) -> Point:
-    """A random point of C_k: a group element applied to a random U_k point."""
+    """A random point of C_k: a group element applied to a random U_k point.
+
+    n, p and q outside 1..``MAX_SAMPLE_SIZE`` are an ``OutOfRangeError``.
+    """
+    if not all(1 <= v <= MAX_SAMPLE_SIZE for v in (n, p, q)):
+        raise OutOfRangeError(
+            f"n, p and q must lie in 1..{MAX_SAMPLE_SIZE}, got {n}, {p}, {q}"
+        )
     if not (0 <= k <= n):
         raise ValueError("k must lie in [0, n]")
     rng = as_rng(seed)
@@ -627,31 +660,32 @@ def nullcone_summary(n, p, q) -> NullconeSummary:
     return NullconeSummary(dims, max(dims), p == q)
 
 
+def regular_nilpotent(n) -> RationalMatrix:
+    """The regular nilpotent Jordan block: ones on the superdiagonal."""
+    return RationalMatrix(
+        n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)]
+    )
+
+
 def generic_orbit_witness(n, p, q, k, seed=0):
     """A U_k point with principal adjoint part realizing the largest orbit.
 
-    For k >= n - k the first column of the B part is pinned to the k-th
-    elementary vector with the remaining supported entries generic; for
+    For k >= n - k this is the pinned family of ``pinned_row_witness``; for
     k < n - k the mirrored construction pins the first row of the supported
-    C block instead.  Either way the centralizer has dimension
-    min(k, n - k), so the returned orbit dimension is n^2 - min(k, n - k).
+    C block instead, with the remaining supported entries generic.  Either
+    way the centralizer has dimension min(k, n - k), so the returned orbit
+    dimension is n^2 - min(k, n - k).
     """
     if not (0 <= k <= n):
         raise ValueError("k must lie in [0, n]")
     from .orbits import stabilizer
 
-    rng = as_rng(seed)
-    b = [[0] * p for _ in range(n)]
-    c = [[0] * n for _ in range(q)]
     if k >= n - k:
-        b[k - 1][0] = 1
-        for i in range(k):
-            for j in range(1, p):
-                b[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
-        for i in range(q):
-            for j in range(k, n):
-                c[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
+        w = pinned_row_witness(n, p, q, k, seed)
     else:
+        rng = as_rng(seed)
+        b = [[0] * p for _ in range(n)]
+        c = [[0] * n for _ in range(q)]
         c[0][k] = 1
         for i in range(1, q):
             for j in range(k, n):
@@ -659,10 +693,11 @@ def generic_orbit_witness(n, p, q, k, seed=0):
         for i in range(k):
             for j in range(p):
                 b[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
-    e = RationalMatrix(
-        n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)]
-    )
-    w = Point(RationalMatrix.from_rows(b), RationalMatrix.from_rows(c), (e,))
+        w = Point(
+            RationalMatrix.from_rows(b),
+            RationalMatrix.from_rows(c),
+            (regular_nilpotent(n),),
+        )
     return w, stabilizer(w).orbit_dim
 
 
@@ -686,7 +721,8 @@ def pinned_row_witness(n, p, q, k, seed=0) -> Point:
     for i in range(q):
         for j in range(k, n):
             c[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
-    e = RationalMatrix(
-        n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)]
+    return Point(
+        RationalMatrix.from_rows(b),
+        RationalMatrix.from_rows(c),
+        (regular_nilpotent(n),),
     )
-    return Point(RationalMatrix.from_rows(b), RationalMatrix.from_rows(c), (e,))

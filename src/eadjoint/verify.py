@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import NotAMemberError, OutOfRangeError
 from .invariants import (
@@ -38,6 +39,7 @@ from .nullcone import (
     in_null_cone,
     nullcone_summary,
     pinned_row_witness,
+    regular_nilpotent,
     sample_component,
 )
 from .orbits import reconstruct_fiber_point, stabilizer
@@ -181,7 +183,7 @@ def _cell_stabilizer_witness(seed, params):
 
 def _cell_nullcone_classes(seed, params):
     n = params["n"]
-    classes = enumerate_maximal_unstable(n, 2, 2, box=params.get("box") or n)
+    classes = enumerate_maximal_unstable(n, 2, 2)
     if [c.k for c in classes] != list(range(n + 1)):
         return f"expected the ladder 0..{n}, got {[c.k for c in classes]}"
     return None
@@ -190,9 +192,7 @@ def _cell_nullcone_classes(seed, params):
 def _cell_nullcone_equivalence(seed, params):
     n = params["n"]
     rng = as_rng(seed)
-    e = RationalMatrix(
-        n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)]
-    )
+    e = regular_nilpotent(n)
     for trial in range(params["trials"]):
         p, q = rng.randint(1, 3), rng.randint(1, 3)
         kind = trial % 4
@@ -291,17 +291,11 @@ def _cell_reconstruction_roundtrip(seed, params):
         for _ in range(n):
             c, b = random_rank_one_factors(rng, q, p, allow_zero=True)
             xs.append(c @ b)
-        gamma = []
-        for k in range(n):
-            acc = RationalMatrix.zeros(q, p)
-            for r_ in range(n):
-                acc = acc + xs[r_].scale(t[r_] ** k)
-            gamma.append(acc)
-        w = reconstruct_fiber_point(t, gamma)
-        iv = evaluate_invariants(w)
-        if iv.gamma != tuple(gamma):
+        image = psi_map(t, xs)
+        iv = evaluate_invariants(reconstruct_fiber_point(t, image.gamma))
+        if iv.gamma != image.gamma:
             return "moment matrices were not reproduced"
-        if iv.tau != tuple(sum(v**k for v in t) for k in range(1, n + 1)):
+        if iv.tau != image.tau:
             return "power sums were not reproduced"
     return None
 
@@ -312,18 +306,12 @@ def _cell_reconstruction_regular(seed, params):
     domain = n * n + n * p + n * q
     for _ in range(params["trials"]):
         t = random_distinct_rationals(rng, n)
-        gamma = []
         xs = [
             random_full_support_matrix(rng, q, 1)
             @ random_full_support_matrix(rng, 1, p)
             for _ in range(n)
         ]
-        for k in range(n):
-            acc = RationalMatrix.zeros(q, p)
-            for r_ in range(n):
-                acc = acc + xs[r_].scale(t[r_] ** k)
-            gamma.append(acc)
-        w = reconstruct_fiber_point(t, gamma, strict_rank1=True)
+        w = reconstruct_fiber_point(t, psi_map(t, xs).gamma, strict_rank1=True)
         if stabilizer(w).stab_dim != 0:
             return "reconstructed point has a positive-dimensional stabilizer"
         if domain - jacobian_rank(w) != n * n:
@@ -462,11 +450,11 @@ def _cells_stabilizer(trials):
             )
 
 
-def _cells_nullcone(trials, box=None):
+def _cells_nullcone(trials):
     eq_trials = 125 if trials is None else trials
     tangent_trials = 20 if trials is None else trials
     for n in range(1, 6):
-        yield ("nullcone-classes", f"classes n={n}", {"n": n, "box": box})
+        yield ("nullcone-classes", f"classes n={n}", {"n": n})
     for n in range(1, 5):
         yield (
             "nullcone-equivalence",
@@ -488,23 +476,14 @@ def _cells_nullcone(trials, box=None):
         )
 
 
-def _cells_classifier(trials):
+def _cells_components(runner, trials):
+    """One cell per component C_k, n <= 4, for the classifier and the
+    certificates suites."""
     trials = 1000 if trials is None else trials
     for n, p, q in _grid(range(1, 5)):
         for k in range(n + 1):
             yield (
-                "classifier",
-                f"n={n} p={p} q={q} k={k}",
-                {"n": n, "p": p, "q": q, "k": k, "trials": trials},
-            )
-
-
-def _cells_certificates(trials):
-    trials = 1000 if trials is None else trials
-    for n, p, q in _grid(range(1, 5)):
-        for k in range(n + 1):
-            yield (
-                "certificates",
+                runner,
                 f"n={n} p={p} q={q} k={k}",
                 {"n": n, "p": p, "q": q, "k": k, "trials": trials},
             )
@@ -551,8 +530,9 @@ _BUILDERS = {
     "invariance": _cells_invariance,
     "jacobian": _cells_jacobian,
     "stabilizer": _cells_stabilizer,
-    "classifier": _cells_classifier,
-    "certificates": _cells_certificates,
+    "nullcone": _cells_nullcone,
+    "classifier": partial(_cells_components, "classifier"),
+    "certificates": partial(_cells_components, "certificates"),
     "reconstruction": _cells_reconstruction,
     "sl-relation": _cells_sl_relation,
     "psi": _cells_psi,
@@ -581,19 +561,17 @@ def _run_task(task):
     return CellOutcome(label, seed, False, detail)
 
 
-def suite_cells(name, trials=None, box=None):
+def suite_cells(name, trials=None):
     """The (runner, label, params) cells of a suite; ``trials`` overrides
     every per-cell trial count and must be at least 1."""
     if trials is not None and trials < 1:
         raise OutOfRangeError(f"trials must be at least 1, got {trials}")
-    if name == "nullcone":
-        return list(_cells_nullcone(trials, box=box))
     if name not in _BUILDERS:
         raise ValueError(f"unknown suite {name!r}")
     return list(_BUILDERS[name](trials))
 
 
-def run_suite(name, seed=0, trials=None, jobs=1, box=None) -> VerifyReport:
+def run_suite(name, seed=0, trials=None, jobs=1) -> VerifyReport:
     """Run one named suite; deterministic for fixed (name, seed, trials).
 
     ``jobs`` must be at least 1; more worker processes than cells or CPUs
@@ -601,7 +579,7 @@ def run_suite(name, seed=0, trials=None, jobs=1, box=None) -> VerifyReport:
     """
     if jobs < 1:
         raise OutOfRangeError(f"jobs must be at least 1, got {jobs}")
-    cells = suite_cells(name, trials=trials, box=box)
+    cells = suite_cells(name, trials=trials)
     tasks = [
         (runner, label, _cell_seed(seed, i), params)
         for i, (runner, label, params) in enumerate(cells)
@@ -621,5 +599,5 @@ def run_suite(name, seed=0, trials=None, jobs=1, box=None) -> VerifyReport:
     return VerifyReport(name, len(outcomes), len(outcomes) - len(failures), failures, wall)
 
 
-def run_suites(names, seed=0, trials=None, jobs=1, box=None):
-    return [run_suite(n, seed=seed, trials=trials, jobs=jobs, box=box) for n in names]
+def run_suites(names, seed=0, trials=None, jobs=1):
+    return [run_suite(n, seed=seed, trials=trials, jobs=jobs) for n in names]

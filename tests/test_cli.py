@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from eadjoint.cli import main
+from eadjoint.invariants import MAX_WORDS
+from eadjoint.nullcone import MAX_SAMPLE_SIZE
 
 DIAG_POINT_JSON = {
     "n": 2,
@@ -15,6 +17,10 @@ DIAG_POINT_JSON = {
     "B": [["1"], ["1"]],
     "C": [["1", "1"]],
 }
+
+R2_POINT_JSON = dict(
+    DIAG_POINT_JSON, r=2, A=[DIAG_POINT_JSON["A"][0], [["0", "1"], ["0", "0"]]]
+)
 
 
 def run_cli(capsys, args, stdin_obj=None, monkeypatch=None):
@@ -70,6 +76,15 @@ class TestInvariants:
         assert code == 2
         assert out["error"] == "malformed_input"
 
+    def test_word_count_above_limit_is_a_domain_error(self, capsys, monkeypatch):
+        # 2 + 4 + ... + 2^13 words in two letters, and MAX_WORDS + 1 in one
+        for point, max_len in ((R2_POINT_JSON, 13), (DIAG_POINT_JSON, MAX_WORDS + 1)):
+            code, out = run_cli(
+                capsys, ["invariants", "--max-len", str(max_len)], point, monkeypatch
+            )
+            assert code == 1
+            assert json.loads(out)["error"] == "out_of_range"
+
     def test_shape_mismatch(self, capsys, monkeypatch):
         bad = dict(DIAG_POINT_JSON)
         bad["B"] = [["1"]]
@@ -118,6 +133,12 @@ class TestReconstructAndClassify:
             code, out = run_cli(capsys, ["reconstruct"], req, monkeypatch)
             assert code == 2
             assert json.loads(out)["error"] == "malformed_input"
+
+    def test_r2_point_is_a_domain_error(self, capsys, monkeypatch):
+        for args in (["classify"], ["certify", "--k", "0"]):
+            code, out = run_cli(capsys, args, R2_POINT_JSON, monkeypatch)
+            assert code == 1
+            assert json.loads(out)["error"] == "multiple_adjoint_copies"
 
     def test_classify_non_null(self, capsys, monkeypatch):
         code, out = run_cli(capsys, ["classify"], DIAG_POINT_JSON, monkeypatch)
@@ -176,6 +197,16 @@ class TestDimsAndSample:
         code2, out2 = run_cli(capsys, args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_sample_size_outside_limits_is_a_domain_error(self, capsys):
+        too_big = str(MAX_SAMPLE_SIZE + 1)
+        sizes = ((too_big, "1", "1"), ("2", "1000000000", "1"), ("2", "1", too_big))
+        for n, p, q in sizes + (("0", "1", "1"),):
+            code, out = run_cli(
+                capsys, ["sample", "--n", n, "--p", p, "--q", q, "--k", "0"]
+            )
+            assert code == 1
+            assert json.loads(out)["error"] == "out_of_range"
 
     def test_sample_is_classified(self, capsys):
         code, out = run_cli(

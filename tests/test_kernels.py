@@ -57,42 +57,22 @@ class TestParity:
         assert rows == snapshot
 
 
-class TestBackendSwitch:
-    def test_switch_and_restore(self):
-        original = _kernels.backend_name()
-        try:
-            _kernels.use_backend("pure")
-            assert _kernels.backend_name() == "pure"
-            assert _kernels.mat_mul([2], 1, 1, [3], 1) == [6]
-            if "compiled" in _kernels.available_backends():
-                _kernels.use_backend("compiled")
-                assert _kernels.backend_name() == "compiled"
-                assert _kernels.mat_mul([2], 1, 1, [3], 1) == [6]
-        finally:
-            _kernels.use_backend(original)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            _kernels.use_backend("gpu")
+def test_compiled_kernels_are_bound():
+    assert _kernels.backend_name() == "compiled"
+    assert _kernels.mat_mul is compiled.mat_mul
 
 
-class TestEndToEndParity:
-    def test_certificates_identical_across_backends(self):
-        from eadjoint.nullcone import adapted_certificate, sample_component
+def test_certificates_identical_across_backends(monkeypatch):
+    from eadjoint.nullcone import adapted_certificate, sample_component
 
-        original = _kernels.backend_name()
-        if "compiled" not in _kernels.available_backends():
-            pytest.skip("compiled backend not built")
-        try:
-            results = {}
-            for backend in ("pure", "compiled"):
-                _kernels.use_backend(backend)
-                out = []
-                for seed in range(5):
-                    w = sample_component(3, 2, 1, 1, seed)
-                    cert = adapted_certificate(w, 1)
-                    out.append((w, cert.g, cert.lam))
-                results[backend] = out
-            assert results["pure"] == results["compiled"]
-        finally:
-            _kernels.use_backend(original)
+    results = {}
+    for backend in (_corepy, compiled):
+        for name in ("mat_mul", "rank_int", "rre_int"):
+            monkeypatch.setattr(_kernels, name, getattr(backend, name))
+        out = []
+        for seed in range(5):
+            w = sample_component(3, 2, 1, 1, seed)
+            cert = adapted_certificate(w, 1)
+            out.append((w, cert.g, cert.lam))
+        results[backend.__name__] = out
+    assert results["eadjoint._corepy"] == results["eadjoint._core"]

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from eadjoint import nullcone
 from eadjoint.errors import (
     NotAMemberError,
     NotInNullConeError,
@@ -15,7 +17,10 @@ from eadjoint.linalg import RationalMatrix, char_poly, column_space, kernel_subs
 from eadjoint.nullcone import (
     Certificate,
     OnePSG,
+    Weight,
     _certificate_defect,
+    _order_type_cocharacters,
+    _unstable_weight_sets,
     adapted_certificate,
     check_certificate,
     component_certificates,
@@ -132,7 +137,7 @@ class TestEnumerateMaximalUnstable:
         assert len(enumerate_maximal_unstable(2, 1, 1)) == 3
 
     def test_n3_box3(self):
-        classes = enumerate_maximal_unstable(3, 2, 1, box=3)
+        classes = enumerate_maximal_unstable(3, 2, 1)
         assert len(classes) == 4
         pos_roots = {
             (1, -1, 0), (1, 0, -1), (0, 1, -1),
@@ -145,15 +150,41 @@ class TestEnumerateMaximalUnstable:
             for p, q in [(1, 1), (2, 3), (3, 1)]:
                 assert len(enumerate_maximal_unstable(n, p, q)) == n + 1
 
-    def test_stable_under_box_growth(self):
-        for n in (1, 2, 3, 4, 5):
-            base = enumerate_maximal_unstable(n, 2, 2, box=n)
-            doubled = enumerate_maximal_unstable(n, 2, 2, box=2 * n)
-            assert [c.weights for c in base] == [c.weights for c in doubled]
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_box_search(self, n):
+        # one cocharacter per order type: the ordered Bell numbers 3, 13, 75, 541
+        lams = _order_type_cocharacters(n)
+        assert len(set(lams)) == len(lams) == (3, 13, 75, 541)[n - 1]
+        ladder = {
+            _canonical_under_permutations(c.weights, n)
+            for c in enumerate_maximal_unstable(n, 2, 2)
+        }
+        for box in (n, 2 * n):
+            found = box_weight_sets(n, box)
+            assert found == _unstable_weight_sets(n, 2, 2)
+            maximal = [s for s in found if not any(s < t for t in found)]
+            assert {_canonical_under_permutations(s, n) for s in maximal} == ladder
 
-    def test_box_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_maximal_unstable(3, 1, 1, box=2)
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda ws, n: ws + [Weight((1, 1) + (0,) * (n - 2))],
+            lambda ws, n: ws + [Weight((2,) + (0,) * (n - 1))],
+            lambda ws, n: [w for w in ws if w.coeffs != (-1,) + (0,) * (n - 1)],
+            lambda ws, n: [w for w in ws if w.coeffs != (1, -1) + (0,) * (n - 2)],
+        ],
+        ids=["extra-sum", "extra-double", "dropped-minus-e1", "dropped-root"],
+    )
+    def test_corrupted_weights_raise(self, monkeypatch, corrupt):
+        true_weights = nullcone.weights_of_W
+        monkeypatch.setattr(
+            nullcone,
+            "weights_of_W",
+            lambda n, p, q, r=1: corrupt(true_weights(n, p, q, r), n),
+        )
+        for n in (2, 3, 4):
+            with pytest.raises(AssertionError, match="ladder"):
+                enumerate_maximal_unstable(n, 2, 2)
 
 
 class TestMembership:
@@ -439,6 +470,37 @@ class TestWitnesses:
     def test_pinned_family_rejects_small_k(self):
         with pytest.raises(ValueError):
             pinned_row_witness(5, 1, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle for the ladder search: every cocharacter of a box, and
+# maximal sets compared up to all n! coordinate permutations
+
+
+def box_weight_sets(n, box):
+    """Weight sets of the cocharacters with entries in [-box, box], one
+    evaluation per (rank pattern, signs); box >= n reaches every pattern."""
+    candidates = [w.coeffs for w in weights_of_W(n, 2, 2) if any(w.coeffs)]
+    seen, found = set(), set()
+    for lam in itertools.product(range(-box, box + 1), repeat=n):
+        distinct = sorted(set(lam))
+        pattern = (
+            tuple(distinct.index(v) for v in lam),
+            tuple((v > 0) - (v < 0) for v in distinct),
+        )
+        if pattern not in seen:
+            seen.add(pattern)
+            s = frozenset(c for c in candidates if OnePSG(lam).pairing(c) > 0)
+            if s:
+                found.add(s)
+    return found
+
+
+def _canonical_under_permutations(weight_set, n):
+    return min(
+        tuple(sorted(tuple(c[i] for i in perm) for c in weight_set))
+        for perm in itertools.permutations(range(n))
+    )
 
 
 # ---------------------------------------------------------------------------

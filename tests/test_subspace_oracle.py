@@ -1,4 +1,6 @@
-"""Every Subspace operation against sympy's rref/nullspace, basis for basis.
+"""Every Subspace operation against sympy's rref/nullspace, basis for basis,
+and the matrix rank, rref, determinant and characteristic polynomial against
+sympy's own.
 
 The subspaces are stored as integer echelon rows; these tests check that the
 public ``basis`` each operation returns is exactly the reduced column echelon
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eadjoint.linalg import RationalMatrix, Subspace, kernel_subspace
+from eadjoint.linalg import RationalMatrix, Subspace, char_poly, kernel_subspace
 
 sympy = pytest.importorskip("sympy")
 
@@ -128,3 +130,25 @@ def test_containment(case):
     # a vector inside the subspace is always contained
     if s.dim:
         assert s.contains_vector(s.basis.col_list(s.dim - 1))
+
+
+def from_sym(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@given(cases())
+@settings(deadline=None, max_examples=60)
+def test_rank_rref_det_char_poly(case):
+    a, _, m, _ = case
+    sa, sm = to_sym(a), to_sym(m)
+    reduced, pivots = sa.rref()
+    assert a.rank() == sa.rank() == len(pivots)
+    assert a.rref() == (
+        len(pivots),
+        pivots,
+        [[from_sym(x) for x in reduced.row(i)] for i in range(len(pivots))],
+    )
+    assert m.det() == from_sym(sm.det())
+    assert char_poly(m).coeffs == tuple(
+        from_sym(c) for c in sm.charpoly().all_coeffs()
+    )
