@@ -11,7 +11,6 @@ so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,14 +240,6 @@ class RationalMatrix:
             raise ShapeError("trace of a non-square matrix")
         n = self.rows
         return _canon(sum(self.entries[i * n + i] for i in range(n)))
-
-    def matpow(self, m) -> "RationalMatrix":
-        if not self.is_square:
-            raise ShapeError("power of a non-square matrix")
-        out = RationalMatrix.identity(self.rows)
-        for _ in range(m):
-            out = out @ self
-        return out
 
     @staticmethod
     def hstack(mats):
@@ -492,9 +483,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def basis_columns(self):
-        return [self.basis.col_list(j) for j in range(self.dim)]
-
     def contains_vector(self, v) -> bool:
         if isinstance(v, RationalMatrix):
             if v.rows != self.ambient_dim:
@@ -549,10 +537,6 @@ class Subspace:
         rows = [prod[i * c : (i + 1) * c] for i in range(len(ann))]
         return _span(c, _kernel_vectors(rows, c))
 
-    def annihilator_rows(self) -> RationalMatrix:
-        """Matrix whose rows span {z : z @ basis = 0}; its kernel is self."""
-        return _span(self.ambient_dim, self._annihilator()).basis.transpose()
-
     def _annihilator(self):
         """Integer rows spanning {z : z @ basis = 0}, not canonical."""
         return _kernel_vectors(self._rows, self.ambient_dim)
@@ -605,36 +589,6 @@ def kernel_subspace(m: RationalMatrix) -> Subspace:
     return _span(m.cols, _kernel_vectors(m._int_rows(), m.cols))
 
 
-def rref_decompose(m: RationalMatrix):
-    """(rank, column space, kernel) of a matrix, all exact and canonical."""
-    ker = kernel_subspace(m)
-    col = column_space(m)
-    return col.dim, col, ker
-
-
-class SubspaceRelation(enum.Enum):
-    EQUAL = "equal"
-    S_IN_T = "S_in_T"
-    T_IN_S = "T_in_S"
-    INCOMPARABLE = "incomparable"
-
-
-def subspace_compare(s: Subspace, t: Subspace) -> SubspaceRelation:
-    """Compare two subspaces by exact rank tests on stacked bases."""
-    if s.ambient_dim != t.ambient_dim:
-        raise ShapeError("ambient dimension mismatch")
-    joint = _k.rank_int([*s._rows, *t._rows], s.ambient_dim)
-    s_in_t = joint == t.dim
-    t_in_s = joint == s.dim
-    if s_in_t and t_in_s:
-        return SubspaceRelation.EQUAL
-    if s_in_t:
-        return SubspaceRelation.S_IN_T
-    if t_in_s:
-        return SubspaceRelation.T_IN_S
-    return SubspaceRelation.INCOMPARABLE
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomials and friends
 
@@ -676,15 +630,13 @@ class PolynomialCoeffs:
         return all(not c for c in self.coeffs[1:])
 
 
-def char_poly(a: RationalMatrix, check: bool = False) -> PolynomialCoeffs:
+def char_poly(a: RationalMatrix) -> PolynomialCoeffs:
     """Characteristic polynomial of a square matrix.
 
     Uses the Faddeev-LeVerrier recurrence: only matrix products, traces and
     exact divisions by the step index, so no determinant expansion and no
     entry-dependent divisions.  For integer input every intermediate
-    coefficient is the exact integer coefficient of the polynomial.  With
-    ``check`` the result is asserted to annihilate the matrix
-    (Cayley-Hamilton), a debug aid that costs n extra products.
+    coefficient is the exact integer coefficient of the polynomial.
     """
     if not a.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
@@ -695,10 +647,7 @@ def char_poly(a: RationalMatrix, check: bool = False) -> PolynomialCoeffs:
         if k > 1:
             m = a @ m + RationalMatrix.identity(n).scale(coeffs[-1])
         coeffs.append(_canon(Fraction(-trace_product(a, m), k)))
-    poly = PolynomialCoeffs(tuple(coeffs))
-    if check and not poly.evaluate_matrix(a).is_zero():
-        raise AssertionError("characteristic polynomial failed Cayley-Hamilton")
-    return poly
+    return PolynomialCoeffs(tuple(coeffs))
 
 
 def elementary_from_power_sums(psums) -> list:
@@ -787,8 +736,3 @@ def vandermonde_solve(t, rhs):
         out.append(RationalMatrix(q, p, rows[r][n : n + width]))
     return out
 
-
-def vandermonde_matrix(t) -> RationalMatrix:
-    t = [_canon(x) for x in t]
-    n = len(t)
-    return RationalMatrix.from_rows([[t[j] ** i for j in range(n)] for i in range(n)])

@@ -446,40 +446,36 @@ def _first_new_basis_column(target: Subspace, current: Subspace):
     return None
 
 
+def _grow(current: Subspace, target: Subspace, dim: int, out: list) -> Subspace:
+    """Extend current by basis columns of target, appended to out, to dim."""
+    while current.dim < dim:
+        col = _first_new_basis_column(target, current)
+        if col is None:
+            raise AssertionError("invariant subspace growth stalled")
+        out.append(col)
+        current = current.sum_with(
+            Subspace.from_spanning_columns(RationalMatrix.column(col))
+        )
+    return current
+
+
 def _build_certificate(a: RationalMatrix, s: Subspace, big: Subspace, k: int) -> Certificate:
     """Flag construction between the hull s and the core big; see below."""
     n = a.rows
     f = s
     while f.dim < k:
-        grow = f.preimage_under(a).intersect(big)
-        col = _first_new_basis_column(grow, f)
-        if col is None:
-            raise AssertionError("invariant subspace growth stalled")
-        f = f.sum_with(Subspace.from_spanning_columns(RationalMatrix.column(col)))
+        f = _grow(f, f.preimage_under(a).intersect(big), f.dim + 1, [])
 
+    # each layer is the preimage of the last under A; cut down to F (which
+    # is A-invariant) it is ker(A^j) intersected with F below F, and above
+    # F it is A^-j F
     flag_vectors = []
     current = Subspace.zero(n)
-    # below F: kernels of powers of A intersected with F
-    power = RationalMatrix.identity(n)
-    while current.dim < k:
-        power = power @ a
-        layer = kernel_subspace(power).intersect(f)
-        while current.dim < layer.dim:
-            col = _first_new_basis_column(layer, current)
-            flag_vectors.append(col)
-            current = current.sum_with(
-                Subspace.from_spanning_columns(RationalMatrix.column(col))
-            )
-    # above F: iterated preimages of F
-    layer = f
     while current.dim < n:
-        layer = layer.preimage_under(a)
-        while current.dim < layer.dim:
-            col = _first_new_basis_column(layer, current)
-            flag_vectors.append(col)
-            current = current.sum_with(
-                Subspace.from_spanning_columns(RationalMatrix.column(col))
-            )
+        layer = current.preimage_under(a)
+        if current.dim < k:
+            layer = layer.intersect(f)
+        current = _grow(current, layer, layer.dim, flag_vectors)
     basis = RationalMatrix.from_rows(
         [[flag_vectors[j][i] for j in range(n)] for i in range(n)]
     )
@@ -571,14 +567,15 @@ MAX_SAMPLE_SIZE = 32  # largest n, p and q of a sampled point
 def sample_component(n, p, q, k, seed) -> Point:
     """A random point of C_k: a group element applied to a random U_k point.
 
-    n, p and q outside 1..``MAX_SAMPLE_SIZE`` are an ``OutOfRangeError``.
+    n, p and q outside 1..``MAX_SAMPLE_SIZE``, or k outside 0..n, are an
+    ``OutOfRangeError``.
     """
     if not all(1 <= v <= MAX_SAMPLE_SIZE for v in (n, p, q)):
         raise OutOfRangeError(
             f"n, p and q must lie in 1..{MAX_SAMPLE_SIZE}, got {n}, {p}, {q}"
         )
     if not (0 <= k <= n):
-        raise ValueError("k must lie in [0, n]")
+        raise OutOfRangeError(f"k must lie in 0..{n}, got {k}")
     rng = as_rng(seed)
     u = random_unstable_point(rng, n, p, q, k)
     g = random_invertible(rng, n)

@@ -22,7 +22,6 @@ from .linalg import (
     discriminant_is_nonzero,
     kernel_subspace,
     rational_from_str,
-    rational_to_str,
     vandermonde_solve,
 )
 
@@ -178,13 +177,6 @@ def reconstruction_input_from_json(obj):
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed reconstruction input: {exc}") from exc
     return t, gamma
-
-
-def reconstruction_input_to_json(t, gamma):
-    return {
-        "t": [rational_to_str(v) for v in t],
-        "gamma": [g.to_lists() for g in gamma],
-    }
 
 
 def same_closed_orbit(w1: Point, w2: Point) -> bool:

@@ -20,6 +20,7 @@ from .invariants import (
     Point,
     evaluate_invariants,
     group_action,
+    jacobian_matrix,
     jacobian_rank,
     limit_point_is_outside_family_image,
     nonclosed_image_demo,
@@ -99,16 +100,14 @@ class VerifyReport:
     def ok(self):
         return not self.failures
 
-    def to_json_obj(self, include_wall_time=False):
-        obj = {
+    def to_json_obj(self):
+        # wall_time_s stays out so the output is byte-stable per request
+        return {
             "suite": self.suite,
             "cells_run": self.cells_run,
             "passes": self.passes,
             "failures": [f.to_json_obj() for f in self.failures],
         }
-        if include_wall_time:
-            obj["wall_time_s"] = self.wall_time_s
-        return obj
 
 
 def _generic_ok(hits, trials):
@@ -320,12 +319,29 @@ def _cell_reconstruction_regular(seed, params):
 
 
 def _cell_reconstruction_coregular(seed, params):
-    for n in range(1, 9):
-        for m in range(1, 4):
-            if n * (1 + m) != n + n * 1 * m:
-                return f"count mismatch at p=1, q={m}, n={n}"
-            if n * (m + 1) != n + n * m * 1:
-                return f"count mismatch at p={m}, q=1, n={n}"
+    # the n + npq generators are algebraically independent exactly when
+    # p = 1 or q = 1; otherwise they outnumber the quotient dimension
+    # n(p + q), so their differentials are dependent at every point
+    n, p, q = params["n"], params["p"], params["q"]
+    rng = as_rng(seed)
+    generators = n + n * p * q
+    coregular = p == 1 or q == 1
+    hits = 0
+    for _ in range(params["trials"]):
+        w = Point(
+            random_full_support_matrix(rng, n, p),
+            random_full_support_matrix(rng, q, n),
+            (random_regular_semisimple(rng, n),),
+        )
+        rows = jacobian_matrix(w).rows
+        if rows != generators:
+            return f"Jacobian has {rows} rows, expected {generators}"
+        r = jacobian_rank(w)
+        if not coregular and r >= generators:
+            return f"rank {r} reaches the generator count {generators}"
+        hits += r == generators
+    if coregular and not _generic_ok(hits, params["trials"]):
+        return f"full rank hit only {hits}/{params['trials']}"
     return None
 
 
@@ -504,7 +520,12 @@ def _cells_reconstruction(trials):
             f"regular n={n} p={p} q={q}",
             {"n": n, "p": p, "q": q, "trials": regular_trials},
         )
-    yield ("reconstruction-coregular", "coregular counts", {})
+    for n, p, q in _grid(range(1, 5)):
+        yield (
+            "reconstruction-coregular",
+            f"coregular n={n} p={p} q={q}",
+            {"n": n, "p": p, "q": q, "trials": regular_trials},
+        )
 
 
 def _cells_sl_relation(trials):

@@ -28,6 +28,9 @@ def criterion(num, desc):
 
 
 def _assert_clean(report, label_filter=None):
+    if label_filter is not None:
+        labels = [label for _, label, _ in verify.suite_cells(report.suite)]
+        assert any(map(label_filter, labels)), "the label filter matches no cell"
     failures = [
         f
         for f in report.failures

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -208,6 +210,14 @@ class TestDimsAndSample:
             assert code == 1
             assert json.loads(out)["error"] == "out_of_range"
 
+    def test_sample_k_outside_0_to_n_is_a_domain_error(self, capsys):
+        for k in ("5", "-1"):
+            code, out = run_cli(
+                capsys, ["sample", "--n", "3", "--p", "1", "--q", "1", "--k", k]
+            )
+            assert code == 1
+            assert json.loads(out)["error"] == "out_of_range"
+
     def test_sample_is_classified(self, capsys):
         code, out = run_cli(
             capsys, ["sample", "--n", "2", "--p", "1", "--q", "1", "--k", "2"]
@@ -218,6 +228,40 @@ class TestDimsAndSample:
 
         w = Point.from_json_obj(json.loads(out))
         assert 2 in component_interval(w)
+
+
+# SHA-256 of the stdout of sample, classify and certify (every k of the
+# interval) over n <= 4, p, q <= 2, every k and seeds 0-2, in that order,
+# recorded from the implementation that built the flag from the kernels of
+# the powers of A
+GOLDEN_PIPELINE_SHA256 = (
+    "ac2c84229c1d856f4465ec2cdcfd7497620bf3d98e9730fbbed7063acee77d80"
+)
+
+
+def test_sample_classify_certify_output_is_byte_identical(capsys, monkeypatch):
+    def run(args, stdin=""):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = main(args)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        return out
+
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for p in (1, 2):
+            for q in (1, 2):
+                for k in range(n + 1):
+                    for seed in range(3):
+                        dims = ["--n", str(n), "--p", str(p), "--q", str(q)]
+                        point = run(["sample", *dims, "--k", str(k), "--seed", str(seed)])
+                        interval = run(["classify"], point)
+                        outs = [point, interval]
+                        iv = json.loads(interval)
+                        for kk in range(iv["d_min"], iv["d_max"] + 1):
+                            outs.append(run(["certify", "--k", str(kk)], point))
+                        digest.update("".join(outs).encode())
+    assert digest.hexdigest() == GOLDEN_PIPELINE_SHA256
 
 
 class TestVerifyCommand:

@@ -13,7 +13,13 @@ from eadjoint.errors import (
     SingularMatrixError,
 )
 from eadjoint.invariants import Point, evaluate_invariants, group_action, zero_point
-from eadjoint.linalg import RationalMatrix, char_poly, column_space, kernel_subspace
+from eadjoint.linalg import (
+    RationalMatrix,
+    Subspace,
+    char_poly,
+    column_space,
+    kernel_subspace,
+)
 from eadjoint.nullcone import (
     Certificate,
     OnePSG,
@@ -541,6 +547,54 @@ def group_action_check(w, cert):
     )
 
 
+def certificate_by_kernel_powers(a, s, big, k):
+    """The flag built layer by layer from the definitions: F grown from s
+    inside big, then ker(A^j) & F for j = 1, 2, ... below F and the
+    iterated preimages A^-j F above it."""
+    n = a.rows
+    f = s
+    while f.dim < k:
+        col = nullcone._first_new_basis_column(f.preimage_under(a).intersect(big), f)
+        f = f.sum_with(column_space(RationalMatrix.column(col)))
+    layers = []
+    power = RationalMatrix.identity(n)
+    while not layers or layers[-1].dim < k:
+        power = power @ a
+        layers.append(kernel_subspace(power).intersect(f))
+    layer = f
+    while layers[-1].dim < n:
+        layer = layer.preimage_under(a)
+        layers.append(layer)
+    vectors, current = [], Subspace.zero(n)
+    for layer in layers:
+        while current.dim < layer.dim:
+            col = nullcone._first_new_basis_column(layer, current)
+            vectors.append(col)
+            current = current.sum_with(column_space(RationalMatrix.column(col)))
+    basis = RationalMatrix.from_rows([[v[i] for v in vectors] for i in range(n)])
+    return Certificate(k, basis.inverse(), standard_destabilizer(n, k))
+
+
+def sparse_null_points(seed, count):
+    """U_k points with many zero entries (so wide intervals), plain or moved."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = rng.randint(1, 5)
+        p, q, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, n)
+
+        def pick():
+            return rng.choice((0, 0, 0, 1, -1, 2))
+
+        w = Point(
+            RM([[pick() if i < k else 0 for _ in range(p)] for i in range(n)]),
+            RM([[pick() if j >= k else 0 for j in range(n)] for _ in range(q)]),
+            (RM([[pick() if j > i else 0 for j in range(n)] for i in range(n)]),),
+        )
+        if trial % 2:
+            w = group_action(random_invertible(rng, n), w)
+        yield w
+
+
 def differential_points(seed, count):
     """(kind, point): component samples, samples moved by g, generic points."""
     rng = random.Random(seed)
@@ -588,6 +642,19 @@ class TestKalmanSubspaces:
             core = core_fixed_point(w.A, w.C)
             assert (iv.d_min, iv.d_max) == (hull.dim, core.dim)
             assert sorted(certs) == list(range(hull.dim, core.dim + 1))
+
+
+class TestFlagConstruction:
+    def test_matches_kernel_powers_on_wide_intervals(self):
+        wide = 0
+        for w in sparse_null_points(53, 120):
+            a, hull, core = nullcone._null_point_subspaces(w)
+            wide += core.dim > hull.dim
+            for k in range(hull.dim, core.dim + 1):
+                expected = certificate_by_kernel_powers(a, hull, core, k)
+                assert nullcone._build_certificate(a, hull, core, k) == expected
+                assert check_certificate(w, expected)
+        assert wide >= 60
 
 
 class TestInverseFreeCheck:

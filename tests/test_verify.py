@@ -29,6 +29,7 @@ class TestSuiteRegistry:
         assert len(suite_cells("classifier")) == 126
         assert len(suite_cells("certificates")) == 126
         assert len(suite_cells("sl-relation")) == 4
+        assert len(suite_cells("reconstruction")) == 117
 
 
 class TestDeterminism:
@@ -45,9 +46,7 @@ class TestDeterminism:
     def test_report_shape(self):
         rep = run_suite("nullcone", seed=1, trials=2)
         assert rep.passes + len(rep.failures) == rep.cells_run
-        obj = rep.to_json_obj(include_wall_time=True)
-        assert set(obj) == {"suite", "cells_run", "passes", "failures", "wall_time_s"}
-        assert "wall_time_s" not in rep.to_json_obj()
+        assert set(rep.to_json_obj()) == {"suite", "cells_run", "passes", "failures"}
 
 
 class TestFailureReporting:
@@ -63,6 +62,37 @@ class TestFailureReporting:
         assert len(rep.failures) == 4
         assert "exploded" in rep.failures[0].detail
         assert rep.failures[0].seed is not None
+
+
+class TestCoregularCells:
+    def run_coregular(self):
+        """Labels of the coregular cells that fail at 2 trials."""
+        cells = [c for c in suite_cells("reconstruction", trials=2)
+                 if c[0] == "reconstruction-coregular"]
+        assert len(cells) == 36  # n <= 4, p, q <= 3
+        return {
+            label
+            for i, (runner, label, params) in enumerate(cells)
+            if not verify._run_task((runner, label, i, params)).ok
+        }
+
+    def test_every_cell_passes(self):
+        assert self.run_coregular() == set()
+
+    def test_rank_short_of_the_generator_count_fails_coregular_cells(self, monkeypatch):
+        monkeypatch.setattr(verify, "jacobian_rank", lambda w: w.n)
+        assert self.run_coregular() == {
+            f"coregular n={n} p={p} q={q}"
+            for n in range(1, 5) for p in (1, 2, 3) for q in (1, 2, 3)
+            if p == 1 or q == 1
+        }
+
+    def test_full_rank_fails_the_other_cells(self, monkeypatch):
+        monkeypatch.setattr(verify, "jacobian_rank", lambda w: w.n + w.n * w.p * w.q)
+        assert self.run_coregular() == {
+            f"coregular n={n} p={p} q={q}"
+            for n in range(1, 5) for p in (2, 3) for q in (2, 3)
+        }
 
 
 class TestRequestBounds:
