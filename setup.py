@@ -2,20 +2,16 @@
 
 The package is fully functional without the extension (a pure-Python twin of
 every kernel ships in ``eadjoint._corepy``); the compiled module only removes
-interpreter overhead from the hot inner loops.  If Cython or a C compiler is
-unavailable the build silently degrades to the pure backend.
+interpreter overhead from the hot inner loops.  It is built from the
+committed C source ``src/eadjoint/_core.c`` (generated from ``_core.pyx``),
+so no Cython is needed; without a C compiler the build silently degrades to
+the pure backend.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/eadjoint/_core.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("eadjoint._core", ["src/eadjoint/_core.c"], optional=True)
+    ]
+)

@@ -30,6 +30,17 @@ from .linalg import (
 )
 
 
+MAX_SIZE = 32  # largest n, p and q of any request
+
+
+def check_sizes(n, p, q):
+    """Raise ``OutOfRangeError`` unless n, p and q all lie in 1..``MAX_SIZE``."""
+    if not all(1 <= v <= MAX_SIZE for v in (n, p, q)):
+        raise OutOfRangeError(
+            f"n, p and q must lie in 1..{MAX_SIZE}, got {n}, {p}, {q}"
+        )
+
+
 @dataclass(frozen=True)
 class Point:
     """A point (B, C, (A_1..A_r)) of the representation space."""
@@ -91,16 +102,18 @@ class Point:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Point":
+        """Parse a point; n, p or q above ``MAX_SIZE`` is rejected first."""
         if not isinstance(obj, dict):
             raise ValueError("point must be a JSON object")
         try:
+            check_sizes(len(obj["B"]), len(obj["B"][0]), len(obj["C"]))
             a_list = tuple(RationalMatrix.from_lists(a) for a in obj["A"])
             pt = cls(
                 RationalMatrix.from_lists(obj["B"]),
                 RationalMatrix.from_lists(obj["C"]),
                 a_list,
             )
-        except (KeyError, TypeError, ShapeError) as exc:
+        except (KeyError, TypeError, IndexError, ShapeError) as exc:
             raise ValueError(f"malformed point: {exc}") from exc
         for key in ("n", "p", "q", "r"):
             if key in obj and obj[key] != getattr(pt, key):
@@ -198,6 +211,38 @@ def group_action(g: RationalMatrix, w: Point) -> Point:
     )
 
 
+def action_equations(w: Point):
+    """Rows of the orbit-map differential X -> (XB, CX, XA - AX), r = 1.
+
+    Row c is coordinate c of vec(B), vec(C), vec(A) (row-major); column
+    i*n + t is the entry X_it.  The kernel is the stabilizer Lie algebra.
+    The column span is the orbit tangent space with its C block negated
+    (the action gives -CX), which changes no rank and no sum with a
+    coordinate subspace.
+    """
+    n = w.n
+    b, c, a = w.B, w.C, w.A
+    rows = []
+    for i in range(n):  # (XB)_ij: X_it has coefficient B_tj
+        for j in range(w.p):
+            row = [0] * (n * n)
+            row[i * n : (i + 1) * n] = b.col_list(j)
+            rows.append(row)
+    for i in range(w.q):  # (CX)_ij: X_tj has coefficient C_it
+        for j in range(n):
+            row = [0] * (n * n)
+            row[j::n] = c.row_list(i)
+            rows.append(row)
+    for i in range(n):  # (XA - AX)_ij: X_it gains A_tj, X_tj loses A_it
+        for j in range(n):
+            row = [0] * (n * n)
+            row[i * n : (i + 1) * n] = a.col_list(j)
+            for t, x in enumerate(a.row_list(i)):
+                row[t * n + j] -= x
+            rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # word invariants (general r)
 
@@ -240,7 +285,7 @@ def word_invariants(w: Point, max_len: int) -> WordInvariants:
     any product is formed.
     """
     if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
+        raise OutOfRangeError(f"max_len must be nonnegative, got {max_len}")
     words, of_length = 0, 1
     for _ in range(max_len):
         of_length *= w.r

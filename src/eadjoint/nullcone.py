@@ -40,7 +40,13 @@ from dataclasses import dataclass
 
 from . import _kernels as _k
 from .errors import NotAMemberError, NotInNullConeError, OutOfRangeError, ShapeError
-from .invariants import Point, evaluate_invariants, group_action
+from .invariants import (
+    Point,
+    action_equations,
+    check_sizes,
+    evaluate_invariants,
+    group_action,
+)
 from .linalg import (
     RationalMatrix,
     Subspace,
@@ -561,19 +567,13 @@ def random_unstable_point(rng, n, p, q, k, bound=DEFAULT_BOUND) -> Point:
     )
 
 
-MAX_SAMPLE_SIZE = 32  # largest n, p and q of a sampled point
-
-
 def sample_component(n, p, q, k, seed) -> Point:
     """A random point of C_k: a group element applied to a random U_k point.
 
-    n, p and q outside 1..``MAX_SAMPLE_SIZE``, or k outside 0..n, are an
+    n, p and q outside 1..``MAX_SIZE``, or k outside 0..n, are an
     ``OutOfRangeError``.
     """
-    if not all(1 <= v <= MAX_SAMPLE_SIZE for v in (n, p, q)):
-        raise OutOfRangeError(
-            f"n, p and q must lie in 1..{MAX_SAMPLE_SIZE}, got {n}, {p}, {q}"
-        )
+    check_sizes(n, p, q)
     if not (0 <= k <= n):
         raise OutOfRangeError(f"k must lie in 0..{n}, got {k}")
     rng = as_rng(seed)
@@ -582,57 +582,23 @@ def sample_component(n, p, q, k, seed) -> Point:
     return group_action(g, u)
 
 
-def unstable_coordinate_vectors(n, p, q, k):
-    """Basis of U_k as coordinate vectors of the ambient representation.
-
-    Coordinates are ordered vec(B), vec(C), vec(A), all row-major.
-    """
-    dim_w = n * p + q * n + n * n
-    vecs = []
-    for i in range(k):
-        for j in range(p):
-            v = [0] * dim_w
-            v[i * p + j] = 1
-            vecs.append(v)
-    for i in range(q):
-        for j in range(k, n):
-            v = [0] * dim_w
-            v[n * p + i * n + j] = 1
-            vecs.append(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * dim_w
-            v[n * p + q * n + i * n + j] = 1
-            vecs.append(v)
-    return vecs
-
-
 def component_tangent_dim(n, p, q, k, seed) -> int:
     """dim(g.u + U_k) at a random U_k point u with principal adjoint part.
 
-    The infinitesimal action contributes (XB, -CX, [X, A]) for X in the
-    matrix algebra; together with U_k itself this spans the image of the
-    differential of the sweep map, whose generic dimension is the component
-    dimension (n^2 - n) + pk + q(n - k).
+    The infinitesimal action X -> (XB, -CX, [X, A]) together with U_k
+    spans the image of the differential of the sweep map, whose generic
+    dimension is the component dimension (n^2 - n) + pk + q(n - k).  U_k
+    is spanned by coordinates, so that dimension is |U_k| plus the rank of
+    the rows of ``action_equations`` at the coordinates outside U_k.
     """
-    rng = as_rng(seed)
-    u = random_unstable_point(rng, n, p, q, k)
-    b, c, a = u.B, u.C, u.A
-    dim_w = n * p + q * n + n * n
-    rows = list(unstable_coordinate_vectors(n, p, q, k))
-    for i in range(n):
-        for t in range(n):
-            # direction of the elementary matrix E_{it}
-            v = [0] * dim_w
-            for j in range(p):
-                v[i * p + j] = b.entry(t, j)
-            for qi in range(q):
-                v[n * p + qi * n + t] = -c.entry(qi, i)
-            for j in range(n):
-                v[n * p + q * n + i * n + j] += a.entry(t, j)
-                v[n * p + q * n + j * n + t] -= a.entry(j, i)
-            rows.append(v)
-    return _k.rank_int(rows, dim_w)
+    u = random_unstable_point(as_rng(seed), n, p, q, k)
+    coords = unstable_subspace(standard_destabilizer(n, k), n, p, q)
+    c0, a0 = n * p, n * p + q * n  # offsets of vec(C) and vec(A)
+    inside = {i * p + j for i in coords.b_rows for j in range(p)}
+    inside.update(c0 + i * n + j for i in range(q) for j in coords.c_cols)
+    inside.update(a0 + i * n + j for i, j in coords.a_entries)
+    rows = [row for c, row in enumerate(action_equations(u)) if c not in inside]
+    return len(inside) + _k.rank_int(rows, n * n)
 
 
 @dataclass(frozen=True)
@@ -650,9 +616,11 @@ class NullconeSummary:
 
 
 def nullcone_summary(n, p, q) -> NullconeSummary:
-    """Closed-form component dimensions (n^2 - n) + pk + q(n - k) and the max."""
-    if n < 1 or p < 1 or q < 1:
-        raise OutOfRangeError("n, p and q must all be positive")
+    """Closed-form component dimensions (n^2 - n) + pk + q(n - k) and the max.
+
+    n, p and q outside 1..``MAX_SIZE`` are an ``OutOfRangeError``.
+    """
+    check_sizes(n, p, q)
     dims = tuple((n * n - n) + p * k + q * (n - k) for k in range(n + 1))
     return NullconeSummary(dims, max(dims), p == q)
 
@@ -667,11 +635,13 @@ def regular_nilpotent(n) -> RationalMatrix:
 def generic_orbit_witness(n, p, q, k, seed=0):
     """A U_k point with principal adjoint part realizing the largest orbit.
 
-    For k >= n - k this is the pinned family of ``pinned_row_witness``; for
-    k < n - k the mirrored construction pins the first row of the supported
-    C block instead, with the remaining supported entries generic.  Either
-    way the centralizer has dimension min(k, n - k), so the returned orbit
-    dimension is n^2 - min(k, n - k).
+    For k >= n - k this is the pinned family of ``pinned_row_witness``.  For
+    k < n - k it is the transpose dual (J C^T, B^T J, J A^T J), J the
+    coordinate reversal, of that family at n - k with p and q swapped: the
+    dual carries U_{n-k} onto U_k, fixes the Jordan block and pins the
+    first row of the supported C block, and X -> -J X^T J carries one
+    stabilizer onto the other.  Either way the centralizer has dimension
+    min(k, n - k), so the returned orbit dimension is n^2 - min(k, n - k).
     """
     if not (0 <= k <= n):
         raise ValueError("k must lie in [0, n]")
@@ -680,21 +650,9 @@ def generic_orbit_witness(n, p, q, k, seed=0):
     if k >= n - k:
         w = pinned_row_witness(n, p, q, k, seed)
     else:
-        rng = as_rng(seed)
-        b = [[0] * p for _ in range(n)]
-        c = [[0] * n for _ in range(q)]
-        c[0][k] = 1
-        for i in range(1, q):
-            for j in range(k, n):
-                c[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
-        for i in range(k):
-            for j in range(p):
-                b[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
-        w = Point(
-            RationalMatrix.from_rows(b),
-            RationalMatrix.from_rows(c),
-            (regular_nilpotent(n),),
-        )
+        d = pinned_row_witness(n, q, p, n - k, seed)
+        j = RationalMatrix.from_rows(RationalMatrix.identity(n).to_rows()[::-1])
+        w = Point(j @ d.C.T, d.B.T @ j, (j @ d.A.T @ j,))
     return w, stabilizer(w).orbit_dim
 
 

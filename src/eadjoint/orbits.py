@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FiberConditionError, ShapeError
-from .invariants import Point, evaluate_invariants
+from .invariants import Point, action_equations, check_sizes, evaluate_invariants
 from .linalg import (
     RationalMatrix,
     Subspace,
@@ -45,40 +45,14 @@ class StabilizerReport:
 def stabilizer(w: Point) -> StabilizerReport:
     """Solve {X : XB = 0, CX = 0, XA = AX} exactly; report dimensions.
 
-    The group stabilizer of a point under this action has the same dimension
-    as this Lie algebra centralizer, so orbit_dim = n^2 - stab_dim.  Every
-    kernel basis element is re-substituted into the defining system before
-    the report is returned.
+    The system is ``action_equations``.  The group stabilizer has the same
+    dimension as this Lie algebra centralizer, so orbit_dim = n^2 - stab_dim.
+    Every kernel basis element is re-substituted into the defining
+    equations by matrix products before the report is returned.
     """
-    if w.r != 1:
-        raise ShapeError("stabilizer is computed for r = 1 points")
-    n, p, q = w.n, w.p, w.q
+    n = w.n
     b, c, a = w.B, w.C, w.A
-    rows = []
-    # X B = 0
-    for i in range(n):
-        for jb in range(p):
-            row = [0] * (n * n)
-            for t in range(n):
-                row[i * n + t] = b.entry(t, jb)
-            rows.append(row)
-    # C X = 0
-    for ic in range(q):
-        for j in range(n):
-            row = [0] * (n * n)
-            for t in range(n):
-                row[t * n + j] = c.entry(ic, t)
-            rows.append(row)
-    # X A - A X = 0
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for t in range(n):
-                row[i * n + t] += a.entry(t, j)
-                row[t * n + j] -= a.entry(i, t)
-            rows.append(row)
-    system = RationalMatrix.from_rows(rows) if rows else RationalMatrix.zeros(0, n * n)
-    ker = kernel_subspace(system)
+    ker = kernel_subspace(RationalMatrix.from_rows(action_equations(w)))
     for col in range(ker.dim):
         x = RationalMatrix(n, n, ker.basis.col_list(col))
         if not (
@@ -170,11 +144,16 @@ def reconstruct_fiber_point(t, gamma, strict_rank1=False) -> Point:
 
 
 def reconstruction_input_from_json(obj):
-    """Parse {"t": [...], "gamma": [matrix, ...]}."""
+    """Parse {"t": [...], "gamma": [matrix, ...]}.
+
+    n = len(t) or a gamma shape q x p above ``MAX_SIZE`` is rejected before
+    any entry is parsed.
+    """
     try:
+        check_sizes(len(obj["t"]), len(obj["gamma"][0][0]), len(obj["gamma"][0]))
         t = [rational_from_str(s) for s in obj["t"]]
         gamma = [RationalMatrix.from_lists(g) for g in obj["gamma"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed reconstruction input: {exc}") from exc
     return t, gamma
 

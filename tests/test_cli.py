@@ -7,8 +7,7 @@ import sys
 import pytest
 
 from eadjoint.cli import main
-from eadjoint.invariants import MAX_WORDS
-from eadjoint.nullcone import MAX_SAMPLE_SIZE
+from eadjoint.invariants import MAX_SIZE, MAX_WORDS
 
 DIAG_POINT_JSON = {
     "n": 2,
@@ -86,6 +85,13 @@ class TestInvariants:
             )
             assert code == 1
             assert json.loads(out)["error"] == "out_of_range"
+
+    def test_negative_max_len_is_a_domain_error(self, capsys, monkeypatch):
+        code, out = run_cli(
+            capsys, ["invariants", "--max-len", "-1"], DIAG_POINT_JSON, monkeypatch
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "out_of_range"
 
     def test_shape_mismatch(self, capsys, monkeypatch):
         bad = dict(DIAG_POINT_JSON)
@@ -201,7 +207,7 @@ class TestDimsAndSample:
         assert out1 == out2
 
     def test_sample_size_outside_limits_is_a_domain_error(self, capsys):
-        too_big = str(MAX_SAMPLE_SIZE + 1)
+        too_big = str(MAX_SIZE + 1)
         sizes = ((too_big, "1", "1"), ("2", "1000000000", "1"), ("2", "1", too_big))
         for n, p, q in sizes + (("0", "1", "1"),):
             code, out = run_cli(
@@ -228,6 +234,59 @@ class TestDimsAndSample:
 
         w = Point.from_json_obj(json.loads(out))
         assert 2 in component_interval(w)
+
+
+def zero_point_json(n, p, q, entry="0"):
+    return {
+        "A": [[[entry] * n for _ in range(n)]],
+        "B": [[entry] * p for _ in range(n)],
+        "C": [[entry] * n for _ in range(q)],
+    }
+
+
+class TestSizeCap:
+    """n, p and q above MAX_SIZE are out_of_range on every subcommand,
+    before any entry is parsed."""
+
+    TOO_BIG = MAX_SIZE + 1
+    SHAPES = ((TOO_BIG, 1, 1), (2, TOO_BIG, 1), (2, 1, TOO_BIG))
+
+    def assert_out_of_range(self, capsys, argv, stdin_obj=None, monkeypatch=None):
+        code, out = run_cli(capsys, argv, stdin_obj, monkeypatch)
+        assert code == 1
+        assert json.loads(out)["error"] == "out_of_range"
+
+    def test_point_commands(self, capsys, monkeypatch):
+        for argv in (["invariants"], ["classify"], ["certify", "--k", "0"]):
+            for n, p, q in self.SHAPES:
+                self.assert_out_of_range(
+                    capsys, argv, zero_point_json(n, p, q), monkeypatch
+                )
+            # a malformed entry is never reached
+            self.assert_out_of_range(
+                capsys, argv, zero_point_json(self.TOO_BIG, 1, 1, "2.5"), monkeypatch
+            )
+
+    def test_reconstruct(self, capsys, monkeypatch):
+        big = self.TOO_BIG
+        requests = (
+            {"t": [str(i) for i in range(1, big + 1)], "gamma": [[["0"]]] * big},
+            {"t": ["1", "2"], "gamma": [[["0"]] * big] * 2},
+            {"t": ["1", "2"], "gamma": [[["0"] * big]] * 2},
+        )
+        for req in requests:
+            self.assert_out_of_range(capsys, ["reconstruct"], req, monkeypatch)
+
+    def test_dims_and_sample(self, capsys):
+        for n, p, q in self.SHAPES:
+            sizes = ["--n", str(n), "--p", str(p), "--q", str(q)]
+            self.assert_out_of_range(capsys, ["dims"] + sizes)
+            self.assert_out_of_range(capsys, ["sample", "--k", "0"] + sizes)
+
+    def test_dims_at_the_cap_answers(self, capsys):
+        code, out = run_cli(capsys, ["dims", "--n", "32", "--p", "32", "--q", "32"])
+        assert code == 0
+        assert json.loads(out)["component_dims"] == [32 * 32 - 32 + 32 * 32] * 33
 
 
 # SHA-256 of the stdout of sample, classify and certify (every k of the

@@ -391,6 +391,48 @@ class TestCertificates:
         assert obj["k"] == 1 and obj["lambda"] == [1, -1]
 
 
+def unstable_coordinate_vectors(n, p, q, k):
+    """Basis of U_k as coordinate vectors, ordered vec(B), vec(C), vec(A)."""
+    dim_w = n * p + q * n + n * n
+    vecs = []
+    for i in range(k):
+        for j in range(p):
+            v = [0] * dim_w
+            v[i * p + j] = 1
+            vecs.append(v)
+    for i in range(q):
+        for j in range(k, n):
+            v = [0] * dim_w
+            v[n * p + i * n + j] = 1
+            vecs.append(v)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = [0] * dim_w
+            v[n * p + q * n + i * n + j] = 1
+            vecs.append(v)
+    return vecs
+
+
+def dense_tangent_dim(n, p, q, k, seed):
+    """dim(U_k + image of X -> (XB, -CX, [X, A])) at the same U_k point."""
+    u = random_unstable_point(random.Random(seed), n, p, q, k)
+    b, c, a = u.B, u.C, u.A
+    dim_w = n * p + q * n + n * n
+    rows = unstable_coordinate_vectors(n, p, q, k)
+    for i in range(n):
+        for t in range(n):
+            v = [0] * dim_w
+            for j in range(p):
+                v[i * p + j] = b.entry(t, j)
+            for qi in range(q):
+                v[n * p + qi * n + t] = -c.entry(qi, i)
+            for j in range(n):
+                v[n * p + q * n + i * n + j] += a.entry(t, j)
+                v[n * p + q * n + j * n + t] -= a.entry(j, i)
+            rows.append(v)
+    return RationalMatrix.from_rows(rows).rank()
+
+
 class TestDimensions:
     def test_tangent_dim_n2_all_k(self):
         for k in (0, 1, 2):
@@ -408,6 +450,19 @@ class TestDimensions:
             k = rng.randint(0, n)
             d = component_tangent_dim(n, p, q, k, seed=rng.randint(0, 10**9))
             assert d <= (n * n - n) + p * k + q * (n - k)
+
+    def test_tangent_dim_matches_dense_span(self):
+        # oracle: U_k as dense unit vectors plus the image of every
+        # elementary direction E_it, ranked together in the whole
+        # representation space
+        for n in range(1, 5):
+            for p in range(1, 4):
+                for q in range(1, 4):
+                    for k in range(n + 1):
+                        for seed in (0, 1):
+                            assert component_tangent_dim(
+                                n, p, q, k, seed
+                            ) == dense_tangent_dim(n, p, q, k, seed)
 
     def test_summary_211(self):
         s = nullcone_summary(2, 1, 1)
@@ -462,6 +517,29 @@ class TestWitnesses:
                 assert dim == n * n - min(k, n - k)
                 assert in_null_cone(w)
                 assert k in component_interval(w)
+
+    def test_small_k_witness_is_the_dual_of_the_pinned_family(self):
+        # for k < n - k: a U_k point, A the Jordan block, row 0 of C equal
+        # to e_k, and every other supported entry drawn from the pinned
+        # family at n - k with p and q swapped
+        for n in range(2, 7):
+            for k in range(n):
+                if k >= n - k:
+                    continue
+                for p, q in ((1, 1), (2, 3), (3, 2)):
+                    for seed in range(3):
+                        w, dim = generic_orbit_witness(n, p, q, k, seed)
+                        assert point_in_unstable_subspace(w, k)
+                        assert w.A == principal_nilpotent(n)
+                        assert w.C.row_list(0) == [int(j == k) for j in range(n)]
+                        d = pinned_row_witness(n, q, p, n - k, seed)
+                        assert w.B.entries == tuple(
+                            d.C.entry(j, n - 1 - i) for i in range(n) for j in range(p)
+                        )
+                        assert w.C.entries == tuple(
+                            d.B.entry(n - 1 - j, i) for i in range(q) for j in range(n)
+                        )
+                        assert dim == n * n - k
 
     def test_pinned_family_stab_dims(self):
         rng = random.Random(29)

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from eadjoint import orbits
 from eadjoint.errors import DegenerateSpectrumError, FiberConditionError, ShapeError
 from eadjoint.invariants import (
     Point,
+    action_equations,
     evaluate_invariants,
     group_action,
     jacobian_rank,
@@ -71,6 +74,91 @@ class TestStabilizer:
             )
             rep = stabilizer(w)  # re-substitution asserted internally
             assert rep.stab_dim + rep.orbit_dim == n * n
+
+
+def kronecker_system(w):
+    """[I (x) B^T; C (x) I; I (x) A^T - A (x) I] in sympy: the equations
+    XB = 0, CX = 0, XA - AX = 0 on row-major vec(X)."""
+    import sympy
+
+    def sym(m):
+        return sympy.Matrix(
+            m.rows, m.cols,
+            [sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+             for x in m.entries],
+        )
+
+    b, c, a, eye = sym(w.B), sym(w.C), sym(w.A), sympy.eye(w.n)
+    kron = sympy.kronecker_product
+    return sympy.Matrix.vstack(
+        kron(eye, b.T), kron(c, eye), kron(eye, a.T) - kron(a, eye)
+    )
+
+
+def stabilizer_test_points():
+    """Random integer points and g-moved (rational) null-cone points."""
+    from eadjoint.nullcone import random_unstable_point
+
+    rng = random.Random(41)
+    for i in range(40):
+        n, p, q = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+        if i % 2 == 0:
+            yield Point(random_matrix(rng, n, p), random_matrix(rng, q, n),
+                        (random_matrix(rng, n, n),))
+        else:
+            u = random_unstable_point(rng, n, p, q, rng.randint(0, n), bound=2)
+            yield group_action(random_invertible(rng, n), u)
+
+
+class TestActionEquations:
+    def test_stabilizer_matches_sympy_kronecker_nullspace(self):
+        sympy = pytest.importorskip("sympy")
+        moved = 0
+        for w in stabilizer_test_points():
+            null = kronecker_system(w).nullspace()
+            rep = stabilizer(w)
+            assert rep.stab_dim == len(null)
+            if null:
+                reduced, pivots = sympy.Matrix.hstack(*null).T.rref()
+                want = [
+                    Fraction(int(x.p), int(x.q))
+                    for x in reduced[: len(pivots), :].T
+                ]
+                assert list(rep.kernel_basis.basis.entries) == want
+            moved += any(isinstance(x, Fraction) for x in w.A.entries)
+        assert moved > 5
+
+    def test_rows_are_the_kronecker_system(self):
+        pytest.importorskip("sympy")
+        for w in stabilizer_test_points():
+            system = kronecker_system(w)
+            rows = action_equations(w)
+            assert len(rows) == system.rows
+            for c, row in enumerate(rows):
+                assert [Fraction(x) for x in row] == [
+                    Fraction(int(x.p), int(x.q)) for x in system.row(c)
+                ]
+
+    def test_sign_flip_in_the_adjoint_block_is_caught(self, monkeypatch):
+        # flip the first entry of the first adjoint-block row with two
+        # nonzero entries; the kernel then holds matrices that do not
+        # commute with A, and the re-substitution check must raise
+        def flipped(w):
+            rows = action_equations(w)
+            start = w.n * w.p + w.q * w.n
+            for row in rows[start:]:
+                nonzero = [t for t, x in enumerate(row) if x]
+                if len(nonzero) >= 2:
+                    row[nonzero[0]] = -row[nonzero[0]]
+                    return rows
+            raise AssertionError("no adjoint-block row with two entries")
+
+        monkeypatch.setattr(orbits, "action_equations", flipped)
+        for n in (2, 3, 4):
+            w = Point(RationalMatrix.zeros(n, 1), RationalMatrix.zeros(1, n),
+                      (principal_nilpotent(n),))
+            with pytest.raises(AssertionError, match="re-substitution"):
+                stabilizer(w)
 
 
 class TestRegularSemisimple:
