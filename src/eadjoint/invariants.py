@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _kernels as _k
 from .errors import (
     FiberConditionError,
     MultipleCopiesError,
@@ -24,6 +25,9 @@ from .linalg import (
     RationalMatrix,
     Rational,
     _canon,
+    _divided,
+    _integer_inverse,
+    _scaled_to_int,
     rational_from_str,
     rational_to_str,
     trace_product,
@@ -102,11 +106,15 @@ class Point:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Point":
-        """Parse a point; n, p or q above ``MAX_SIZE`` is rejected first."""
+        """Parse a point; n, p, q or r above ``MAX_SIZE`` is rejected first."""
         if not isinstance(obj, dict):
             raise ValueError("point must be a JSON object")
         try:
             check_sizes(len(obj["B"]), len(obj["B"][0]), len(obj["C"]))
+            if len(obj["A"]) > MAX_SIZE:
+                raise OutOfRangeError(
+                    f"r must be at most {MAX_SIZE}, got {len(obj['A'])}"
+                )
             a_list = tuple(RationalMatrix.from_lists(a) for a in obj["A"])
             pt = cls(
                 RationalMatrix.from_lists(obj["B"]),
@@ -119,14 +127,6 @@ class Point:
             if key in obj and obj[key] != getattr(pt, key):
                 raise ValueError(f"declared {key} does not match matrix shapes")
         return pt
-
-
-def zero_point(n, p, q, r=1) -> Point:
-    return Point(
-        RationalMatrix.zeros(n, p),
-        RationalMatrix.zeros(q, n),
-        tuple(RationalMatrix.zeros(n, n) for _ in range(r)),
-    )
 
 
 @dataclass(frozen=True)
@@ -196,18 +196,32 @@ def evaluate_invariants(w: Point) -> InvariantVector:
 
 
 def group_action(g: RationalMatrix, w: Point) -> Point:
-    """Apply g: (B, C, (A_i)) -> (gB, C g^-1, (g A_i g^-1))."""
+    """Apply g: (B, C, (A_i)) -> (gB, C g^-1, (g A_i g^-1)).
+
+    Fraction-free: with G = l g and H = d G^-1 integral (one elimination)
+    and B, C, A_i cleared to integers by their own scales, the three
+    products are integer products, and each entry is divided once at the
+    end.
+    """
     n = w.n
     if g.shape != (n, n):
         raise ShapeError("group element has wrong size")
     try:
-        ginv = g.inverse()
+        l, h, d = _integer_inverse(g)
     except SingularMatrixError:
         raise SingularMatrixError("group element must be invertible") from None
+    gi = _scaled_to_int(g.entries)[1]
+    lb, b = _scaled_to_int(w.B.entries)
+    lc, c = _scaled_to_int(w.C.entries)
+    moved = []
+    for a in w.A_list:
+        la, ai = _scaled_to_int(a.entries)
+        gah = _k.mat_mul(_k.mat_mul(gi, n, n, ai, n), n, n, h, n)
+        moved.append(_divided(n, n, gah, 1, la * d))
     return Point(
-        g @ w.B,
-        w.C @ ginv,
-        tuple(g @ a @ ginv for a in w.A_list),
+        _divided(n, w.p, _k.mat_mul(gi, n, n, b, w.p), 1, l * lb),
+        _divided(w.q, n, _k.mat_mul(c, w.q, n, h, n), l, lc * d),
+        tuple(moved),
     )
 
 

@@ -309,17 +309,8 @@ class RationalMatrix:
         return rank, tuple(pivots), out
 
     def inverse(self) -> "RationalMatrix":
-        if not self.is_square:
-            raise ShapeError("inverse of a non-square matrix")
-        n = self.rows
-        aug = RationalMatrix.hstack([self, RationalMatrix.identity(n)])
-        rank, pivots, rows = aug.rref()
-        if rank < n or any(p >= n for p in pivots):
-            raise SingularMatrixError("matrix is singular")
-        flat = []
-        for i in range(n):
-            flat.extend(rows[i][n:])
-        return RationalMatrix(n, n, flat, validate=False)
+        l, h, d = _integer_inverse(self)
+        return _divided(self.rows, self.cols, h, l, d)
 
     def det(self) -> Rational:
         """Determinant by fraction-free Bareiss elimination (exact)."""
@@ -378,6 +369,36 @@ def _scaled_to_int(values):
         x * l if type(x) is int else x.numerator * (l // x.denominator)
         for x in values
     ]
+
+
+def _integer_inverse(g: RationalMatrix):
+    """(l, H, d) with G = l * g integral and H = d * G^-1 integral (H flat,
+    row-major), so g^-1 = l * H / d; l and d are the least such integers.
+
+    One ``rre_int`` of [G | I]: its row i is p_i [e_i | row i of G^-1]
+    with p_i the least scale making that row integral, and d = lcm(p_i).
+    """
+    if not g.is_square:
+        raise ShapeError("inverse of a non-square matrix")
+    n = g.rows
+    l, gi = _scaled_to_int(g.entries)
+    aug = [gi[i * n : (i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
+    _, pivots, rows = _k.rre_int(aug, 2 * n)
+    if any(p >= n for p in pivots):
+        raise SingularMatrixError("matrix is singular")
+    d = 1
+    for i in range(n):
+        d = d * rows[i][i] // gcd(d, rows[i][i])
+    return l, [x * (d // rows[i][i]) for i in range(n) for x in rows[i][n:]], d
+
+
+def _divided(rows, cols, ints, num, den) -> RationalMatrix:
+    """The matrix num * ints / den of integer entries, each entry canonical."""
+    out = []
+    for x in ints:
+        x *= num
+        out.append(x // den if x % den == 0 else Fraction(x, den))
+    return RationalMatrix(rows, cols, out, validate=False)
 
 
 def integer_rescaled(m: RationalMatrix) -> RationalMatrix:
@@ -614,18 +635,6 @@ class PolynomialCoeffs:
             _canon(self.coeffs[i] * (n - i)) for i in range(n)
         )
 
-    def evaluate_matrix(self, a: RationalMatrix) -> RationalMatrix:
-        """Horner evaluation p(a); the Cayley-Hamilton check in tests."""
-        if not a.is_square:
-            raise ShapeError("matrix substitution needs a square matrix")
-        n = a.rows
-        out = RationalMatrix.identity(n)
-        for c in self.coeffs[1:]:
-            out = out @ a
-            if c:
-                out = out + RationalMatrix.identity(n).scale(c)
-        return out
-
     def is_power_of_x(self) -> bool:
         return all(not c for c in self.coeffs[1:])
 
@@ -662,15 +671,6 @@ def elementary_from_power_sums(psums) -> list:
             acc = acc + (term if i % 2 == 1 else -term)
         e.append(_canon(Fraction(acc, k)))
     return e[1:]
-
-
-def charpoly_from_power_sums(psums) -> PolynomialCoeffs:
-    """Monic polynomial whose roots have the given power sums p_1..p_n."""
-    e = elementary_from_power_sums(psums)
-    coeffs = [1]
-    for k, ek in enumerate(e, start=1):
-        coeffs.append(_canon(-ek if k % 2 == 1 else ek))
-    return PolynomialCoeffs(tuple(coeffs))
 
 
 def sylvester_resultant(f: tuple, g: tuple) -> Rational:

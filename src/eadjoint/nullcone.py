@@ -15,10 +15,12 @@ This criterion is validated against the component sampler by the
 verification suites before anything downstream relies on it.
 
 Both subspaces are classical Kalman subspaces (Kalman 1963): S is the column
-space of the controllability matrix [B, AB, ..., A^{n-1}B] and K is the
-kernel of the observability matrix [C; CA; ...; CA^{n-1}].  So the interval
-is [rank ctrl, n - rank obs], two integer ranks, and S and K are one
-elimination each; no fixed-point iteration is needed.
+space of the controllability matrix ctrl = [B, AB, ..., A^{n-1}B] and K is
+the kernel of the observability matrix [C; CA; ...; CA^{n-1}].  So the
+interval is [rank ctrl, n - rank obs], two integer ranks, and S and K are
+one elimination each; no fixed-point iteration is needed.  The same ctrl
+decides membership: the invariants tau_k = tr(A^k) all vanish exactly when
+A is nilpotent, and the Gamma_k = C A^k B exactly when C ctrl = 0.
 
 The components come from the maximal unstable weight sets, which form the
 ladder X_0..X_n up to relabelling the coordinates (Hilbert-Mumford).  The
@@ -40,13 +42,7 @@ from dataclasses import dataclass
 
 from . import _kernels as _k
 from .errors import NotAMemberError, NotInNullConeError, OutOfRangeError, ShapeError
-from .invariants import (
-    Point,
-    action_equations,
-    check_sizes,
-    evaluate_invariants,
-    group_action,
-)
+from .invariants import Point, action_equations, check_sizes, group_action
 from .linalg import (
     RationalMatrix,
     Subspace,
@@ -265,22 +261,41 @@ def enumerate_maximal_unstable(n, p, q):
 
 
 def _integer_rescaled_point(w: Point) -> Point:
-    """Rescale B, C and A separately to integers.
+    """Rescale B, C and A separately to integers (w itself when integral).
 
     Scaling by positive rationals multiplies every invariant by a nonzero
     factor and fixes all invariant subspaces, so the rescaled point has the
     same null-cone membership and the same component interval.
     """
-    return Point(
-        integer_rescaled(w.B),
-        integer_rescaled(w.C),
-        (integer_rescaled(w.A),),
-    )
+    b, c, a = integer_rescaled(w.B), integer_rescaled(w.C), integer_rescaled(w.A)
+    if b is w.B and c is w.C and a is w.A:
+        return w
+    return Point(b, c, (a,))
+
+
+def _null_controllability(wi: Point) -> RationalMatrix | None:
+    """ctrl = [B, AB, ..., A^{n-1}B] of an integer point in the null cone,
+    else None.
+
+    Every invariant vanishes exactly when A is nilpotent (all tau_k = 0)
+    and C A^k B = 0 for k < n, so the point is null exactly when
+    A^(2^m) = 0 for the least 2^m >= n and C ctrl = 0.
+    """
+    a, n = wi.A, wi.n
+    power, reach = a, 1
+    while reach < n:
+        power, reach = power @ power, 2 * reach
+    if not power.is_zero():
+        return None
+    ctrl = _controllability(a, wi.B)
+    if not (wi.C @ ctrl).is_zero():
+        return None
+    return ctrl
 
 
 def in_null_cone(w: Point) -> bool:
     """True exactly when every generating invariant vanishes at w."""
-    return evaluate_invariants(_integer_rescaled_point(w)).is_zero()
+    return _null_controllability(_integer_rescaled_point(w)) is not None
 
 
 @dataclass(frozen=True)
@@ -346,10 +361,11 @@ def component_interval(w: Point) -> ComponentInterval:
     observability matrices.  A point with nonzero invariants gets the empty
     interval.
     """
-    if not in_null_cone(w):
-        return ComponentInterval(None, None, False)
     wi = _integer_rescaled_point(w)
-    d_min = _controllability(wi.A, wi.B).rank()
+    ctrl = _null_controllability(wi)
+    if ctrl is None:
+        return ComponentInterval(None, None, False)
+    d_min = ctrl.rank()
     d_max = w.n - _observability(wi.A, wi.C).rank()
     if d_min > d_max:
         raise AssertionError("membership interval inverted on a null point")
@@ -380,23 +396,6 @@ class Certificate:
 def standard_destabilizer(n, k) -> OnePSG:
     """The cocharacter (k, ..., 1, -1, ..., -(n-k))."""
     return OnePSG(tuple(range(k, 0, -1)) + tuple(range(-1, k - n - 1, -1)))
-
-
-def point_in_unstable_subspace(w: Point, k) -> bool:
-    """Coordinate-exact membership of w in U_k."""
-    n = w.n
-    for i in range(k, n):
-        if any(w.B.entry(i, j) for j in range(w.p)):
-            return False
-    for j in range(k):
-        if any(w.C.entry(i, j) for i in range(w.q)):
-            return False
-    a = w.A
-    for i in range(n):
-        for j in range(i + 1):
-            if a.entry(i, j):
-                return False
-    return True
 
 
 def _certificate_defect(w: Point, cert: Certificate):
@@ -452,36 +451,35 @@ def _first_new_basis_column(target: Subspace, current: Subspace):
     return None
 
 
-def _grow(current: Subspace, target: Subspace, dim: int, out: list) -> Subspace:
-    """Extend current by basis columns of target, appended to out, to dim."""
-    while current.dim < dim:
-        col = _first_new_basis_column(target, current)
-        if col is None:
-            raise AssertionError("invariant subspace growth stalled")
-        out.append(col)
-        current = current.sum_with(
-            Subspace.from_spanning_columns(RationalMatrix.column(col))
-        )
-    return current
-
-
 def _build_certificate(a: RationalMatrix, s: Subspace, big: Subspace, k: int) -> Certificate:
     """Flag construction between the hull s and the core big; see below."""
     n = a.rows
     f = s
     while f.dim < k:
-        f = _grow(f, f.preimage_under(a).intersect(big), f.dim + 1, [])
+        col = _first_new_basis_column(f.preimage_under(a).intersect(big), f)
+        if col is None:
+            raise AssertionError("invariant subspace growth stalled")
+        f = f.sum_with(Subspace.from_spanning_columns(RationalMatrix.column(col)))
 
     # each layer is the preimage of the last under A; cut down to F (which
     # is A-invariant) it is ker(A^j) intersected with F below F, and above
-    # F it is A^-j F
+    # F it is A^-j F.  current lies in layer, and the layer's next flag
+    # vectors are its basis columns outside the span of current and the
+    # columns before them: the pivot columns past current of one
+    # elimination of [current | layer], with the vectors as columns
     flag_vectors = []
     current = Subspace.zero(n)
     while current.dim < n:
         layer = current.preimage_under(a)
         if current.dim < k:
             layer = layer.intersect(f)
-        current = _grow(current, layer, layer.dim, flag_vectors)
+        vectors = [*current._rows, *layer._rows]
+        _, pivots, _ = _k.rre_int(
+            [[v[i] for v in vectors] for i in range(n)], len(vectors)
+        )
+        flag_vectors += [layer.basis.col_list(j - current.dim)
+                         for j in pivots if j >= current.dim]
+        current = layer
     basis = RationalMatrix.from_rows(
         [[flag_vectors[j][i] for j in range(n)] for i in range(n)]
     )
@@ -490,11 +488,11 @@ def _build_certificate(a: RationalMatrix, s: Subspace, big: Subspace, k: int) ->
 
 def _null_point_subspaces(w: Point):
     """(integer-rescaled A, S, K) of a null point; raises outside the cone."""
-    if not in_null_cone(w):
-        raise NotInNullConeError("certificates exist only for null points")
     wi = _integer_rescaled_point(w)
-    a = wi.A
-    return a, invariant_hull_of_image(a, wi.B), largest_invariant_in_kernel(a, wi.C)
+    ctrl = _null_controllability(wi)
+    if ctrl is None:
+        raise NotInNullConeError("certificates exist only for null points")
+    return wi.A, column_space(ctrl), largest_invariant_in_kernel(wi.A, wi.C)
 
 
 def adapted_certificate(w: Point, k) -> Certificate:
@@ -508,14 +506,15 @@ def adapted_certificate(w: Point, k) -> Certificate:
     strictly decreasing cocharacter, is returned after both certificate
     conditions are re-verified.
     """
-    a, s, big = _null_point_subspaces(w)
+    wi = _integer_rescaled_point(w)
+    a, s, big = _null_point_subspaces(wi)
     if not (s.dim <= k <= big.dim):
         raise NotAMemberError(
             f"point is not a member of component {k}: interval is "
             f"[{s.dim}, {big.dim}]"
         )
     cert = _build_certificate(a, s, big, k)
-    if not check_certificate(w, cert):
+    if not check_certificate(wi, cert):
         raise AssertionError("constructed certificate failed validation")
     return cert
 
@@ -527,12 +526,13 @@ def component_certificates(w: Point):
     invariant-subspace computations across the certificates.  Every
     certificate is re-verified bit-exactly before being returned.
     """
-    a, s, big = _null_point_subspaces(w)
+    wi = _integer_rescaled_point(w)
+    a, s, big = _null_point_subspaces(wi)
     interval = ComponentInterval(s.dim, big.dim, True)
     certs = {}
     for k in interval.members():
         cert = _build_certificate(a, s, big, k)
-        if not check_certificate(w, cert):
+        if not check_certificate(wi, cert):
             raise AssertionError("constructed certificate failed validation")
         certs[k] = cert
     return interval, certs

@@ -47,12 +47,24 @@ def stabilizer(w: Point) -> StabilizerReport:
 
     The system is ``action_equations``.  The group stabilizer has the same
     dimension as this Lie algebra centralizer, so orbit_dim = n^2 - stab_dim.
-    Every kernel basis element is re-substituted into the defining
-    equations by matrix products before the report is returned.
+    Two re-substitution checks by matrix products guard the answer.  The
+    rows evaluated at the fixed X with X_it = 7^(i n + t + 1) must equal
+    vec(XB), vec(CX), vec(XA - AX); any single wrong coefficient changes
+    that value, so a system whose kernel is too small is caught too.  And
+    every kernel basis element must satisfy the defining equations.
     """
     n = w.n
     b, c, a = w.B, w.C, w.A
-    ker = kernel_subspace(RationalMatrix.from_rows(action_equations(w)))
+    rows = action_equations(w)
+    system = RationalMatrix(
+        len(rows), n * n, [v for row in rows for v in row], validate=False
+    )
+    xs = [7 ** (j + 1) for j in range(n * n)]
+    x = RationalMatrix(n, n, xs, validate=False)
+    expected = (x @ b).entries + (c @ x).entries + (x @ a - a @ x).entries
+    if (system @ RationalMatrix(n * n, 1, xs, validate=False)).entries != expected:
+        raise AssertionError("action equations failed re-substitution at the fixed X")
+    ker = kernel_subspace(system)
     for col in range(ker.dim):
         x = RationalMatrix(n, n, ker.basis.col_list(col))
         if not (

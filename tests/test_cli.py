@@ -267,6 +267,24 @@ class TestSizeCap:
                 capsys, argv, zero_point_json(self.TOO_BIG, 1, 1, "2.5"), monkeypatch
             )
 
+    def test_adjoint_copies_above_the_cap(self, capsys, monkeypatch):
+        argv = ["invariants", "--words", "--max-len", "0"]
+        point = zero_point_json(2, 1, 1)
+        point["A"] = point["A"] * self.TOO_BIG
+        self.assert_out_of_range(capsys, argv, point, monkeypatch)
+        # no entry is parsed first: a malformed one is never reached
+        point["A"] = [[["2.5"] * 2] * 2] * self.TOO_BIG
+        self.assert_out_of_range(capsys, argv, point, monkeypatch)
+
+    def test_adjoint_copies_at_the_cap_answer(self, capsys, monkeypatch):
+        point = zero_point_json(2, 1, 1)
+        point["A"] = point["A"] * MAX_SIZE
+        code, out = run_cli(
+            capsys, ["invariants", "--words", "--max-len", "1"], point, monkeypatch
+        )
+        assert code == 0
+        assert len(json.loads(out)["gamma"]) == MAX_SIZE + 1
+
     def test_reconstruct(self, capsys, monkeypatch):
         big = self.TOO_BIG
         requests = (

@@ -20,9 +20,9 @@ from eadjoint.invariants import (
     psi_map,
     sl_relation_check,
     word_invariants,
-    zero_point,
 )
 from eadjoint.linalg import RationalMatrix
+from oracles import fraction_group_action, zero_point
 
 RM = RationalMatrix.from_rows
 
@@ -91,6 +91,37 @@ class TestEvaluate:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             group_action(RM([[1, 1], [1, 1]]), DIAG_POINT)
+
+    def test_singular_rational_rejected_for_r2(self):
+        w = random_point(random.Random(3), 2, 1, 1, r=2)
+        with pytest.raises(SingularMatrixError, match="invertible"):
+            group_action(RM([[Fraction(1, 2), 1], [1, 2]]), w)
+
+    def test_matches_fraction_reference(self):
+        # integer products with one division per entry against Fraction
+        # products with the rational-RREF inverse, r = 1 and r = 2
+        rng = random.Random(59)
+
+        def rational(m):
+            e = list(m.entries)
+            for _ in range(len(e) // 2):
+                e[rng.randrange(len(e))] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            return RationalMatrix(m.rows, m.cols, e)
+
+        for trial in range(120):
+            n, r = rng.randint(1, 5), 1 + trial % 2
+            w = random_point(rng, n, rng.randint(1, 3), rng.randint(1, 3), r)
+            if trial % 3:
+                w = Point(rational(w.B), rational(w.C), [rational(a) for a in w.A_list])
+            g = random_invertible(rng, n)
+            if trial % 4 > 1:
+                g = rational(g)
+                if g.rank() < n:
+                    continue
+            moved = group_action(g, w)
+            assert moved == fraction_group_action(g, w)
+            for m in (moved.B, moved.C, *moved.A_list):
+                assert all(type(x) is int for x in m.entries if x == int(x))
 
     def test_invariance_under_random_action(self):
         rng = random.Random(41)

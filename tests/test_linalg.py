@@ -13,7 +13,6 @@ from eadjoint.linalg import (
     RationalMatrix,
     Subspace,
     char_poly,
-    charpoly_from_power_sums,
     column_space,
     discriminant_is_nonzero,
     kernel_subspace,
@@ -23,6 +22,7 @@ from eadjoint.linalg import (
     trace_product,
     vandermonde_solve,
 )
+from oracles import charpoly_from_power_sums, evaluate_polynomial, rref_inverse
 
 RM = RationalMatrix.from_rows
 
@@ -107,6 +107,37 @@ class TestMatrixBasics:
     def test_singular_inverse_rejected(self):
         with pytest.raises(SingularMatrixError):
             RM([[1, 2], [2, 4]]).inverse()
+
+    def test_inverse_matches_rref_inverse(self):
+        # the integer [G | I] elimination against the rational RREF, on
+        # integer and rational matrices; integral entries stay int
+        rng = random.Random(71)
+        for trial in range(200):
+            n = rng.randint(1, 6)
+            e = [rng.randint(-9, 9) for _ in range(n * n)]
+            for _ in range(trial % 3 * n):
+                e[rng.randrange(n * n)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            m = RationalMatrix(n, n, e)
+            if m.rank() < n:
+                with pytest.raises(SingularMatrixError):
+                    m.inverse()
+                with pytest.raises(SingularMatrixError):
+                    rref_inverse(m)
+                continue
+            inv = m.inverse()
+            assert inv == rref_inverse(m)
+            assert all(type(x) is int for x in inv.entries if x == int(x))
+
+    def test_inverse_of_rank_deficient_rational_rejected(self):
+        for m in (
+            RM([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]),
+            RM([[1, 0, 1], [0, 1, 1], [1, 1, 2]]),
+            RationalMatrix.zeros(3, 3),
+        ):
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        with pytest.raises(ShapeError):
+            RationalMatrix.zeros(2, 3).inverse()
 
     def test_det_known_values(self):
         assert RM([[1, 2], [3, 4]]).det() == -2
@@ -244,7 +275,7 @@ class TestCharPoly:
         rng = random.Random(3)
         for n in (1, 2, 3, 4):
             a = random_matrix(rng, n, n, 8)
-            assert char_poly(a).evaluate_matrix(a).is_zero()
+            assert evaluate_polynomial(char_poly(a), a).is_zero()
 
     def test_conjugation_invariance(self):
         rng = random.Random(9)

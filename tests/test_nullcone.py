@@ -12,7 +12,7 @@ from eadjoint.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from eadjoint.invariants import Point, evaluate_invariants, group_action, zero_point
+from eadjoint.invariants import Point, evaluate_invariants, group_action
 from eadjoint.linalg import (
     RationalMatrix,
     Subspace,
@@ -39,7 +39,6 @@ from eadjoint.nullcone import (
     largest_invariant_in_kernel,
     nullcone_summary,
     pinned_row_witness,
-    point_in_unstable_subspace,
     random_unstable_point,
     sample_component,
     standard_destabilizer,
@@ -49,6 +48,7 @@ from eadjoint.nullcone import (
 )
 from eadjoint.orbits import stabilizer
 from eadjoint.sampling import random_invertible, random_matrix, random_point
+from oracles import invariants_vanish, point_in_unstable_subspace, zero_point
 
 RM = RationalMatrix.from_rows
 
@@ -245,6 +245,79 @@ class TestMembership:
             assert lhs == (pows_ok and moments_ok)
             assert lhs == evaluate_invariants(w).is_zero()
         assert count_null >= 50  # the mix really exercises both branches
+
+    def test_matches_invariants_on_random_sampled_and_moved_points(self):
+        rng = random.Random(61)
+        nulls = 0
+        for trial in range(240):
+            n = 1 + trial % 6
+            p, q = rng.randint(1, 3), rng.randint(1, 3)
+            kind = trial // 6 % 4
+            if kind == 0:
+                w = random_point(rng, n, p, q)
+            else:
+                w = sample_component(n, p, q, rng.randint(0, n), rng.randrange(2**32))
+                if kind >= 2:
+                    w = group_action(random_invertible(rng, n), w)
+                if kind == 3:  # one nonzero entry added: usually not null
+                    e = list(w.A.entries)
+                    e[rng.randrange(n * n)] += 1
+                    w = Point(w.B, w.C, (RationalMatrix(n, n, e),))
+            assert in_null_cone(w) == invariants_vanish(w)
+            assert component_interval(w).in_null_cone == invariants_vanish(w)
+            nulls += invariants_vanish(w)
+        assert 100 <= nulls <= 200
+
+    def test_adversarial_points(self):
+        points = []
+        for n in range(1, 7):
+            zb, zc = RationalMatrix.zeros(n, 2), RationalMatrix.zeros(2, n)
+            # the cyclic shift: tau_1..tau_{n-1} vanish, tau_n = n
+            cycle = RationalMatrix(
+                n, n, [int(j == (i + 1) % n) for i in range(n) for j in range(n)]
+            )
+            points.append((Point(zb, zc, (cycle,)), False))
+            # trace-free and not nilpotent: diag(1, -1, 0, ...)
+            if n >= 2:
+                d = RationalMatrix.diagonal([1, -1] + [0] * (n - 2))
+                points.append((Point(zb, zc, (d,)), False))
+            # Jordan block with B = e_n, C = e_1: only Gamma_{n-1} is nonzero
+            jordan = principal_nilpotent(n)
+            b = RM([[int(i == n - 1), 0] for i in range(n)])
+            c = RM([[int(j == 0) for j in range(n)], [0] * n])
+            points.append((Point(b, c, (jordan,)), False))
+            points.append((Point(b, zc, (jordan,)), True))
+            points.append((Point(zb, c, (jordan,)), True))
+            # nilpotent of index n - 1 with Gamma_{n-2} nonzero, plus Fractions
+            if n >= 2:
+                half = Fraction(1, 2)
+                nil = RM([[half if j == i + 1 < n - 1 else 0 for j in range(n)]
+                          for i in range(n)])
+                bb = RM([[Fraction(2, 3) if i == n - 2 else 0] for i in range(n)])
+                cc = RM([[Fraction(-5, 7) if j == 0 else 0 for j in range(n)]])
+                points.append((Point(bb, cc, (nil,)), False))
+                points.append((Point(bb, cc.scale(0), (nil,)), True))
+        for w, null in points:
+            assert invariants_vanish(w) == null
+            assert in_null_cone(w) == null
+            if null:
+                assert component_interval(w).in_null_cone
+            else:
+                assert component_interval(w).is_empty()
+                with pytest.raises(NotInNullConeError):
+                    component_certificates(w)
+
+    def test_fraction_points_match_invariants(self):
+        rng = random.Random(67)
+        for trial in range(80):
+            n, p, q = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
+            w = sample_component(n, p, q, rng.randint(0, n), rng.randrange(2**32))
+            s = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3)]
+            w = Point(w.B.scale(s[0]), w.C.scale(s[1]), (w.A.scale(s[2]),))
+            if trial % 2:  # trace s[0], so not nilpotent
+                shift = RationalMatrix.diagonal([s[0]] + [0] * (n - 1))
+                w = Point(w.B, w.C, (w.A + shift,))
+            assert in_null_cone(w) == invariants_vanish(w) == (trial % 2 == 0)
 
 
 class TestComponentInterval:

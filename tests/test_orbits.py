@@ -11,9 +11,8 @@ from eadjoint.invariants import (
     evaluate_invariants,
     group_action,
     jacobian_rank,
-    zero_point,
 )
-from eadjoint.linalg import RationalMatrix
+from eadjoint.linalg import RationalMatrix, kernel_subspace
 from eadjoint.orbits import (
     fiber_reconstruction_data,
     is_regular_semisimple,
@@ -29,6 +28,7 @@ from eadjoint.sampling import (
     random_matrix,
     random_rank_one_factors,
 )
+from oracles import zero_point
 
 RM = RationalMatrix.from_rows
 
@@ -158,6 +158,29 @@ class TestActionEquations:
             w = Point(RationalMatrix.zeros(n, 1), RationalMatrix.zeros(1, n),
                       (principal_nilpotent(n),))
             with pytest.raises(AssertionError, match="re-substitution"):
+                stabilizer(w)
+
+    def test_fault_that_shrinks_the_kernel_is_caught(self, monkeypatch):
+        # a spurious X_00 in the first (all-zero) B-block row adds the
+        # equation X_00 = 0: the kernel shrinks inside the true stabilizer,
+        # so every kernel element still re-substitutes cleanly and only the
+        # fixed-X evaluation of the rows can see the fault
+        def extra_equation(w):
+            rows = action_equations(w)
+            rows[0][0] += 1
+            return rows
+
+        points = []
+        for n in (2, 3, 4):
+            w = Point(RationalMatrix.zeros(n, 1), RationalMatrix.zeros(1, n),
+                      (principal_nilpotent(n),))
+            true = stabilizer(w).kernel_basis
+            shrunk = kernel_subspace(RM(extra_equation(w)))
+            assert shrunk.dim == true.dim - 1 and true.contains(shrunk)
+            points.append(w)
+        monkeypatch.setattr(orbits, "action_equations", extra_equation)
+        for w in points:
+            with pytest.raises(AssertionError, match="fixed X"):
                 stabilizer(w)
 
 
