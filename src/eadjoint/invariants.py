@@ -28,6 +28,7 @@ from .linalg import (
     _divided,
     _integer_inverse,
     _scaled_to_int,
+    integer_rescaled,
     rational_from_str,
     rational_to_str,
     trace_product,
@@ -183,23 +184,57 @@ def matrix_powers(a: RationalMatrix, top: int):
     return out
 
 
+def _integer_rescaled_point(w: Point):
+    """(wi, l_B, l_C, (l_1..l_r)): w with B, C and each A_i multiplied by
+    the least positive integer clearing that matrix to integers.
+
+    wi is w itself, every scale 1, when all entries are already integers.
+    Scaling by positive rationals multiplies every invariant by a nonzero
+    factor and fixes every invariant subspace and kernel read off a point,
+    so the null cone, the stabilizer and the Jacobian rank can all be
+    computed on wi.
+    """
+    (lb, b), (lc, c), *a = [integer_rescaled(m) for m in (w.B, w.C) + w.A_list]
+    if b is w.B and c is w.C and all(ai is x for (_, ai), x in zip(a, w.A_list)):
+        return w, 1, 1, (1,) * w.r
+    return Point(b, c, tuple(ai for _, ai in a)), lb, lc, tuple(l for l, _ in a)
+
+
+def _over(x: int, den: int) -> Rational:
+    """The rational x / den of two integers, an int when den divides x."""
+    return x // den if x % den == 0 else Fraction(x, den)
+
+
 def evaluate_invariants(w: Point) -> InvariantVector:
-    """The quotient-map value of an r = 1 point, exactly."""
+    """The quotient-map value of an r = 1 point, exactly.
+
+    Integer products on the cleared point (l_B B, l_C C, l_A A):
+    tau_k = trace(A_int^k) / l_A^k and
+    Gamma_k = C_int A_int^k B_int / (l_C l_B l_A^k), one division per entry.
+    """
     if w.r != 1:
         raise MultipleCopiesError("invariant vector is defined for r = 1 points")
-    n = w.n
-    a = w.A
-    pows = matrix_powers(a, n)
-    tau = tuple(pows[k].trace() for k in range(1, n + 1))
-    gamma = tuple(w.C @ (pows[k] @ w.B) for k in range(n))
-    return InvariantVector(tau, gamma)
+    wi, lb, lc, (la,) = _integer_rescaled_point(w)
+    n, p, q = w.n, w.p, w.q
+    a, c = wi.A.entries, wi.C.entries
+    tau, power, den = [], a, la  # power = A_int^k, den = l_A^k
+    for k in range(1, n + 1):
+        tau.append(_over(sum(power[:: n + 1]), den))
+        if k < n:
+            power, den = _k.mat_mul(power, n, n, a, n), den * la
+    gamma, krylov, den = [], wi.B.entries, lc * lb  # krylov = A_int^k B_int
+    for k in range(n):
+        gamma.append(_divided(q, p, _k.mat_mul(c, q, n, krylov, p), 1, den))
+        if k < n - 1:
+            krylov, den = _k.mat_mul(a, n, n, krylov, p), den * la
+    return InvariantVector(tuple(tau), tuple(gamma))
 
 
 def group_action(g: RationalMatrix, w: Point) -> Point:
     """Apply g: (B, C, (A_i)) -> (gB, C g^-1, (g A_i g^-1)).
 
     Fraction-free: with G = l g and H = d G^-1 integral (one elimination)
-    and B, C, A_i cleared to integers by their own scales, the three
+    and B, C, A_i cleared by ``_integer_rescaled_point``, the three
     products are integer products, and each entry is divided once at the
     end.
     """
@@ -211,16 +246,14 @@ def group_action(g: RationalMatrix, w: Point) -> Point:
     except SingularMatrixError:
         raise SingularMatrixError("group element must be invertible") from None
     gi = _scaled_to_int(g.entries)[1]
-    lb, b = _scaled_to_int(w.B.entries)
-    lc, c = _scaled_to_int(w.C.entries)
+    wi, lb, lc, las = _integer_rescaled_point(w)
     moved = []
-    for a in w.A_list:
-        la, ai = _scaled_to_int(a.entries)
-        gah = _k.mat_mul(_k.mat_mul(gi, n, n, ai, n), n, n, h, n)
+    for la, a in zip(las, wi.A_list):
+        gah = _k.mat_mul(_k.mat_mul(gi, n, n, a.entries, n), n, n, h, n)
         moved.append(_divided(n, n, gah, 1, la * d))
     return Point(
-        _divided(n, w.p, _k.mat_mul(gi, n, n, b, w.p), 1, l * lb),
-        _divided(w.q, n, _k.mat_mul(c, w.q, n, h, n), l, lc * d),
+        _divided(n, w.p, _k.mat_mul(gi, n, n, wi.B.entries, w.p), 1, l * lb),
+        _divided(w.q, n, _k.mat_mul(wi.C.entries, w.q, n, h, n), l, lc * d),
         tuple(moved),
     )
 
@@ -255,6 +288,25 @@ def action_equations(w: Point):
                 row[t * n + j] -= x
             rows.append(row)
     return rows
+
+
+def check_action_equations(w: Point, rows) -> None:
+    """Raise ``AssertionError`` unless ``rows`` are the action equations of w.
+
+    The rows evaluated at the fixed X with X_it = 7^(i n + t + 1) must
+    equal vec(XB), vec(CX), vec(XA - AX), computed by matrix products.  Any
+    single wrong coefficient changes that value, so this also catches a
+    fault that only shrinks the kernel, which re-substituting the kernel
+    cannot see.
+    """
+    n = w.n
+    b, c, a = w.B, w.C, w.A
+    xs = [7 ** (j + 1) for j in range(n * n)]
+    x = RationalMatrix(n, n, xs, validate=False)
+    expected = (x @ b).entries + (c @ x).entries + (x @ a - a @ x).entries
+    flat = [v for row in rows for v in row]
+    if tuple(_k.mat_mul(flat, len(rows), n * n, xs, 1)) != expected:
+        raise AssertionError("action equations failed re-substitution at the fixed X")
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +361,28 @@ def word_invariants(w: Point, max_len: int) -> WordInvariants:
                 f"more than {MAX_WORDS} words of length at most {max_len} "
                 f"in {w.r} letters"
             )
+    wi, lb, lc, las = _integer_rescaled_point(w)
+    n, p, q = w.n, w.p, w.q
+    b, c = wi.B.entries, wi.C.entries
+    letters = [(a.entries, la) for a, la in zip(wi.A_list, las)]
     tau: dict = {}
-    gamma: dict = {(): w.C @ w.B}
-    frontier = {(): RationalMatrix.identity(w.n)}
+    gamma: dict = {(): _divided(q, p, _k.mat_mul(c, q, n, b, p), 1, lc * lb)}
+    # word -> (A_int product, its scale: the product of l_i over the letters)
+    frontier = {(): (RationalMatrix.identity(n).entries, 1)}
     for _ in range(max_len):
         nxt = {}
-        for word, prod in frontier.items():
-            for letter in range(1, w.r + 1):
+        for word, (prod, scale) in frontier.items():
+            for letter, (a, la) in enumerate(letters, start=1):
                 nw = word + (letter,)
-                np_ = prod @ w.A_list[letter - 1]
-                nxt[nw] = np_
-                gamma[nw] = w.C @ (np_ @ w.B)
+                np_, ns = _k.mat_mul(prod, n, n, a, n), scale * la
+                nxt[nw] = (np_, ns)
+                gamma[nw] = _divided(
+                    q, p, _k.mat_mul(c, q, n, _k.mat_mul(np_, n, n, b, p), p),
+                    1, lc * lb * ns,
+                )
                 canon = cyclic_canonical(nw)
                 if canon not in tau:
-                    tau[canon] = np_.trace()
+                    tau[canon] = _over(sum(np_[:: n + 1]), ns)
         frontier = nxt
     return WordInvariants(max_len, tau, gamma)
 
@@ -421,8 +481,15 @@ def jacobian_matrix(w: Point) -> RationalMatrix:
 
 
 def jacobian_rank(w: Point) -> int:
-    """Exact rank of the differential of the quotient map at w."""
-    return jacobian_matrix(w).rank()
+    """Exact rank of the differential of the quotient map at w.
+
+    Computed as the rank of ``jacobian_matrix`` at the cleared point
+    s(w) = (l_B B, l_C C, l_A A).  The scaling s is a linear isomorphism
+    of the domain, and pi(s v) = D pi(v) with D invertible and diagonal
+    (tau_k scales by l_A^k, Gamma_k by l_C l_A^k l_B).  So
+    d pi(s w) s = D d pi(w), and the two Jacobians have the same rank.
+    """
+    return jacobian_matrix(_integer_rescaled_point(w)[0]).rank()
 
 
 # ---------------------------------------------------------------------------

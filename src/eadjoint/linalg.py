@@ -401,17 +401,17 @@ def _divided(rows, cols, ints, num, den) -> RationalMatrix:
     return RationalMatrix(rows, cols, out, validate=False)
 
 
-def integer_rescaled(m: RationalMatrix) -> RationalMatrix:
-    """The positive integer multiple of m clearing every denominator.
+def integer_rescaled(m: RationalMatrix):
+    """(l, l m) for the least integer l > 0 clearing every denominator of m;
+    (1, m) itself when m is integral.
 
     Useful wherever only the zero pattern, spans or kernels of a matrix
     matter; those are unchanged under scaling by a positive rational.
     """
     if all(type(x) is int for x in m.entries):
-        return m
-    return RationalMatrix(
-        m.rows, m.cols, _scaled_to_int(m.entries)[1], validate=False
-    )
+        return 1, m
+    l, ints = _scaled_to_int(m.entries)
+    return l, RationalMatrix(m.rows, m.cols, ints, validate=False)
 
 
 def trace_product(a: RationalMatrix, b: RationalMatrix) -> Rational:
@@ -539,7 +539,7 @@ class Subspace:
         m = a.rows
         prod = _k.mat_mul(
             [x for row in self._rows for x in row], self.dim, self.ambient_dim,
-            integer_rescaled(a).transpose().entries, m,
+            integer_rescaled(a)[1].transpose().entries, m,
         )
         return _span(m, [prod[i * m : (i + 1) * m] for i in range(self.dim)])
 
@@ -553,7 +553,7 @@ class Subspace:
         c = a.cols
         prod = _k.mat_mul(
             [x for row in ann for x in row], len(ann), self.ambient_dim,
-            integer_rescaled(a).entries, c,
+            integer_rescaled(a)[1].entries, c,
         )
         rows = [prod[i * c : (i + 1) * c] for i in range(len(ann))]
         return _span(c, _kernel_vectors(rows, c))

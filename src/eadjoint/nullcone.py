@@ -42,12 +42,18 @@ from dataclasses import dataclass
 
 from . import _kernels as _k
 from .errors import NotAMemberError, NotInNullConeError, OutOfRangeError, ShapeError
-from .invariants import Point, action_equations, check_sizes, group_action
+from .invariants import (
+    Point,
+    _integer_rescaled_point,
+    action_equations,
+    check_action_equations,
+    check_sizes,
+    group_action,
+)
 from .linalg import (
     RationalMatrix,
     Subspace,
     column_space,
-    integer_rescaled,
     kernel_subspace,
 )
 from .sampling import (
@@ -260,19 +266,6 @@ def enumerate_maximal_unstable(n, p, q):
 # membership
 
 
-def _integer_rescaled_point(w: Point) -> Point:
-    """Rescale B, C and A separately to integers (w itself when integral).
-
-    Scaling by positive rationals multiplies every invariant by a nonzero
-    factor and fixes all invariant subspaces, so the rescaled point has the
-    same null-cone membership and the same component interval.
-    """
-    b, c, a = integer_rescaled(w.B), integer_rescaled(w.C), integer_rescaled(w.A)
-    if b is w.B and c is w.C and a is w.A:
-        return w
-    return Point(b, c, (a,))
-
-
 def _null_controllability(wi: Point) -> RationalMatrix | None:
     """ctrl = [B, AB, ..., A^{n-1}B] of an integer point in the null cone,
     else None.
@@ -295,7 +288,7 @@ def _null_controllability(wi: Point) -> RationalMatrix | None:
 
 def in_null_cone(w: Point) -> bool:
     """True exactly when every generating invariant vanishes at w."""
-    return _null_controllability(_integer_rescaled_point(w)) is not None
+    return _null_controllability(_integer_rescaled_point(w)[0]) is not None
 
 
 @dataclass(frozen=True)
@@ -361,7 +354,7 @@ def component_interval(w: Point) -> ComponentInterval:
     observability matrices.  A point with nonzero invariants gets the empty
     interval.
     """
-    wi = _integer_rescaled_point(w)
+    wi = _integer_rescaled_point(w)[0]
     ctrl = _null_controllability(wi)
     if ctrl is None:
         return ComponentInterval(None, None, False)
@@ -418,7 +411,7 @@ def _certificate_defect(w: Point, cert: Certificate):
     n, k = w.n, cert.k
     if cert.g.shape != (n, n):
         raise ShapeError("group element has wrong size")
-    wi = _integer_rescaled_point(w)
+    wi = _integer_rescaled_point(w)[0]
     if not 0 <= k <= n:
         return "k"
     g = cert.g._int_rows()
@@ -488,7 +481,7 @@ def _build_certificate(a: RationalMatrix, s: Subspace, big: Subspace, k: int) ->
 
 def _null_point_subspaces(w: Point):
     """(integer-rescaled A, S, K) of a null point; raises outside the cone."""
-    wi = _integer_rescaled_point(w)
+    wi = _integer_rescaled_point(w)[0]
     ctrl = _null_controllability(wi)
     if ctrl is None:
         raise NotInNullConeError("certificates exist only for null points")
@@ -506,7 +499,7 @@ def adapted_certificate(w: Point, k) -> Certificate:
     strictly decreasing cocharacter, is returned after both certificate
     conditions are re-verified.
     """
-    wi = _integer_rescaled_point(w)
+    wi = _integer_rescaled_point(w)[0]
     a, s, big = _null_point_subspaces(wi)
     if not (s.dim <= k <= big.dim):
         raise NotAMemberError(
@@ -526,7 +519,7 @@ def component_certificates(w: Point):
     invariant-subspace computations across the certificates.  Every
     certificate is re-verified bit-exactly before being returned.
     """
-    wi = _integer_rescaled_point(w)
+    wi = _integer_rescaled_point(w)[0]
     a, s, big = _null_point_subspaces(wi)
     interval = ComponentInterval(s.dim, big.dim, True)
     certs = {}
@@ -589,7 +582,8 @@ def component_tangent_dim(n, p, q, k, seed) -> int:
     spans the image of the differential of the sweep map, whose generic
     dimension is the component dimension (n^2 - n) + pk + q(n - k).  U_k
     is spanned by coordinates, so that dimension is |U_k| plus the rank of
-    the rows of ``action_equations`` at the coordinates outside U_k.
+    the rows of ``action_equations`` at the coordinates outside U_k.  The
+    full system is checked by ``check_action_equations`` first.
     """
     u = random_unstable_point(as_rng(seed), n, p, q, k)
     coords = unstable_subspace(standard_destabilizer(n, k), n, p, q)
@@ -597,7 +591,9 @@ def component_tangent_dim(n, p, q, k, seed) -> int:
     inside = {i * p + j for i in coords.b_rows for j in range(p)}
     inside.update(c0 + i * n + j for i in range(q) for j in coords.c_cols)
     inside.update(a0 + i * n + j for i, j in coords.a_entries)
-    rows = [row for c, row in enumerate(action_equations(u)) if c not in inside]
+    rows = action_equations(u)
+    check_action_equations(u, rows)
+    rows = [row for c, row in enumerate(rows) if c not in inside]
     return len(inside) + _k.rank_int(rows, n * n)
 
 

@@ -13,14 +13,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FiberConditionError, ShapeError
-from .invariants import Point, action_equations, check_sizes, evaluate_invariants
+from .invariants import (
+    Point,
+    _integer_rescaled_point,
+    action_equations,
+    check_action_equations,
+    check_sizes,
+    evaluate_invariants,
+)
 from .linalg import (
     RationalMatrix,
     Subspace,
     _canon,
+    _kernel_vectors,
+    _span,
     char_poly,
     discriminant_is_nonzero,
-    kernel_subspace,
     rational_from_str,
     vandermonde_solve,
 )
@@ -45,26 +53,22 @@ class StabilizerReport:
 def stabilizer(w: Point) -> StabilizerReport:
     """Solve {X : XB = 0, CX = 0, XA = AX} exactly; report dimensions.
 
-    The system is ``action_equations``.  The group stabilizer has the same
-    dimension as this Lie algebra centralizer, so orbit_dim = n^2 - stab_dim.
-    Two re-substitution checks by matrix products guard the answer.  The
-    rows evaluated at the fixed X with X_it = 7^(i n + t + 1) must equal
-    vec(XB), vec(CX), vec(XA - AX); any single wrong coefficient changes
-    that value, so a system whose kernel is too small is caught too.  And
-    every kernel basis element must satisfy the defining equations.
+    The system is ``action_equations`` of the cleared point
+    (l_B B, l_C C, l_A A) from ``_integer_rescaled_point``: XB = 0, CX = 0
+    and [X, A] = 0 hold exactly when they hold with B, C, A scaled by
+    nonzero constants, so the kernel and its canonical basis are those of
+    w.  The group stabilizer has the same dimension as this Lie algebra
+    centralizer, so orbit_dim = n^2 - stab_dim.  Two checks guard the
+    answer, both on the cleared point: ``check_action_equations``, and the
+    re-substitution of every kernel basis element into the defining
+    equations by matrix products.
     """
+    wi = _integer_rescaled_point(w)[0]
     n = w.n
-    b, c, a = w.B, w.C, w.A
-    rows = action_equations(w)
-    system = RationalMatrix(
-        len(rows), n * n, [v for row in rows for v in row], validate=False
-    )
-    xs = [7 ** (j + 1) for j in range(n * n)]
-    x = RationalMatrix(n, n, xs, validate=False)
-    expected = (x @ b).entries + (c @ x).entries + (x @ a - a @ x).entries
-    if (system @ RationalMatrix(n * n, 1, xs, validate=False)).entries != expected:
-        raise AssertionError("action equations failed re-substitution at the fixed X")
-    ker = kernel_subspace(system)
+    rows = action_equations(wi)
+    check_action_equations(wi, rows)
+    ker = _span(n * n, _kernel_vectors(rows, n * n))  # rows are integral
+    b, c, a = wi.B, wi.C, wi.A
     for col in range(ker.dim):
         x = RationalMatrix(n, n, ker.basis.col_list(col))
         if not (

@@ -251,9 +251,10 @@ def _cell_classifier(seed, params):
     rng = as_rng(seed)
     for _ in range(params["trials"]):
         w = sample_component(n, p, q, k, rng.randrange(2**32))
-        if not in_null_cone(w):
+        iv = component_interval(w)
+        if not iv.in_null_cone:
             return "component sample escaped the null cone"
-        if k not in component_interval(w):
+        if k not in iv:
             return f"sampled point of C_{k} not classified into C_{k}"
     return None
 

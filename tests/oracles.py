@@ -6,7 +6,14 @@ them.
 """
 
 from eadjoint.errors import ShapeError, SingularMatrixError
-from eadjoint.invariants import Point, evaluate_invariants
+from eadjoint.invariants import (
+    InvariantVector,
+    Point,
+    action_equations,
+    cyclic_canonical,
+    evaluate_invariants,
+    matrix_powers,
+)
 from eadjoint.linalg import (
     PolynomialCoeffs,
     RationalMatrix,
@@ -81,3 +88,43 @@ def fraction_group_action(g: RationalMatrix, w: Point) -> Point:
 def invariants_vanish(w: Point) -> bool:
     """Null-cone membership from its definition: every invariant is zero."""
     return evaluate_invariants(w).is_zero()
+
+
+def fraction_invariants(w: Point) -> InvariantVector:
+    """The invariant vector from Fraction products of the powers of A."""
+    n = w.n
+    pows = matrix_powers(w.A, n)
+    tau = tuple(pows[k].trace() for k in range(1, n + 1))
+    gamma = tuple(w.C @ (pows[k] @ w.B) for k in range(n))
+    return InvariantVector(tau, gamma)
+
+
+def fraction_word_invariants(w: Point, max_len):
+    """(tau, gamma) word dictionaries from Fraction products, keyed as in
+    ``word_invariants``."""
+    tau, gamma = {}, {(): w.C @ w.B}
+    frontier = {(): RationalMatrix.identity(w.n)}
+    for _ in range(max_len):
+        nxt = {}
+        for word, prod in frontier.items():
+            for letter in range(1, w.r + 1):
+                nw = word + (letter,)
+                nxt[nw] = prod @ w.A_list[letter - 1]
+                gamma[nw] = w.C @ (nxt[nw] @ w.B)
+                tau.setdefault(cyclic_canonical(nw), nxt[nw].trace())
+        frontier = nxt
+    return tau, gamma
+
+
+def sign_flipped_action_equations(w: Point):
+    """``action_equations`` with the first entry of the first adjoint-block
+    row that has two nonzero entries negated: its kernel then holds
+    matrices that do not commute with A."""
+    rows = action_equations(w)
+    start = w.n * w.p + w.q * w.n
+    for row in rows[start:]:
+        nonzero = [t for t, x in enumerate(row) if x]
+        if len(nonzero) >= 2:
+            row[nonzero[0]] = -row[nonzero[0]]
+            return rows
+    raise AssertionError("no adjoint-block row with two entries")

@@ -395,6 +395,33 @@ class TestVerifyCommand:
             main(["verify", "--suite", "bogus"])
 
 
+def test_in_process_requests_answer_like_a_fresh_process(capsys, monkeypatch):
+    # a request argparse rejects must leave nothing behind in the process
+    # that changes the answer to a later request
+    requests = [
+        (["certify", "--k", "one"], DIAG_POINT_JSON),
+        (["invariants", "--words", "--max-len", "2"], R2_POINT_JSON),
+        (["dims", "--n", "3", "--p", "2", "--q", "1"], None),
+    ]
+    codes = []
+    for args, stdin_obj in requests:
+        stdin = json.dumps(stdin_obj) if stdin_obj is not None else ""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        alone = subprocess.run(
+            [sys.executable, "-m", "eadjoint", *args],
+            input=stdin, capture_output=True, text=True,
+        )
+        assert (code, captured.out, captured.err) == (
+            alone.returncode, alone.stdout, alone.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "eadjoint", "dims", "--n", "2", "--p", "1", "--q", "1"],

@@ -22,7 +22,12 @@ from eadjoint.invariants import (
     word_invariants,
 )
 from eadjoint.linalg import RationalMatrix
-from oracles import fraction_group_action, zero_point
+from oracles import (
+    fraction_group_action,
+    fraction_invariants,
+    fraction_word_invariants,
+    zero_point,
+)
 
 RM = RationalMatrix.from_rows
 
@@ -364,6 +369,78 @@ class TestJacobian:
             for g in dv.gamma:
                 expected.extend(g.entries)
             assert out.col_list(0) == [x for x in expected]
+
+
+# ---------------------------------------------------------------------------
+# the quotient map on one cleared integer point
+
+
+def cleared_path_points(rng, r, count, max_n=4):
+    """Points of four kinds, in turn: moved by a rational g, rational with
+    large denominators, the same with a zero B or C (scale 1), integral."""
+
+    def big(m):
+        e = [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+             for _ in m.entries]
+        return RationalMatrix(m.rows, m.cols, e)
+
+    for trial in range(count):
+        n, p, q = rng.randint(1, max_n), rng.randint(1, 3), rng.randint(1, 3)
+        w = random_point(rng, n, p, q, r)
+        kind = trial % 4
+        if kind == 0:
+            g = random_invertible(rng, n).scale(Fraction(rng.randint(1, 9), 7))
+            g = g + RationalMatrix.identity(n).scale(Fraction(1, rng.randint(2, 11)))
+            if g.rank() == n:
+                w = group_action(g, w)
+        elif kind in (1, 2):
+            b, c = big(w.B), big(w.C)
+            if kind == 2:
+                if trial % 8 == 2:
+                    b = RationalMatrix.zeros(n, p)
+                else:
+                    c = RationalMatrix.zeros(q, n)
+            w = Point(b, c, [big(a) for a in w.A_list])
+        yield w
+
+
+def canonical(values):
+    return all(type(x) is int or x.denominator != 1 for x in values)
+
+
+class TestClearedIntegerPath:
+    def test_invariants_match_fraction_reference(self):
+        rng = random.Random(71)
+        kinds = [0, 0]  # points with some denominator, integral points
+        for w in cleared_path_points(rng, 1, 80):
+            iv = evaluate_invariants(w)
+            assert iv == fraction_invariants(w)
+            assert iv.to_json_obj() == fraction_invariants(w).to_json_obj()
+            assert canonical(iv.tau)
+            assert all(canonical(g.entries) for g in iv.gamma)
+            kinds[all(type(x) is int for x in w.A.entries)] += 1
+        assert min(kinds) >= 15
+
+    def test_word_invariants_match_fraction_reference(self):
+        rng = random.Random(72)
+        for r, max_len, max_n in ((1, 7, 4), (2, 3, 3), (3, 2, 3)):
+            for w in cleared_path_points(rng, r, 24, max_n):
+                words = word_invariants(w, max_len)
+                tau, gamma = fraction_word_invariants(w, max_len)
+                assert words.tau == tau and words.gamma == gamma
+                assert list(words.tau) == list(tau)
+                assert list(words.gamma) == list(gamma)
+                assert canonical(words.tau.values())
+                assert all(canonical(g.entries) for g in words.gamma.values())
+
+    def test_jacobian_rank_is_the_rank_at_the_uncleared_point(self):
+        rng = random.Random(73)
+        ranks = set()
+        for w in cleared_path_points(rng, 1, 40):
+            rank = jacobian_rank(w)
+            assert rank == jacobian_matrix(w).rank()
+            ranks.add(rank)
+        assert len(ranks) > 3
 
 
 # ---------------------------------------------------------------------------

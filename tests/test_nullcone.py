@@ -48,7 +48,12 @@ from eadjoint.nullcone import (
 )
 from eadjoint.orbits import stabilizer
 from eadjoint.sampling import random_invertible, random_matrix, random_point
-from oracles import invariants_vanish, point_in_unstable_subspace, zero_point
+from oracles import (
+    invariants_vanish,
+    point_in_unstable_subspace,
+    sign_flipped_action_equations,
+    zero_point,
+)
 
 RM = RationalMatrix.from_rows
 
@@ -536,6 +541,13 @@ class TestDimensions:
                             assert component_tangent_dim(
                                 n, p, q, k, seed
                             ) == dense_tangent_dim(n, p, q, k, seed)
+
+    def test_tangent_dim_checks_its_action_equations(self, monkeypatch):
+        monkeypatch.setattr(nullcone, "action_equations", sign_flipped_action_equations)
+        for n in (2, 3, 4):
+            for k in range(n + 1):
+                with pytest.raises(AssertionError, match="fixed X"):
+                    component_tangent_dim(n, 1, 1, k, seed=n)
 
     def test_summary_211(self):
         s = nullcone_summary(2, 1, 1)

@@ -28,7 +28,7 @@ from eadjoint.sampling import (
     random_matrix,
     random_rank_one_factors,
 )
-from oracles import zero_point
+from oracles import sign_flipped_action_equations, zero_point
 
 RM = RationalMatrix.from_rows
 
@@ -74,6 +74,34 @@ class TestStabilizer:
             )
             rep = stabilizer(w)  # re-substitution asserted internally
             assert rep.stab_dim + rep.orbit_dim == n * n
+
+    def test_kernel_basis_is_that_of_the_uncleared_system(self):
+        # stabilizer solves the equations of the cleared integer point;
+        # its canonical basis must equal the kernel of w's own equations
+        from eadjoint.nullcone import generic_orbit_witness
+
+        rng = random.Random(43)
+        points = []
+        for i in range(24):
+            n, p, q = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+            w = Point(random_matrix(rng, n, p), random_matrix(rng, q, n),
+                      (random_matrix(rng, n, n),))
+            if i % 3 == 0:  # a positive-dimensional stabilizer
+                w = Point(RationalMatrix.zeros(n, p), w.C, w.A_list)
+            g = random_invertible(rng, n).scale(Fraction(1, rng.randint(2, 9)))
+            points.append(group_action(g, w))
+        for n in range(1, 5):
+            for k in range(n + 1):
+                w = generic_orbit_witness(n, 2, 1, k, seed=n + k)[0]
+                points += [w, group_action(
+                    RationalMatrix.diagonal([Fraction(1, t + 2) for t in range(n)]), w)]
+        dims = set()
+        for w in points:
+            rep = stabilizer(w)
+            assert rep.kernel_basis.basis == kernel_subspace(RM(action_equations(w))).basis
+            dims.add(rep.stab_dim)
+        assert sum(any(type(x) is not int for x in w.A.entries) for w in points) > 20
+        assert len(dims) > 2
 
 
 def kronecker_system(w):
@@ -140,20 +168,9 @@ class TestActionEquations:
                 ]
 
     def test_sign_flip_in_the_adjoint_block_is_caught(self, monkeypatch):
-        # flip the first entry of the first adjoint-block row with two
-        # nonzero entries; the kernel then holds matrices that do not
-        # commute with A, and the re-substitution check must raise
-        def flipped(w):
-            rows = action_equations(w)
-            start = w.n * w.p + w.q * w.n
-            for row in rows[start:]:
-                nonzero = [t for t, x in enumerate(row) if x]
-                if len(nonzero) >= 2:
-                    row[nonzero[0]] = -row[nonzero[0]]
-                    return rows
-            raise AssertionError("no adjoint-block row with two entries")
-
-        monkeypatch.setattr(orbits, "action_equations", flipped)
+        # the kernel of the flipped system holds matrices that do not
+        # commute with A, and the re-substitution checks must raise
+        monkeypatch.setattr(orbits, "action_equations", sign_flipped_action_equations)
         for n in (2, 3, 4):
             w = Point(RationalMatrix.zeros(n, 1), RationalMatrix.zeros(1, n),
                       (principal_nilpotent(n),))
