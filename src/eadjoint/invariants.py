@@ -29,6 +29,7 @@ from .linalg import (
     _integer_inverse,
     _scaled_to_int,
     integer_rescaled,
+    rank_mod_prime,
     rational_from_str,
     rational_to_str,
     trace_product,
@@ -309,6 +310,24 @@ def check_action_equations(w: Point, rows) -> None:
         raise AssertionError("action equations failed re-substitution at the fixed X")
 
 
+def _controllability(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """[b, ab, ..., a^{n-1} b]; its column space is the a-span of im b."""
+    blocks = [b]
+    for _ in range(1, a.rows):
+        blocks.append(a @ blocks[-1])
+    return RationalMatrix.hstack(blocks)
+
+
+def _controllable(wi: Point) -> bool:
+    """Whether rank [B, AB, ..., A^{n-1}B] = n is proven at an integer point.
+
+    Decided by ``rank_mod_prime``, a lower bound for the rank: True is
+    certain; False means rank below n or a rank that only drops mod p.
+    """
+    ctrl = _controllability(wi.A, wi.B)
+    return rank_mod_prime(ctrl.to_rows(), ctrl.cols) == wi.n
+
+
 # ---------------------------------------------------------------------------
 # word invariants (general r)
 
@@ -418,78 +437,142 @@ def differential(w: Point, dw: TangentVector) -> InvariantVector:
     return InvariantVector(dtau, tuple(dgamma))
 
 
+def _jacobian_entries(wi: Point):
+    """Row-major integer entries of the Jacobian at an integer r = 1 point.
+
+    With L_i = C A^i and R_m = A^m B, the product rule gives
+      tau_k row, dA column (a, b):      k (A^{k-1})_ba
+      Gamma_k row (i, j), dA column (a, b):
+                                        sum_{s<k} (L_s)_ia (R_{k-1-s})_bj
+      Gamma_k row (i, j), dB column (b, j): (L_k)_ib
+      Gamma_k row (i, j), dC column (i, c): (R_k)_cj
+    The dA block of Gamma_k is one product [L_0 .. L_{k-1}] [R_{k-1}; ..; R_0]
+    with rows (i, a) and columns (b, j), read out by slices.
+    """
+    n, p, q = wi.n, wi.p, wi.q
+    a, np_, qn = wi.A.entries, n * p, q * n
+    lefts, rights = [wi.C.entries], [wi.B.entries]
+    for _ in range(n - 1):
+        lefts.append(_k.mat_mul(lefts[-1], q, n, a, n))
+        rights.append(_k.mat_mul(a, n, n, rights[-1], p))
+    flat, power, rest = [], RationalMatrix.identity(n).entries, [0] * (np_ + qn)
+    for k in range(1, n + 1):  # power = A^{k-1}
+        flat += [k * x for col in range(n) for x in power[col::n]]
+        flat += rest
+        if k < n:
+            power = _k.mat_mul(power, n, n, a, n)
+    dA = [0] * (n * n)
+    for k in range(n):
+        if k:
+            u = [x for row in zip(*lefts[:k]) for x in row]
+            v = [x for r in reversed(rights[:k]) for x in r]
+            prod = _k.mat_mul(u, qn, k, v, np_)
+        left, right = lefts[k], rights[k]
+        for i in range(q):
+            for j in range(p):
+                if k:
+                    dA = [x for t in range(i * n, (i + 1) * n)
+                          for x in prod[t * np_ + j : (t + 1) * np_ : p]]
+                db, dc = [0] * np_, [0] * qn
+                db[j::p] = left[i * n : (i + 1) * n]
+                dc[i * n : (i + 1) * n] = right[j::p]
+                flat += dA
+                flat += db
+                flat += dc
+    return flat
+
+
 def jacobian_matrix(w: Point) -> RationalMatrix:
     """Matrix of the differential at w.
 
     Rows: tau_1..tau_n then Gamma entries (k, i, j) in lexicographic order.
     Columns: the standard basis directions dA (row-major), then dB, then dC.
-    Assembled column group by column group from the product-rule formulas;
-    agreement with ``differential`` on random directions is covered by tests.
+    Built by ``_jacobian_entries`` at the cleared point s(w) = (l_B B,
+    l_C C, l_A A), then J(w) = D^-1 J(s w) s (see ``jacobian_rank``), each
+    entry divided once; agreement with ``differential`` on random
+    directions is covered by tests.
     """
     if w.r != 1:
         raise MultipleCopiesError("Jacobian is defined for r = 1 points")
+    wi, lb, lc, (la,) = _integer_rescaled_point(w)
     n, p, q = w.n, w.p, w.q
-    pows = matrix_powers(w.A, n)
-    lefts = [w.C @ pows[i] for i in range(n)]
-    rights = [pows[i] @ w.B for i in range(n)]
-    nrows = n + n * q * p
-    ncols = n * n + n * p + q * n
-    cols = []
+    nrows, ncols = n + n * q * p, n * n + n * p + q * n
+    flat = _jacobian_entries(wi)
+    if wi is not w:
+        dens = [la**k for k in range(1, n + 1)]
+        dens += [lc * lb * la**k for k in range(n) for _ in range(q * p)]
+        scales = [la] * (n * n) + [lb] * (n * p) + [lc] * (q * n)
+        flat = [
+            _over(x * s, den)
+            for den, i in zip(dens, range(0, nrows * ncols, ncols))
+            for x, s in zip(flat[i : i + ncols], scales)
+        ]
+    return RationalMatrix(nrows, ncols, flat, validate=False)
 
-    def gamma_row_index(k, i, j):
-        return n + (k * q + i) * p + j
 
-    # dA directions E_{ab}
-    for a_ in range(n):
-        for b_ in range(n):
-            col = [0] * nrows
-            for k in range(1, n + 1):
-                col[k - 1] = _canon(k * pows[k - 1].entry(b_, a_))
-            for k in range(n):
-                for i in range(k):
-                    lv = lefts[i]
-                    rv = rights[k - 1 - i]
-                    for qi in range(q):
-                        lqa = lv.entry(qi, a_)
-                        if lqa:
-                            for pj in range(p):
-                                col[gamma_row_index(k, qi, pj)] += lqa * rv.entry(
-                                    b_, pj
-                                )
-            cols.append(col)
-    # dB directions E_{bj}
-    for b_ in range(n):
-        for j_ in range(p):
-            col = [0] * nrows
-            for k in range(n):
-                lv = lefts[k]
-                for qi in range(q):
-                    col[gamma_row_index(k, qi, j_)] = lv.entry(qi, b_)
-            cols.append(col)
-    # dC directions E_{ic}
-    for i_ in range(q):
-        for c_ in range(n):
-            col = [0] * nrows
-            for k in range(n):
-                rv = rights[k]
-                for pj in range(p):
-                    col[gamma_row_index(k, i_, pj)] = rv.entry(c_, pj)
-            cols.append(col)
+def _check_orbit_tangents(wi: Point, jac: RationalMatrix) -> None:
+    """Raise ``AssertionError`` unless jac T = 0 exactly at an integer point.
 
-    flat = [cols[j][i] for i in range(nrows) for j in range(ncols)]
-    return RationalMatrix(nrows, ncols, flat)
+    Column X of T is the orbit tangent (XB, -CX, [X, A]), read off the
+    rows of ``action_equations`` (checked by ``check_action_equations``).
+    Each column of jac is packed into one integer, entry i in the field at
+    bit f*i; column X of jac T is then one sum of multiples of packed
+    columns.  Its entries are below 2^(f-1) in absolute value, so the sum is
+    zero exactly when they all are.
+    """
+    n, ncols, e = wi.n, jac.cols, jac.entries
+    eqs = action_equations(wi)
+    check_action_equations(wi, eqs)
+    top = max(map(abs, e)) * max(max(map(abs, row)) for row in eqs)
+    f = (top * ncols).bit_length() + 1
+    packed = []
+    for col in range(ncols):
+        v = 0
+        for x in reversed(e[col::ncols]):
+            v = (v << f) + x
+        packed.append(v)
+    # the equations order the coordinates B, C, A and the Jacobian columns
+    # A, B, C; the tangent is -CX where the equations have CX
+    nn, nb = n * n, n * wi.p
+    by_row = packed[nn : nn + nb] + [-v for v in packed[nn + nb :]] + packed[:nn]
+    for x, tangent in enumerate(zip(*eqs)):
+        if sum(y * v for y, v in zip(tangent, by_row) if y):
+            raise AssertionError(
+                f"Jacobian does not annihilate the orbit tangent of X_{divmod(x, n)}"
+            )
 
 
 def jacobian_rank(w: Point) -> int:
     """Exact rank of the differential of the quotient map at w.
 
-    Computed as the rank of ``jacobian_matrix`` at the cleared point
-    s(w) = (l_B B, l_C C, l_A A).  The scaling s is a linear isomorphism
-    of the domain, and pi(s v) = D pi(v) with D invertible and diagonal
-    (tau_k scales by l_A^k, Gamma_k by l_C l_A^k l_B).  So
-    d pi(s w) s = D d pi(w), and the two Jacobians have the same rank.
+    Computed at the cleared point s(w) = (l_B B, l_C C, l_A A).  The
+    scaling s is a linear isomorphism of the domain, and pi(s v) = D pi(v)
+    with D invertible and diagonal (tau_k scales by l_A^k, Gamma_k by
+    l_C l_A^k l_B).  So d pi(s w) s = D d pi(w), and the two Jacobians
+    have the same rank.
+
+    The rank r mod ``PRIME`` of the integer Jacobian J is a proven lower
+    bound, and it is returned without an elimination over Z when it is also
+    an upper bound:
+    - r = min(rows, cols), the full rank (the coregular case p = 1 or q = 1);
+    - r = cols - n^2 at a controllable point.  There X -> (XB, -CX, [X, A])
+      is injective (XB = 0 and [X, A] = 0 give X A^k B = 0 for every k, so
+      X = 0), its n^2-dimensional image lies in ker J because the invariants
+      are constant on orbits, and ``_check_orbit_tangents`` verifies J T = 0
+      exactly, so rank J <= cols - n^2.
+    Otherwise the rank comes from ``rank_int``.
     """
-    return jacobian_matrix(_integer_rescaled_point(w)[0]).rank()
+    wi = _integer_rescaled_point(w)[0]
+    jac = jacobian_matrix(wi)
+    nrows, ncols, e = jac.rows, jac.cols, jac.entries
+    rows = [e[i : i + ncols] for i in range(0, nrows * ncols, ncols)]
+    r = rank_mod_prime(rows, ncols)
+    if r == min(nrows, ncols):
+        return r
+    if r == ncols - w.n * w.n and _controllable(wi):
+        _check_orbit_tangents(wi, jac)
+        return r
+    return _k.rank_int(rows, ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ so concurrent use needs no synchronization.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -291,8 +292,11 @@ class RationalMatrix:
             raise ShapeError("shape mismatch")
 
     def _int_rows(self):
-        """Rows scaled to integers (row scaling preserves rank/RREF/kernel)."""
+        """Rows scaled to integers (row scaling preserves rank/RREF/kernel);
+        the rows themselves when every entry is already an integer."""
         c, e = self.cols, self.entries
+        if set(map(type, e)) <= {int}:
+            return [list(e[i * c : (i + 1) * c]) for i in range(self.rows)]
         return [_scaled_to_int(e[i * c : (i + 1) * c])[1] for i in range(self.rows)]
 
     def rank(self) -> int:
@@ -412,6 +416,83 @@ def integer_rescaled(m: RationalMatrix):
         return 1, m
     l, ints = _scaled_to_int(m.entries)
     return l, RationalMatrix(m.rows, m.cols, ints, validate=False)
+
+
+PRIME = 2**31 - 1  # a Mersenne prime: 2^31 = 1 mod PRIME
+
+
+def rank_mod_prime(rows, ncols) -> int:
+    """Rank modulo ``PRIME`` of an integer matrix given as row sequences.
+
+    A minor that is nonzero mod p is nonzero over Z, so the result is a
+    proven lower bound for the rank over Q; it falls short only when every
+    nonzero maximal minor is divisible by p.
+
+    Each row is packed into one Python int, column j in the field of
+    w bits starting at bit w*j, w = 2*31 + bitlen(len(rows)) + 1 rounded up
+    to whole bytes so that one ``struct`` call packs a row.  Eliminating a
+    column adds f * (pivot row) to every other live row with a nonzero
+    entry there, one big-int multiply-add per row, and shifts every live
+    row right by one field, so the current column is always the lowest
+    field.  Fields are reduced lazily: every field starts below p, an
+    update adds less than p^2 and a row takes fewer than len(rows) updates,
+    so no field carries into the next.  A row is reduced (``_residues``)
+    only when it becomes the pivot, and every live row when a column has no
+    pivot; rows that are then zero are dropped, which ends the loop once
+    the rank is exhausted.
+    """
+    m = len(rows)
+    if not m or not ncols:
+        return 0
+    size = (2 * 31 + m.bit_length() + 8) // 8  # bytes per field
+    w = 8 * size
+    field = (1 << w) - 1
+    ones = ((1 << (w * ncols)) - 1) // field  # 1 in every field
+    masks = ones, ones * PRIME, ones * ((1 << (w - 31)) - 1)
+    pack = struct.Struct(f"<{ncols * f'I{size - 4}x'}").pack
+    live = []
+    for row in rows:
+        v = int.from_bytes(pack(*[x % PRIME for x in row]), "little")
+        if v:
+            live.append(v)
+    rank, reduced = 0, True  # reduced: every live row reduced, none updated since
+    for _ in range(ncols):
+        pivot, rest = None, []
+        for v in live:
+            x = (v & field) % PRIME
+            if not x:
+                v >>= w
+            elif pivot is None:
+                pivot = _residues(v, masks)
+                inv = PRIME - pow(pivot & field, -1, PRIME)
+                continue
+            else:
+                v = (v + x * inv % PRIME * pivot) >> w
+            if v:
+                rest.append(v)
+        if pivot is not None:
+            rank, reduced = rank + 1, False
+        elif not reduced:
+            rest = [v for v in (_residues(v, masks) for v in rest) if v]
+            reduced = True
+        live = rest
+        if not live:
+            break
+    return rank
+
+
+def _residues(v, masks):
+    """The packed row v with every field replaced by its residue in [0, p).
+
+    y = x + 1 is folded to (y & p) + (y >> 31), which keeps y in
+    1..2^(w-1) and keeps its residue mod p, until y is at most p;
+    subtracting the 1 again leaves x mod p.  Every field is folded at once.
+    """
+    ones, low, high = masks
+    v += ones
+    while carry := (v >> 31) & high:
+        v = (v & low) + carry
+    return v - ones
 
 
 def trace_product(a: RationalMatrix, b: RationalMatrix) -> Rational:

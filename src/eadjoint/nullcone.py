@@ -44,6 +44,7 @@ from . import _kernels as _k
 from .errors import NotAMemberError, NotInNullConeError, OutOfRangeError, ShapeError
 from .invariants import (
     Point,
+    _controllability,
     _integer_rescaled_point,
     action_equations,
     check_action_equations,
@@ -316,14 +317,6 @@ class ComponentInterval:
             "d_min": self.d_min,
             "d_max": self.d_max,
         }
-
-
-def _controllability(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """[b, ab, ..., a^{n-1} b]; its column space is the a-span of im b."""
-    blocks = [b]
-    for _ in range(1, a.rows):
-        blocks.append(a @ blocks[-1])
-    return RationalMatrix.hstack(blocks)
 
 
 def _observability(a: RationalMatrix, c: RationalMatrix) -> RationalMatrix:

@@ -1,10 +1,11 @@
 """Stabilizers, orbit dimensions and fiber reconstruction.
 
 The stabilizer of a point is computed as the exact kernel of the linear
-system X B = 0, C X = 0, [X, A] = 0 in the n^2-dimensional matrix space;
-the orbit dimension is its codimension.  Over a regular semisimple spectrum
-the fiber of the quotient map is reconstructed from its invariant data by a
-Vandermonde solve followed by rank-one factorization.
+system X B = 0, C X = 0, [X, A] = 0 in the n^2-dimensional matrix space,
+or read off as zero at a controllable point; the orbit dimension is its
+codimension.  Over a regular semisimple spectrum the fiber of the quotient
+map is reconstructed from its invariant data by a Vandermonde solve
+followed by rank-one factorization.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 from .errors import FiberConditionError, ShapeError
 from .invariants import (
     Point,
+    _controllable,
     _integer_rescaled_point,
     action_equations,
     check_action_equations,
@@ -58,8 +60,13 @@ def stabilizer(w: Point) -> StabilizerReport:
     and [X, A] = 0 hold exactly when they hold with B, C, A scaled by
     nonzero constants, so the kernel and its canonical basis are those of
     w.  The group stabilizer has the same dimension as this Lie algebra
-    centralizer, so orbit_dim = n^2 - stab_dim.  Two checks guard the
-    answer, both on the cleared point: ``check_action_equations``, and the
+    centralizer, so orbit_dim = n^2 - stab_dim.
+
+    At a controllable point, rank [B, AB, ..., A^{n-1}B] = n, the kernel
+    is zero without solving the system: XB = 0 and XA = AX give
+    X A^k B = A^k X B = 0 for every k, so X kills a spanning set and X = 0.
+    Otherwise the kernel is solved exactly.  Two checks guard the answer,
+    both on the cleared point: ``check_action_equations`` always, and the
     re-substitution of every kernel basis element into the defining
     equations by matrix products.
     """
@@ -67,6 +74,8 @@ def stabilizer(w: Point) -> StabilizerReport:
     n = w.n
     rows = action_equations(wi)
     check_action_equations(wi, rows)
+    if _controllable(wi):
+        return StabilizerReport(0, n * n, Subspace.zero(n * n))
     ker = _span(n * n, _kernel_vectors(rows, n * n))  # rows are integral
     b, c, a = wi.B, wi.C, wi.A
     for col in range(ker.dim):

@@ -9,9 +9,12 @@ from eadjoint.errors import ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     InvariantVector,
     Point,
+    TangentVector,
     action_equations,
     cyclic_canonical,
+    differential,
     evaluate_invariants,
+    jacobian_matrix,
     matrix_powers,
 )
 from eadjoint.linalg import (
@@ -128,3 +131,26 @@ def sign_flipped_action_equations(w: Point):
             row[nonzero[0]] = -row[nonzero[0]]
             return rows
     raise AssertionError("no adjoint-block row with two entries")
+
+
+def exact_jacobian_rank(w: Point) -> int:
+    """The Jacobian rank by one exact elimination (``rank_int``) of
+    ``jacobian_matrix``, with no certificate."""
+    return jacobian_matrix(w).rank()
+
+
+def differential_jacobian_matrix(w: Point) -> RationalMatrix:
+    """The Jacobian column by column: ``differential`` along each standard
+    basis direction, dA (row-major), then dB, then dC."""
+    n, p, q = w.n, w.p, w.q
+    shapes = ((n, n), (n, p), (q, n))
+    cols = []
+    for block, (rows, ncols) in enumerate(shapes):
+        for t in range(rows * ncols):
+            parts = [RationalMatrix.zeros(*shape) for shape in shapes]
+            e = [0] * (rows * ncols)
+            e[t] = 1
+            parts[block] = RationalMatrix(rows, ncols, e)
+            dv = differential(w, TangentVector(parts[1], parts[2], parts[0]))
+            cols.append(list(dv.tau) + [x for g in dv.gamma for x in g.entries])
+    return RationalMatrix.from_rows([list(row) for row in zip(*cols)])

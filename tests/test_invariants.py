@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from eadjoint import _kernels, invariants
 from eadjoint.errors import FiberConditionError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     InvariantVector,
@@ -21,8 +22,11 @@ from eadjoint.invariants import (
     sl_relation_check,
     word_invariants,
 )
-from eadjoint.linalg import RationalMatrix
+from eadjoint.linalg import PRIME, RationalMatrix, rank_mod_prime
+from eadjoint.nullcone import pinned_row_witness, random_unstable_point
 from oracles import (
+    differential_jacobian_matrix,
+    exact_jacobian_rank,
     fraction_group_action,
     fraction_invariants,
     fraction_word_invariants,
@@ -441,6 +445,135 @@ class TestClearedIntegerPath:
             assert rank == jacobian_matrix(w).rank()
             ranks.add(rank)
         assert len(ranks) > 3
+
+
+# ---------------------------------------------------------------------------
+# the certified Jacobian rank
+
+
+class Spy:
+    """A callable that counts its calls and forwards them."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def scaled(w, s):
+    return Point(w.B.scale(s), w.C.scale(s), tuple(a.scale(s) for a in w.A_list))
+
+
+def certificate_points(rng):
+    """(kind, point): coregular p = 1 or q = 1; generic p, q >= 2;
+    non-controllable (B = 0, a U_k point with nilpotent A and k < n, the
+    pinned family)."""
+    for t in range(90):
+        n = rng.randint(1, 4)
+        kind = ("coregular", "generic", "non-controllable")[t % 3]
+        if kind == "coregular":
+            p, q = rng.choice(((1, rng.randint(1, 3)), (rng.randint(1, 3), 1)))
+            yield kind, random_point(rng, n, p, q)
+        elif kind == "generic":
+            yield kind, random_point(rng, n, rng.randint(2, 3), rng.randint(2, 3))
+        else:
+            p, q = rng.randint(1, 3), rng.randint(1, 3)
+            if t % 9 == 2:
+                w = random_point(rng, n, p, q)
+                yield kind, Point(RationalMatrix.zeros(n, p), w.C, w.A_list)
+            elif t % 9 == 5:
+                yield kind, random_unstable_point(rng, n, p, q, rng.randint(0, n - 1))
+            else:
+                n = rng.randint(2, 5)
+                k = rng.randint((n + 1) // 2, n - 1)
+                yield kind, pinned_row_witness(n, p, q, k, seed=t)
+
+
+class TestJacobianRankCertificate:
+    def test_matches_the_exact_rank_on_every_branch(self, monkeypatch):
+        tangents = Spy(invariants._check_orbit_tangents)
+        exact = Spy(_kernels.rank_int)
+        monkeypatch.setattr(invariants, "_check_orbit_tangents", tangents)
+        monkeypatch.setattr(_kernels, "rank_int", exact)
+        branches = {}
+        for kind, w in certificate_points(random.Random(74)):
+            before = tangents.calls, exact.calls
+            rank = jacobian_rank(w)
+            if exact.calls > before[1]:
+                branch = "exact"
+            elif tangents.calls > before[0]:
+                branch = "certified"
+            else:
+                branch = "full"
+            assert rank == exact_jacobian_rank(w)
+            branches.setdefault(kind, set()).add(branch)
+        assert branches["coregular"] == {"full"}
+        assert branches["generic"] == {"certified"}
+        assert "exact" in branches["non-controllable"]
+        assert "certified" not in branches["non-controllable"]
+
+    def test_point_scaled_by_the_prime_takes_the_exact_path(self, monkeypatch):
+        # mod p only the tau_1 row of the scaled point survives
+        exact = Spy(_kernels.rank_int)
+        monkeypatch.setattr(_kernels, "rank_int", exact)
+        rng = random.Random(75)
+        for n, p, q in ((2, 1, 1), (3, 2, 2), (3, 1, 3), (4, 3, 2)):
+            w = random_point(rng, n, p, q)
+            big = scaled(w, PRIME)
+            rows = jacobian_matrix(big).to_rows()
+            assert rank_mod_prime(rows, len(rows[0])) == 1
+            calls = exact.calls
+            assert jacobian_rank(big) == jacobian_rank(w) == n * (p + q)
+            assert exact.calls == calls + 1
+
+    def test_sign_flip_in_the_dB_block_is_caught(self, monkeypatch):
+        # negating the dB columns keeps the rank, so the certificate is
+        # reached, and J T = 0 fails on the dB part of every tangent
+        entries = invariants._jacobian_entries
+
+        def flipped(wi):
+            n, ncols = wi.n, wi.n * (wi.n + wi.p + wi.q)
+            dB = range(n * n, n * n + n * wi.p)
+            return [-x if t % ncols in dB else x for t, x in enumerate(entries(wi))]
+
+        monkeypatch.setattr(invariants, "_jacobian_entries", flipped)
+        rng = random.Random(76)
+        for n, p, q in ((2, 2, 2), (3, 2, 3), (4, 3, 2)):
+            with pytest.raises(AssertionError, match="annihilate"):
+                jacobian_rank(random_point(rng, n, p, q))
+
+    def test_multiple_of_the_prime_outside_the_span_is_caught(self, monkeypatch):
+        # adding p e_i to a dB column leaves J unchanged mod p but raises its
+        # rank over Q when e_i is outside the column span: only J T = 0 sees it
+        w = random_point(random.Random(77), 3, 2, 2)
+        rows = jacobian_matrix(w).to_rows()
+        nrows, ncols = len(rows), len(rows[0])
+        rank = _kernels.rank_int(rows, ncols)
+        assert rank == 3 * (2 + 2)
+        i = next(
+            i for i in range(nrows)
+            if _kernels.rank_int([r + [int(i == t)] for t, r in enumerate(rows)],
+                                 ncols + 1) > rank
+        )
+        rows[i][9] += PRIME  # column 9 is the first dB column
+        assert rank_mod_prime(rows, ncols) == rank
+        assert _kernels.rank_int(rows, ncols) == rank + 1
+        bad = RationalMatrix.from_rows(rows)
+        monkeypatch.setattr(invariants, "jacobian_matrix", lambda wi: bad)
+        with pytest.raises(AssertionError, match="annihilate"):
+            jacobian_rank(w)
+
+    def test_jacobian_matrix_matches_the_differential_exactly(self):
+        # identical entries, int where integral and Fraction otherwise, on
+        # the rational points of the cleared-path tests
+        rng = random.Random(78)
+        for w in cleared_path_points(rng, 1, 24, max_n=3):
+            jac = jacobian_matrix(w)
+            ref = differential_jacobian_matrix(w)
+            assert jac == ref
+            assert [type(x) for x in jac.entries] == [type(x) for x in ref.entries]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eadjoint import _kernels as _k
 from eadjoint.errors import DegenerateSpectrumError, ShapeError, SingularMatrixError
 from eadjoint.invariants import matrix_powers
 from eadjoint.linalg import (
     MAX_RATIONAL_DIGITS,
+    PRIME,
     PolynomialCoeffs,
     RationalMatrix,
     Subspace,
@@ -16,6 +18,7 @@ from eadjoint.linalg import (
     column_space,
     discriminant_is_nonzero,
     kernel_subspace,
+    rank_mod_prime,
     rational_from_str,
     rational_to_str,
     sylvester_resultant,
@@ -472,3 +475,72 @@ class TestPolynomialCoeffs:
     def test_derivative(self):
         p = PolynomialCoeffs((1, -3, 2))
         assert p.derivative() == (2, -3)
+
+
+class TestRankModPrime:
+    @staticmethod
+    def int_rows(rng, m, n, bits):
+        return [[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(m)]
+
+    @staticmethod
+    def product(u, v, n):
+        return [[sum(x * y[j] for x, y in zip(row, v)) for j in range(n)] for row in u]
+
+    def test_matches_rank_int_on_random_matrices(self):
+        rng = random.Random(81)
+        seen = set()
+        for trial in range(120):
+            m, n = rng.randint(1, 24), rng.randint(1, 24)
+            if trial % 3 == 0:  # tall
+                m = rng.randint(n, 40)
+            elif trial % 3 == 1:  # wide
+                n = rng.randint(m, 40)
+            bits = rng.choice((3, 20, 40))
+            if trial % 2:  # low rank U V
+                k = rng.randint(0, min(m, n))
+                u, v = self.int_rows(rng, m, k, bits), self.int_rows(rng, k, n, bits)
+                rows = self.product(u, v, n)
+            else:
+                rows = self.int_rows(rng, m, n, bits)
+            rank = _k.rank_int(rows, n)
+            assert rank_mod_prime(rows, n) == rank
+            seen.add(rank < min(m, n))
+        assert seen == {False, True}
+
+    def test_many_rows_fill_the_field_width(self):
+        # 300 rows of 300 columns, 2^40 entries: the first 200 random, each
+        # later row a combination of two of them, interleaved so that many
+        # rows take a couple of hundred lazy updates before they reach zero.
+        # rank mod p <= rank over Q <= 200, so 200 proves both.
+        rng = random.Random(82)
+        base = self.int_rows(rng, 200, 300, 40)
+        rows = list(base)
+        for t in range(100):
+            a, b = rng.sample(base, 2)
+            x, y = rng.randint(1, 2**20), rng.randint(-(2**20), 2**20)
+            rows.insert(2 * t + 1, [x * s + y * u for s, u in zip(a, b)])
+        assert rank_mod_prime(rows, 300) == 200
+        tall = self.int_rows(rng, 300, 16, 40)
+        assert rank_mod_prime(tall, 16) == _k.rank_int(tall, 16) == 16
+
+    def test_multiples_of_the_prime_vanish(self):
+        rng = random.Random(83)
+        rows = [[PRIME * rng.randint(-(2**20), 2**20) for _ in range(7)] for _ in range(5)]
+        assert _k.rank_int(rows, 7) == 5
+        assert rank_mod_prime(rows, 7) == 0
+        rows[2][3] += 1  # one entry that is not a multiple
+        assert rank_mod_prime(rows, 7) == 1
+
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                    min_size=1, max_size=5),
+           st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_never_above_the_exact_rank(self, small, scale):
+        # entries are small values, some shifted by multiples of p
+        rows = [[x + (scale * PRIME if x % 2 else 0) for x in row] for row in small]
+        assert rank_mod_prime(rows, 4) <= _k.rank_int(rows, 4)
+
+    def test_empty_shapes(self):
+        assert rank_mod_prime([], 3) == 0
+        assert rank_mod_prime([[], []], 0) == 0
+        assert rank_mod_prime([[0, 0], [0, 0]], 2) == 0

@@ -104,6 +104,51 @@ class TestStabilizer:
         assert len(dims) > 2
 
 
+class TestKalmanCertificate:
+    def test_equals_the_exact_kernel_on_both_sides(self):
+        # controllable points take the certificate, the others the exact
+        # solve; both must give the canonical kernel of the full system
+        from eadjoint.invariants import _controllable, _integer_rescaled_point
+        from eadjoint.nullcone import pinned_row_witness, random_unstable_point
+
+        rng = random.Random(44)
+        points = []
+        for i in range(60):
+            n, p, q = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+            w = Point(random_matrix(rng, n, p), random_matrix(rng, q, n),
+                      (random_matrix(rng, n, n),))
+            if i % 4 == 1:
+                w = Point(RationalMatrix.zeros(n, p), w.C, w.A_list)
+            elif i % 4 == 2:
+                w = random_unstable_point(rng, n, p, q, rng.randint(0, n))
+            elif i % 4 == 3 and n > 1:
+                w = pinned_row_witness(n, p, q, rng.randint((n + 1) // 2, n), seed=i)
+            g = random_invertible(rng, n).scale(Fraction(1, rng.randint(2, 9)))
+            points += [w, group_action(g, w)]
+        sides = [0, 0]
+        for w in points:
+            controllable = _controllable(_integer_rescaled_point(w)[0])
+            rep = stabilizer(w)
+            exact = kernel_subspace(RM(action_equations(w)))
+            assert rep.kernel_basis == exact and rep.stab_dim == exact.dim
+            assert rep.stab_dim + rep.orbit_dim == w.n ** 2
+            if controllable:
+                assert exact.dim == 0
+            sides[controllable] += 1
+        assert min(sides) >= 30
+
+    def test_pinned_family_is_not_controllable(self):
+        # its centralizer has dimension n - k > 0 whenever k < n
+        from eadjoint.invariants import _controllable
+        from eadjoint.nullcone import pinned_row_witness
+
+        for n in range(2, 6):
+            for k in range((n + 1) // 2, n):
+                w = pinned_row_witness(n, 2, 2, k, seed=n * k)
+                assert not _controllable(w)
+                assert stabilizer(w).stab_dim == n - k
+
+
 def kronecker_system(w):
     """[I (x) B^T; C (x) I; I (x) A^T - A (x) I] in sympy: the equations
     XB = 0, CX = 0, XA - AX = 0 on row-major vec(X)."""

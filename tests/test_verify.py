@@ -95,6 +95,36 @@ class TestCoregularCells:
         }
 
 
+class TestJacobianCells:
+    def failing(self):
+        """label -> failure detail of the jacobian cells at 2 trials."""
+        cells = suite_cells("jacobian", trials=2)
+        assert len(cells) == 36
+        outcomes = (
+            verify._run_task((runner, label, i, params))
+            for i, (runner, label, params) in enumerate(cells)
+        )
+        return {o.label: o.detail for o in outcomes if not o.ok}
+
+    def test_every_cell_passes(self):
+        assert self.failing() == {}
+
+    def test_rank_above_the_quotient_dimension_fails_every_cell(self, monkeypatch):
+        # the hard bound, not the generic rate, rejects the first trial;
+        # n(p+q) + 1 is below n + npq when p, q >= 2
+        monkeypatch.setattr(verify, "jacobian_rank", lambda w: w.n * (w.p + w.q) + 1)
+        failing = self.failing()
+        assert set(failing) == {
+            f"n={n} p={p} q={q}"
+            for n in range(1, 5) for p in (1, 2, 3) for q in (1, 2, 3)
+        }
+        for label, detail in failing.items():
+            n, p, q = (int(part[2:]) for part in label.split())
+            assert detail == (
+                f"rank {n * (p + q) + 1} exceeds the quotient dimension {n * (p + q)}"
+            )
+
+
 class TestRequestBounds:
     def test_trials_below_one_rejected(self):
         for trials in (0, -1):
