@@ -32,7 +32,7 @@ from .nullcone import (
     sample_component,
 )
 from .orbits import reconstruct_fiber_point, reconstruction_input_from_json
-from .verify import SUITE_NAMES, run_suites
+from .verify import MAX_TRIALS, SUITE_NAMES, run_suites
 
 
 def _emit(obj):
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=list(SUITE_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None,
-                   help="override the per-cell trial count (at least 1)")
+                   help=f"override the per-cell trial count (1..{MAX_TRIALS})")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for independent cells (at least 1; "
                    "capped at the cell and CPU counts)")

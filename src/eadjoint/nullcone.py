@@ -26,8 +26,10 @@ The components come from the maximal unstable weight sets, which form the
 ladder X_0..X_n up to relabelling the coordinates (Hilbert-Mumford).  The
 ladder search checks that claim exhaustively: the weight set of a
 cocharacter depends only on its sign-annotated order type, so every order
-type is visited once, and each maximal set is relabelled in the coordinate
-order its positive roots fix and compared with its rung.
+type is visited once and its set packed into one integer.  Every set lies
+inside the set of its refining chamber and all chamber sets have one size,
+so the maximal sets are the distinct chamber sets; each is relabelled in
+the coordinate order its positive roots fix and compared with its rung.
 
 A certificate (k, g, lambda) is checked from g alone, without inverting it:
 g.w lies in U_k exactly when g is invertible, rows k.. of gB vanish, the
@@ -177,18 +179,6 @@ def unstable_subspace(lam: OnePSG, n, p, q) -> UnstableCoordinates:
     return UnstableCoordinates(b_rows, c_cols, a_entries)
 
 
-def _weight_set_of(lam_tuple, candidate_weights) -> frozenset:
-    out = []
-    for coeffs in candidate_weights:
-        s = 0
-        for l, c in zip(lam_tuple, coeffs):
-            if c:
-                s += l * c
-        if s > 0:
-            out.append(coeffs)
-    return frozenset(out)
-
-
 def _order_type_cocharacters(n):
     """One cocharacter for each sign-annotated weak order of n coordinates.
 
@@ -212,51 +202,113 @@ def _order_type_cocharacters(n):
     return [tuple(r - ranks[n] for r in ranks[:n]) for ranks in orders]
 
 
-def _unstable_weight_sets(n, p, q):
-    """Every nonempty positive-pairing weight subset of a cocharacter."""
-    candidates = [w.coeffs for w in weights_of_W(n, p, q) if any(w.coeffs)]
-    found = set()
-    for lam in _order_type_cocharacters(n):
-        s = _weight_set_of(lam, candidates)
-        if s:
-            found.add(s)
-    return found
+def _weight_masks(lams, candidates):
+    """The positive-pairing weight set of each cocharacter as one packed int.
+
+    Candidate weight j owns the field of ``width`` bits at bit width*j,
+    wide enough that the bias 2^(width-1) - 1 plus any pairing stays inside
+    the field.  The bias of every field plus sum_i lam_i col_i, where col_i
+    packs coordinate i of every candidate, holds bias + <lam, c_j> in field
+    j, so its top bit is set exactly when the pairing is positive: one
+    big-int multiply-add per nonzero coordinate, then one AND with the top
+    bits.  Returns the masks, in the order of ``lams``, and the width.
+    """
+    n = len(lams[0])
+    reach = max(max(map(max, lams)), -min(map(min, lams)))
+    bound = reach * max((sum(map(abs, c)) for c in candidates), default=0)
+    width = bound.bit_length() + 1
+    ones = sum(1 << (width * j) for j in range(len(candidates)))
+    bias = ones * ((1 << (width - 1)) - 1)
+    tops = ones << (width - 1)
+    cols = [
+        sum(c[i] << (width * j) for j, c in enumerate(candidates) if c[i])
+        for i in range(n)
+    ]
+    masks = []
+    for lam in lams:
+        v = bias
+        for x, col in zip(lam, cols):
+            if x:
+                v += x * col
+        masks.append(v & tops)
+    return masks, width
 
 
-def _ladder_rung(weight_set, n):
-    """k when the set is X_k with its coordinates relabelled, else None.
+def _mask_weights(mask, candidates, width) -> frozenset:
+    """The candidate weights whose field is set in a packed mask."""
+    top = width - 1
+    return frozenset(
+        c for j, c in enumerate(candidates) if mask >> (width * j + top) & 1
+    )
+
+
+def _ladder_rungs(weight_sets, n) -> set:
+    """The rungs k of the sets that are X_k with coordinates relabelled;
+    None stands for every set that is no rung.
 
     In X_k the positive roots e_i - e_j totally order the coordinates, so
     counting each coordinate's wins recovers the relabelling; k is the
     number of weights e_i in the set.
     """
-    units = {tuple(int(t == i) for t in range(n)) for i in range(n)}
-    root_shape = [-1] + [0] * (n - 2) + [1]
-    wins = [0] * n
-    for coeffs in weight_set:
-        if sorted(coeffs) == root_shape:
-            wins[coeffs.index(1)] += 1
-    order = sorted(range(n), key=lambda i: -wins[i])
-    k = len(weight_set & units)
-    relabelled = frozenset(tuple(c[i] for i in order) for c in weight_set)
-    return k if relabelled == x_k_weight_set(n, k) else None
+    units = frozenset(tuple(int(t == i) for t in range(n)) for i in range(n))
+    ladder = [x_k_weight_set(n, k) for k in range(n + 1)]
+    winner = {}  # every root e_i - e_j, i != j, to its winner i
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                winner[tuple(int(t == i) - int(t == j) for t in range(n))] = i
+    rungs = set()
+    for s in weight_sets:
+        wins = [0] * n
+        for coeffs in s:
+            i = winner.get(coeffs)
+            if i is not None:
+                wins[i] += 1
+        order = sorted(range(n), key=wins.__getitem__, reverse=True)
+        k = len(s & units)
+        relabelled = frozenset(tuple(map(c.__getitem__, order)) for c in s)
+        rungs.add(k if relabelled == ladder[k] else None)
+    return rungs
 
 
 def enumerate_maximal_unstable(n, p, q):
     """Search all cocharacters for the maximal unstable weight subsets.
 
     Each sign-annotated order type of a cocharacter is visited once and
-    selects its positive-pairing weight subset; the subsets maximal under
-    inclusion are kept.  Every maximal subset must be a rung X_k of the
-    ladder up to relabelling the coordinates, and all n + 1 rungs must
-    occur; anything else raises.
+    selects its positive-pairing weight subset, a packed mask.  A chamber
+    is an order type with no ties and no coordinate at level 0.  Breaking
+    an order type's ties by index and moving its level-0 coordinates to the
+    positive side refines it to a chamber; every pairing that was positive
+    stays positive, so the order type's set must lie inside its chamber's.
+    Every chamber set must have the same size, so none contains another,
+    and then the maximal subsets are exactly the distinct chamber sets.
+    Each must be a rung X_k of the ladder up to relabelling the
+    coordinates, and all n + 1 rungs must occur.  Any failed check raises.
     """
-    maximal = []
-    for s in sorted(_unstable_weight_sets(n, p, q), key=len, reverse=True):
-        if not any(s < t for t in maximal):
-            maximal.append(s)
-    rungs = {_ladder_rung(s, n) for s in maximal}
-    if rungs != set(range(n + 1)):
+    candidates = [w.coeffs for w in weights_of_W(n, p, q) if any(w.coeffs)]
+    lams = _order_type_cocharacters(n)
+    masks, width = _weight_masks(lams, candidates)
+    # an order type's chamber: the zero marker 0 and the coordinates 1..n
+    # sorted by level, ties kept in index order, so the marker goes first
+    # among level 0; a chamber is its own, its n + 1 levels all distinct
+    chambers, refined = {}, []
+    for lam, mask in zip(lams, masks):
+        levels = (0,) + lam
+        key = tuple(sorted(range(n + 1), key=levels.__getitem__))
+        if len(set(levels)) > n:
+            chambers[key] = mask
+        else:
+            refined.append((key, mask))
+    if any(mask & ~chambers[key] for key, mask in refined):
+        raise AssertionError(
+            "an order type's weight set leaves its chamber's: no ladder"
+        )
+    if len({mask.bit_count() for mask in chambers.values()}) != 1:
+        raise AssertionError("chamber weight sets differ in size: no ladder")
+    distinct = {
+        _mask_weights(mask, candidates, width) for mask in set(chambers.values())
+    }
+    if _ladder_rungs(distinct, n) != set(range(n + 1)):
         raise AssertionError(
             "maximal unstable classes do not match the expected ladder"
         )

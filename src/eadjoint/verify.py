@@ -71,6 +71,7 @@ SUITE_NAMES = (
 )
 
 GENERIC_NUM, GENERIC_DEN = 19, 20  # at least 95% of trials
+MAX_TRIALS = 100_000  # per-cell trial override; bounds the work of one request
 
 
 @dataclass(frozen=True)
@@ -586,9 +587,9 @@ def _run_task(task):
 
 def suite_cells(name, trials=None):
     """The (runner, label, params) cells of a suite; ``trials`` overrides
-    every per-cell trial count and must be at least 1."""
-    if trials is not None and trials < 1:
-        raise OutOfRangeError(f"trials must be at least 1, got {trials}")
+    every per-cell trial count and must lie in 1..``MAX_TRIALS``."""
+    if trials is not None and not 1 <= trials <= MAX_TRIALS:
+        raise OutOfRangeError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     if name not in _BUILDERS:
         raise ValueError(f"unknown suite {name!r}")
     return list(_BUILDERS[name](trials))

@@ -154,3 +154,10 @@ def differential_jacobian_matrix(w: Point) -> RationalMatrix:
             dv = differential(w, TangentVector(parts[1], parts[2], parts[0]))
             cols.append(list(dv.tau) + [x for g in dv.gamma for x in g.entries])
     return RationalMatrix.from_rows([list(row) for row in zip(*cols)])
+
+
+def positive_pairing_set(lam, candidates) -> frozenset:
+    """The candidate weights that pair strictly positively with lam, each
+    pairing a full dot product: the reference for the packed masks of the
+    ladder search."""
+    return frozenset(c for c in candidates if sum(l * x for l, x in zip(lam, c)) > 0)

@@ -8,6 +8,7 @@ import pytest
 
 from eadjoint.cli import main
 from eadjoint.invariants import MAX_SIZE, MAX_WORDS
+from eadjoint.verify import MAX_TRIALS
 
 DIAG_POINT_JSON = {
     "n": 2,
@@ -382,6 +383,20 @@ class TestVerifyCommand:
             code, out = run_cli(capsys, ["verify", "--suite", "sl-relation", "--trials", trials])
             assert code == 1
             assert json.loads(out)["error"] == "out_of_range"
+
+    def test_trials_above_cap_is_a_domain_error(self, capsys):
+        code, out = run_cli(
+            capsys, ["verify", "--suite", "sl-relation", "--trials", str(MAX_TRIALS + 1)]
+        )
+        assert code == 1
+        err = json.loads(out)
+        assert err["error"] == "out_of_range"
+        assert str(MAX_TRIALS) in err["detail"]
+
+    def test_trials_cap_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert f"1..{MAX_TRIALS}" in capsys.readouterr().out
 
     def test_jobs_below_one_is_a_domain_error(self, capsys):
         code, out = run_cli(

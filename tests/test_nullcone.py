@@ -25,8 +25,9 @@ from eadjoint.nullcone import (
     OnePSG,
     Weight,
     _certificate_defect,
+    _mask_weights,
     _order_type_cocharacters,
-    _unstable_weight_sets,
+    _weight_masks,
     adapted_certificate,
     check_certificate,
     component_certificates,
@@ -51,6 +52,7 @@ from eadjoint.sampling import random_invertible, random_matrix, random_point
 from oracles import (
     invariants_vanish,
     point_in_unstable_subspace,
+    positive_pairing_set,
     sign_flipped_action_equations,
     zero_point,
 )
@@ -170,9 +172,13 @@ class TestEnumerateMaximalUnstable:
             _canonical_under_permutations(c.weights, n)
             for c in enumerate_maximal_unstable(n, 2, 2)
         }
+        candidates = [w.coeffs for w in weights_of_W(n, 2, 2) if any(w.coeffs)]
+        masks, width = _weight_masks(lams, candidates)
+        decoded = {_mask_weights(m, candidates, width) for m in masks}
+        decoded.discard(frozenset())
         for box in (n, 2 * n):
             found = box_weight_sets(n, box)
-            assert found == _unstable_weight_sets(n, 2, 2)
+            assert found == decoded
             maximal = [s for s in found if not any(s < t for t in found)]
             assert {_canonical_under_permutations(s, n) for s in maximal} == ladder
 
@@ -196,6 +202,72 @@ class TestEnumerateMaximalUnstable:
         for n in (2, 3, 4):
             with pytest.raises(AssertionError, match="ladder"):
                 enumerate_maximal_unstable(n, 2, 2)
+
+    @staticmethod
+    def widen_one_mask(monkeypatch, pick):
+        """Give the first order type that ``pick`` accepts the union of all
+        evaluated masks, which exceeds every chamber set."""
+        true_masks = nullcone._weight_masks
+
+        def widened(lams, candidates):
+            masks, width = true_masks(lams, candidates)
+            i = next(i for i, lam in enumerate(lams) if pick(lam))
+            for m in list(masks):
+                masks[i] |= m
+            return masks, width
+
+        monkeypatch.setattr(nullcone, "_weight_masks", widened)
+
+    def test_containment_fails_alone(self, monkeypatch):
+        # an order type with a level-0 coordinate is no chamber: the chamber
+        # masks, so the size and rung checks, are untouched
+        self.widen_one_mask(monkeypatch, lambda lam: 0 in lam)
+        for n in (2, 3, 4):
+            with pytest.raises(AssertionError, match="leaves its chamber's"):
+                enumerate_maximal_unstable(n, 2, 2)
+
+    def test_unequal_chamber_sizes_raise(self, monkeypatch):
+        # a widened chamber keeps containment; the size check raises before
+        # the rung check
+        self.widen_one_mask(
+            monkeypatch, lambda lam: 0 not in lam and len(set(lam)) == len(lam)
+        )
+        for n in (2, 3, 4):
+            with pytest.raises(AssertionError, match="differ in size: no ladder"):
+                enumerate_maximal_unstable(n, 2, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_packed_masks_match_pairings(self, n):
+        # corrupted weights with coefficients 2 and 3 widen the fields; the
+        # all-3 weights reach the field bound at lam = (+-n, ..., +-n)
+        extra = [
+            (2,) + (0,) * (n - 1),
+            (3,) * n,
+            (-3,) * n,
+            (2, -3) * (n // 2) + (3,) * (n % 2),
+        ]
+        candidates = [w.coeffs for w in weights_of_W(n, 2, 2) if any(w.coeffs)]
+        candidates += extra
+        lams = _order_type_cocharacters(n) + [(n,) * n, (-n,) * n]
+        masks, width = _weight_masks(lams, candidates)
+        assert len(masks) == len(lams)
+        for lam, m in zip(lams, masks):
+            decoded = _mask_weights(m, candidates, width)
+            assert decoded == positive_pairing_set(lam, candidates)
+
+    def test_n6_ladder(self, monkeypatch):
+        seen = []
+        true_rungs = nullcone._ladder_rungs
+
+        def spy(weight_sets, n):
+            seen.append({len(s) for s in weight_sets})
+            seen.append(len(weight_sets))
+            return true_rungs(weight_sets, n)
+
+        monkeypatch.setattr(nullcone, "_ladder_rungs", spy)
+        classes = enumerate_maximal_unstable(6, 2, 2)
+        assert [c.k for c in classes] == list(range(7))
+        assert seen == [{21}, 5040]
 
 
 class TestMembership:

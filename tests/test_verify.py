@@ -2,7 +2,7 @@ import pytest
 
 from eadjoint import verify
 from eadjoint.errors import OutOfRangeError
-from eadjoint.verify import SUITE_NAMES, run_suite, suite_cells
+from eadjoint.verify import MAX_TRIALS, SUITE_NAMES, run_suite, suite_cells
 
 
 class TestSuiteRegistry:
@@ -132,6 +132,11 @@ class TestRequestBounds:
                 suite_cells("sl-relation", trials=trials)
             with pytest.raises(OutOfRangeError):
                 run_suite("sl-relation", trials=trials)
+
+    def test_trials_above_cap_rejected(self):
+        assert suite_cells("sl-relation", trials=MAX_TRIALS)[0][2]["trials"] == MAX_TRIALS
+        with pytest.raises(OutOfRangeError):
+            suite_cells("sl-relation", trials=MAX_TRIALS + 1)
 
     def test_default_trials_only_when_omitted(self):
         assert suite_cells("sl-relation")[0][2]["trials"] == 100
