@@ -29,12 +29,14 @@ from .linalg import (
     _canon,
     _divided,
     _integer_inverse,
+    _krylov,
+    _krylov_left,
     _scaled_to_int,
+    elementary_from_power_sums,
     integer_rescaled,
     rank_mod_prime,
     rational_from_str,
     rational_to_str,
-    trace_product,
 )
 
 
@@ -170,23 +172,6 @@ class InvariantVector:
             raise ValueError(f"malformed invariant vector: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A direction (dB, dC, dA) at an r = 1 point."""
-
-    dB: RationalMatrix
-    dC: RationalMatrix
-    dA: RationalMatrix
-
-
-def matrix_powers(a: RationalMatrix, top: int):
-    """[I, a, a^2, ..., a^top]."""
-    out = [RationalMatrix.identity(a.rows)]
-    for _ in range(top):
-        out.append(out[-1] @ a)
-    return out
-
-
 def _integer_rescaled_point(w: Point):
     """(wi, l_B, l_C, (l_1..l_r)): w with B, C and each A_i multiplied by
     the least positive integer clearing that matrix to integers.
@@ -212,24 +197,27 @@ def evaluate_invariants(w: Point) -> InvariantVector:
     """The quotient-map value of an r = 1 point, exactly.
 
     Integer products on the cleared point (l_B B, l_C C, l_A A):
-    tau_k = trace(A_int^k) / l_A^k and
-    Gamma_k = C_int A_int^k B_int / (l_C l_B l_A^k), one division per entry.
+    tau_k = trace(A_int^k) / l_A^k from the left Krylov matrix
+    [A; A^2; ...; A^n], and Gamma_k = C_int A_int^k B_int / (l_C l_B l_A^k),
+    block k of the observability matrix [C; CA; ...; CA^(n-1)] times B, one
+    division per entry.
     """
     if w.r != 1:
         raise MultipleCopiesError("invariant vector is defined for r = 1 points")
     wi, lb, lc, (la,) = _integer_rescaled_point(w)
     n, p, q = w.n, w.p, w.q
-    a, c = wi.A.entries, wi.C.entries
-    tau, power, den = [], a, la  # power = A_int^k, den = l_A^k
-    for k in range(1, n + 1):
-        tau.append(_over(sum(power[:: n + 1]), den))
-        if k < n:
-            power, den = _k.mat_mul(power, n, n, a, n), den * la
-    gamma, krylov, den = [], wi.B.entries, lc * lb  # krylov = A_int^k B_int
-    for k in range(n):
-        gamma.append(_divided(q, p, _k.mat_mul(c, q, n, krylov, p), 1, den))
-        if k < n - 1:
-            krylov, den = _k.mat_mul(a, n, n, krylov, p), den * la
+    a, nn, qp = wi.A.entries, n * n, q * p
+    powers = _krylov_left(a, n, a, n, n)
+    tau = [
+        _over(sum(powers[k * nn : (k + 1) * nn : n + 1]), la ** (k + 1))
+        for k in range(n)
+    ]
+    obs = _krylov_left(wi.C.entries, q, a, n, n)
+    moments = _k.mat_mul(obs, n * q, n, wi.B.entries, p)
+    gamma = [
+        _divided(q, p, moments[k * qp : (k + 1) * qp], 1, lc * lb * la**k)
+        for k in range(n)
+    ]
     return InvariantVector(tuple(tau), tuple(gamma))
 
 
@@ -316,10 +304,17 @@ def check_action_equations(w: Point, rows) -> None:
 
 def _controllability(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """[b, ab, ..., a^{n-1} b]; its column space is the a-span of im b."""
-    blocks = [b]
-    for _ in range(1, a.rows):
-        blocks.append(a @ blocks[-1])
-    return RationalMatrix.hstack(blocks)
+    n, p = a.rows, b.cols
+    ctrl = _krylov(a.entries, n, b.entries, p, n)
+    return RationalMatrix(n, n * p, ctrl, validate=False)
+
+
+def _observability(a: RationalMatrix, c: RationalMatrix) -> RationalMatrix:
+    """[c; ca; ...; c a^{n-1}]; its kernel is the largest a-invariant
+    subspace of ker c."""
+    n, q = a.rows, c.rows
+    obs = _krylov_left(c.entries, q, a.entries, n, n)
+    return RationalMatrix(n * q, n, obs, validate=False)
 
 
 def _controllable(wi: Point) -> bool:
@@ -410,41 +405,11 @@ def word_invariants(w: Point, max_len: int) -> WordInvariants:
     return WordInvariants(max_len, tau, gamma)
 
 
-# ---------------------------------------------------------------------------
-# differential of the quotient map
-
-
-def differential(w: Point, dw: TangentVector) -> InvariantVector:
-    """Exact directional derivative of the invariants at w along dw.
-
-    Product rule only, no finite differences:
-      d tau_k   = k * trace(A^{k-1} dA)
-      d Gamma_k = dC A^k B + sum_i C A^i dA A^{k-1-i} B + C A^k dB
-    """
-    if w.r != 1:
-        raise MultipleCopiesError("differential is defined for r = 1 points")
-    n, p, q = w.n, w.p, w.q
-    if dw.dB.shape != (n, p) or dw.dC.shape != (q, n) or dw.dA.shape != (n, n):
-        raise ShapeError("tangent vector shapes do not match the point")
-    pows = matrix_powers(w.A, n)
-    lefts = [w.C @ pows[i] for i in range(n)]
-    rights = [pows[i] @ w.B for i in range(n)]
-    dtau = tuple(
-        _canon(k * trace_product(pows[k - 1], dw.dA)) for k in range(1, n + 1)
-    )
-    dgamma = []
-    for k in range(n):
-        acc = dw.dC @ rights[k] + lefts[k] @ dw.dB
-        for i in range(k):
-            acc = acc + lefts[i] @ (dw.dA @ rights[k - 1 - i])
-        dgamma.append(acc)
-    return InvariantVector(dtau, tuple(dgamma))
-
-
 def _jacobian_entries(wi: Point):
     """Row-major integer entries of the Jacobian at an integer r = 1 point.
 
-    With L_i = C A^i and R_m = A^m B, the product rule gives
+    With L_i = C A^i (block i of the observability matrix) and R_m = A^m B
+    (column block m of the controllability matrix), the product rule gives
       tau_k row, dA column (a, b):      k (A^{k-1})_ba
       Gamma_k row (i, j), dA column (a, b):
                                         sum_{s<k} (L_s)_ia (R_{k-1-s})_bj
@@ -454,17 +419,20 @@ def _jacobian_entries(wi: Point):
     with rows (i, a) and columns (b, j), read out by slices.
     """
     n, p, q = wi.n, wi.p, wi.q
-    a, np_, qn = wi.A.entries, n * p, q * n
-    lefts, rights = [wi.C.entries], [wi.B.entries]
-    for _ in range(n - 1):
-        lefts.append(_k.mat_mul(lefts[-1], q, n, a, n))
-        rights.append(_k.mat_mul(a, n, n, rights[-1], p))
-    flat, power, rest = [], RationalMatrix.identity(n).entries, [0] * (np_ + qn)
-    for k in range(1, n + 1):  # power = A^{k-1}
+    a, nn, np_, qn = wi.A.entries, n * n, n * p, q * n
+    obs = _krylov_left(wi.C.entries, q, a, n, n)
+    ctrl = _krylov(a, n, wi.B.entries, p, n)
+    lefts = [obs[s : s + qn] for s in range(0, n * qn, qn)]
+    rights = [
+        [x for r in range(m, n * np_, np_) for x in ctrl[r : r + p]]
+        for m in range(0, np_, p)
+    ]
+    powers = _krylov_left(RationalMatrix.identity(n).entries, n, a, n, n)
+    flat, rest = [], [0] * (np_ + qn)
+    for k in range(1, n + 1):
+        power = powers[(k - 1) * nn : k * nn]  # A^{k-1}
         flat += [k * x for col in range(n) for x in power[col::n]]
         flat += rest
-        if k < n:
-            power = _k.mat_mul(power, n, n, a, n)
     dA = [0] * (n * n)
     for k in range(n):
         if k:
@@ -493,8 +461,8 @@ def jacobian_matrix(w: Point) -> RationalMatrix:
     Columns: the standard basis directions dA (row-major), then dB, then dC.
     Built by ``_jacobian_entries`` at the cleared point s(w) = (l_B B,
     l_C C, l_A A), then J(w) = D^-1 J(s w) s (see ``jacobian_rank``), each
-    entry divided once; agreement with ``differential`` on random
-    directions is covered by tests.
+    entry divided once; agreement with the product-rule differential on
+    random directions is covered by tests.
     """
     if w.r != 1:
         raise MultipleCopiesError("Jacobian is defined for r = 1 points")
@@ -630,25 +598,21 @@ def sl_relation_check(u: RationalMatrix, v: RationalMatrix, a: RationalMatrix) -
 
     D1 is the determinant of the rows v, vA, ..., vA^{n-1}; D2 of the
     columns u, Au, ..., A^{n-1}u.  The product identity holds because the
-    Hankel matrix factors through those two Krylov matrices.
+    Hankel matrix factors through those two Krylov matrices; its entries are
+    the moments v A^m u, m <= 2n - 2, not that product, so the identity is
+    checked rather than assumed.
     """
     if not a.is_square:
         raise ShapeError("A must be square")
     n = a.rows
     if u.shape != (n, 1) or v.shape != (1, n):
         raise ShapeError("u must be n x 1 and v must be 1 x n")
-    pows = matrix_powers(a, 2 * n - 2 if n else 0)
-    v_rows = [(v @ pows[i]).row_list(0) for i in range(n)]
-    u_cols = [(pows[i] @ u).col_list(0) for i in range(n)]
-    d1 = RationalMatrix.from_rows(v_rows).det()
-    d2 = RationalMatrix.from_rows(
-        [[u_cols[j][i] for j in range(n)] for i in range(n)]
-    ).det()
-    hankel = RationalMatrix.from_rows(
-        [
-            [(v @ (pows[i + j] @ u)).entry(0, 0) for j in range(n)]
-            for i in range(n)
-        ]
+    rows = _krylov_left(v.entries, 1, a.entries, n, 2 * n - 1)  # v A^m
+    moments = _k.mat_mul(rows, 2 * n - 1, n, u.entries, 1)
+    d1 = RationalMatrix(n, n, rows[: n * n]).det()
+    d2 = RationalMatrix(n, n, _krylov(a.entries, n, u.entries, 1, n)).det()
+    hankel = RationalMatrix(
+        n, n, [moments[i + j] for i in range(n) for j in range(n)]
     ).det()
     return SlRelationResult(d1, d2, hankel, d1 * d2 == hankel)
 
@@ -715,18 +679,17 @@ def nonclosed_image_demo(n: int, u: RationalMatrix, eps) -> NonclosedImageDemo:
     )
 
 
-def limit_point_is_outside_family_image(n: int, u: RationalMatrix) -> bool:
-    """Certify that the limit point of the demo family is not in the image.
+def limit_point_is_outside_family_image(demo: NonclosedImageDemo) -> bool:
+    """Certify that the demo's limit point is not in the family's image.
 
-    A preimage of the limit would need all power sums p_1..p_n of a to be
-    zero.  Newton's identities express the elementary symmetric values as a
-    triangular, division-free-in-p combination of the power sums, so p = 0
-    forces e = 0 (verified below by running the recursion), which makes every
-    a_i a root of x^n and hence zero over a field.  But the family constraint
-    a_i v_i = u with u != 0 excludes a = 0.
+    A preimage of the limit needs a with power sums ``demo.limit_tau``.
+    Three checks: those power sums are all zero; Newton's identities, run on
+    them, give e = 0, so every a_i is a root of x^n and hence zero, which
+    makes every family part sum_i a_i^k v_i zero; and the limit's first part
+    is nonzero, so no a reaches it.
     """
-    if n < 1 or u.is_zero():
-        return False
-    from .linalg import elementary_from_power_sums
-
-    return all(e == 0 for e in elementary_from_power_sums([0] * n))
+    return (
+        all(t == 0 for t in demo.limit_tau)
+        and all(e == 0 for e in elementary_from_power_sums(demo.limit_tau))
+        and not demo.limit_parts[0].is_zero()
+    )

@@ -405,6 +405,32 @@ def _divided(rows, cols, ints, num, den) -> RationalMatrix:
     return RationalMatrix(rows, cols, out, validate=False)
 
 
+def _krylov(a, n, x, cols, count):
+    """[x, a x, ..., a^(count-1) x], flat row-major n x (count cols), for
+    flat row-major blocks a (n x n) and x (n x cols); one ``mat_mul`` per
+    power."""
+    blocks, block = [], x
+    for k in range(count):
+        if k:
+            block = _k.mat_mul(a, n, n, block, cols)
+        blocks.append(block)
+    return [
+        v for i in range(0, n * cols, cols) for blk in blocks for v in blk[i : i + cols]
+    ]
+
+
+def _krylov_left(x, rows, a, n, count):
+    """[x; x a; ...; x a^(count-1)], flat row-major (count rows) x n, for
+    flat row-major blocks x (rows x n) and a (n x n); block k is the slice
+    [k rows n, (k + 1) rows n)."""
+    out, block = [], x
+    for k in range(count):
+        if k:
+            block = _k.mat_mul(block, rows, n, a, n)
+        out += block
+    return out
+
+
 def integer_rescaled(m: RationalMatrix):
     """(l, l m) for the least integer l > 0 clearing every denominator of m;
     (1, m) itself when m is integral.
@@ -710,12 +736,6 @@ class PolynomialCoeffs:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def derivative(self) -> tuple:
-        n = self.degree
-        return tuple(
-            _canon(self.coeffs[i] * (n - i)) for i in range(n)
-        )
-
     def is_power_of_x(self) -> bool:
         return all(not c for c in self.coeffs[1:])
 
@@ -754,28 +774,23 @@ def elementary_from_power_sums(psums) -> list:
     return e[1:]
 
 
-def sylvester_resultant(f: tuple, g: tuple) -> Rational:
-    """Resultant of two polynomials given by coefficient tuples (top down)."""
-    df = len(f) - 1
-    dg = len(g) - 1
-    if df < 0 or dg < 0:
-        raise ValueError("resultant of an empty polynomial")
-    size = df + dg
-    if size == 0:
-        return 1
-    rows = []
-    for i in range(dg):
-        rows.append([0] * i + list(f) + [0] * (size - i - df - 1))
-    for i in range(df):
-        rows.append([0] * i + list(g) + [0] * (size - i - dg - 1))
-    return RationalMatrix.from_rows(rows).det()
+def is_regular_semisimple(a: RationalMatrix) -> bool:
+    """Whether a has n distinct eigenvalues, decided by one integer rank.
 
-
-def discriminant_is_nonzero(p: PolynomialCoeffs) -> bool:
-    """Whether the discriminant of a monic polynomial is nonzero (root-free)."""
-    if p.degree <= 1:
-        return True
-    return sylvester_resultant(p.coeffs, p.derivative()) != 0
+    The power-sum Hankel matrix H_ij = tr(A^(i+j)), 0 <= i, j < n, is
+    V D V^T for the Vandermonde matrix V of the distinct eigenvalues and
+    D their multiplicities (Hermite), so its rank is the number of distinct
+    eigenvalues and det H is the discriminant.  It is taken on A cleared to
+    integers, which scales the eigenvalues by one positive factor.
+    """
+    if not a.is_square:
+        raise ShapeError("regular semisimplicity is a square-matrix property")
+    n = a.rows
+    ai = _scaled_to_int(a.entries)[1]
+    powers = _krylov_left(ai, n, ai, n, 2 * n - 2)  # A, A^2, ..., A^(2n-2)
+    nn = n * n
+    sums = [n] + [sum(powers[k * nn : (k + 1) * nn : n + 1]) for k in range(2 * n - 2)]
+    return _k.rank_int([sums[i : i + n] for i in range(n)], n) == n
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .invariants import (
     Point,
     _controllability,
     _integer_rescaled_point,
+    _observability,
     action_equations,
     check_action_equations,
     check_sizes,
@@ -369,15 +370,6 @@ class ComponentInterval:
             "d_min": self.d_min,
             "d_max": self.d_max,
         }
-
-
-def _observability(a: RationalMatrix, c: RationalMatrix) -> RationalMatrix:
-    """[c; ca; ...; c a^{n-1}]; its kernel is the largest a-invariant
-    subspace of ker c."""
-    blocks = [c]
-    for _ in range(1, a.rows):
-        blocks.append(blocks[-1] @ a)
-    return RationalMatrix.vstack(blocks)
 
 
 def invariant_hull_of_image(a: RationalMatrix, b: RationalMatrix) -> Subspace:

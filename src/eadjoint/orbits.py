@@ -21,7 +21,6 @@ from .invariants import (
     action_equations,
     check_action_equations,
     check_sizes,
-    evaluate_invariants,
 )
 from .linalg import (
     RationalMatrix,
@@ -29,8 +28,6 @@ from .linalg import (
     _canon,
     _kernel_vectors,
     _span,
-    char_poly,
-    discriminant_is_nonzero,
     rational_from_str,
     vandermonde_solve,
 )
@@ -85,13 +82,6 @@ def stabilizer(w: Point) -> StabilizerReport:
         ):
             raise AssertionError("stabilizer kernel failed re-substitution")
     return StabilizerReport(ker.dim, n * n - ker.dim, ker)
-
-
-def is_regular_semisimple(a: RationalMatrix) -> bool:
-    """Distinct eigenvalues, detected root-free through the discriminant."""
-    if not a.is_square:
-        raise ShapeError("regular semisimplicity is a square-matrix property")
-    return discriminant_is_nonzero(char_poly(a))
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +172,3 @@ def reconstruction_input_from_json(obj):
         raise ValueError(f"malformed reconstruction input: {exc}") from exc
     return t, gamma
 
-
-def same_closed_orbit(w1: Point, w2: Point) -> bool:
-    """Invariant-equality test; separates points with closed orbits.
-
-    The caller asserts both orbits are closed (reconstructed fiber points
-    qualify); this comparison itself only checks exact equality of the
-    invariant vectors.
-    """
-    if (w1.n, w1.p, w1.q) != (w2.n, w2.p, w2.q):
-        raise ShapeError("points live in different representation spaces")
-    return evaluate_invariants(w1) == evaluate_invariants(w2)

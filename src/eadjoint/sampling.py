@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .invariants import Point
-from .linalg import RationalMatrix, char_poly, discriminant_is_nonzero
+from .linalg import RationalMatrix, is_regular_semisimple
 
 DEFAULT_BOUND = 10
 
@@ -57,10 +57,10 @@ def random_point(rng, n, p, q, r=1, bound=DEFAULT_BOUND) -> Point:
 
 
 def random_regular_semisimple(rng, n, bound=DEFAULT_BOUND) -> RationalMatrix:
-    """Random integer matrix with squarefree characteristic polynomial."""
+    """Random integer matrix with n distinct eigenvalues."""
     while True:
         a = random_matrix(rng, n, n, bound)
-        if discriminant_is_nonzero(char_poly(a)):
+        if is_regular_semisimple(a):
             return a
 
 

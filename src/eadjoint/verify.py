@@ -58,18 +58,6 @@ from .sampling import (
 from fractions import Fraction
 from itertools import permutations
 
-SUITE_NAMES = (
-    "invariance",
-    "jacobian",
-    "stabilizer",
-    "nullcone",
-    "classifier",
-    "certificates",
-    "reconstruction",
-    "sl-relation",
-    "psi",
-)
-
 GENERIC_NUM, GENERIC_DEN = 19, 20  # at least 95% of trials
 MAX_TRIALS = 100_000  # per-cell trial override; bounds the work of one request
 
@@ -384,16 +372,16 @@ def _cell_psi_demo(seed, params):
     u = random_full_support_matrix(rng, params["q"], 1) @ random_full_support_matrix(
         rng, 1, params["p"]
     )
-    gaps = [
-        nonclosed_image_demo(n, u, eps).gap
+    demos = [
+        nonclosed_image_demo(n, u, eps)
         for eps in (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40))
     ]
+    gaps = [demo.gap for demo in demos]
     if not (gaps[0] > gaps[1] > gaps[2] > 0):
         return f"gap sequence {gaps} is not strictly decreasing"
-    if not limit_point_is_outside_family_image(n, u):
+    if not all(map(limit_point_is_outside_family_image, demos)):
         return "limit-point exclusion certificate failed"
-    for eps in (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)):
-        demo = nonclosed_image_demo(n, u, eps)
+    for demo in demos:
         if not any(x != 0 for x in demo.image_tau):
             return "image point collided with the limit in the tau part"
     return None
@@ -561,6 +549,7 @@ _BUILDERS = {
     "sl-relation": _cells_sl_relation,
     "psi": _cells_psi,
 }
+SUITE_NAMES = tuple(_BUILDERS)
 
 
 # ---------------------------------------------------------------------------

@@ -5,24 +5,118 @@ replaced, or a helper that only tests need; nothing in ``eadjoint`` calls
 them.
 """
 
-from eadjoint.errors import ShapeError, SingularMatrixError
+from dataclasses import dataclass
+
+from eadjoint.errors import MultipleCopiesError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     InvariantVector,
     Point,
-    TangentVector,
     action_equations,
     cyclic_canonical,
-    differential,
     evaluate_invariants,
     jacobian_matrix,
-    matrix_powers,
 )
 from eadjoint.linalg import (
     PolynomialCoeffs,
     RationalMatrix,
     _canon,
+    char_poly,
     elementary_from_power_sums,
+    trace_product,
 )
+
+
+def matrix_powers(a: RationalMatrix, top: int):
+    """[I, a, a^2, ..., a^top] by Fraction products."""
+    out = [RationalMatrix.identity(a.rows)]
+    for _ in range(top):
+        out.append(out[-1] @ a)
+    return out
+
+
+def controllability_blocks(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """[b, ab, ..., a^{n-1} b] by Fraction products and ``hstack``."""
+    blocks = [b]
+    for _ in range(1, a.rows):
+        blocks.append(a @ blocks[-1])
+    return RationalMatrix.hstack(blocks)
+
+
+def observability_blocks(a: RationalMatrix, c: RationalMatrix) -> RationalMatrix:
+    """[c; ca; ...; c a^{n-1}] by Fraction products and ``vstack``."""
+    blocks = [c]
+    for _ in range(1, a.rows):
+        blocks.append(blocks[-1] @ a)
+    return RationalMatrix.vstack(blocks)
+
+
+def polynomial_derivative(p: PolynomialCoeffs) -> tuple:
+    """Coefficients of p' from the top power down."""
+    n = p.degree
+    return tuple(_canon(p.coeffs[i] * (n - i)) for i in range(n))
+
+
+def sylvester_resultant(f: tuple, g: tuple):
+    """Resultant of two polynomials given by coefficient tuples (top down),
+    as the Bareiss determinant of their Sylvester matrix."""
+    df = len(f) - 1
+    dg = len(g) - 1
+    if df < 0 or dg < 0:
+        raise ValueError("resultant of an empty polynomial")
+    size = df + dg
+    if size == 0:
+        return 1
+    rows = []
+    for i in range(dg):
+        rows.append([0] * i + list(f) + [0] * (size - i - df - 1))
+    for i in range(df):
+        rows.append([0] * i + list(g) + [0] * (size - i - dg - 1))
+    return RationalMatrix.from_rows(rows).det()
+
+
+def resultant_discriminant_is_nonzero(a: RationalMatrix) -> bool:
+    """Distinct eigenvalues of a from res(chi, chi') != 0, chi the
+    Faddeev-LeVerrier characteristic polynomial."""
+    p = char_poly(a)
+    if p.degree <= 1:
+        return True
+    return sylvester_resultant(p.coeffs, polynomial_derivative(p)) != 0
+
+
+@dataclass(frozen=True)
+class TangentVector:
+    """A direction (dB, dC, dA) at an r = 1 point."""
+
+    dB: RationalMatrix
+    dC: RationalMatrix
+    dA: RationalMatrix
+
+
+def differential(w: Point, dw: TangentVector) -> InvariantVector:
+    """Exact directional derivative of the invariants at w along dw.
+
+    Product rule only, no finite differences:
+      d tau_k   = k * trace(A^{k-1} dA)
+      d Gamma_k = dC A^k B + sum_i C A^i dA A^{k-1-i} B + C A^k dB
+    """
+    if w.r != 1:
+        raise MultipleCopiesError("differential is defined for r = 1 points")
+    n, p, q = w.n, w.p, w.q
+    if dw.dB.shape != (n, p) or dw.dC.shape != (q, n) or dw.dA.shape != (n, n):
+        raise ShapeError("tangent vector shapes do not match the point")
+    pows = matrix_powers(w.A, n)
+    lefts = [w.C @ pows[i] for i in range(n)]
+    rights = [pows[i] @ w.B for i in range(n)]
+    dtau = tuple(
+        _canon(k * trace_product(pows[k - 1], dw.dA)) for k in range(1, n + 1)
+    )
+    dgamma = []
+    for k in range(n):
+        acc = dw.dC @ rights[k] + lefts[k] @ dw.dB
+        for i in range(k):
+            acc = acc + lefts[i] @ (dw.dA @ rights[k - 1 - i])
+        dgamma.append(acc)
+    return InvariantVector(dtau, tuple(dgamma))
 
 
 def zero_point(n, p, q, r=1) -> Point:

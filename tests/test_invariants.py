@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -9,9 +10,9 @@ from eadjoint.errors import FiberConditionError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     InvariantVector,
     Point,
-    TangentVector,
+    _controllability,
+    _observability,
     cyclic_canonical,
-    differential,
     evaluate_invariants,
     group_action,
     jacobian_matrix,
@@ -25,11 +26,16 @@ from eadjoint.invariants import (
 from eadjoint.linalg import PRIME, RationalMatrix, rank_mod_prime
 from eadjoint.nullcone import pinned_row_witness, random_unstable_point
 from oracles import (
+    TangentVector,
+    controllability_blocks,
+    differential,
     differential_jacobian_matrix,
     exact_jacobian_rank,
     fraction_group_action,
     fraction_invariants,
     fraction_word_invariants,
+    matrix_powers,
+    observability_blocks,
     zero_point,
 )
 
@@ -611,6 +617,27 @@ class TestPsiMap:
 
 
 # ---------------------------------------------------------------------------
+# Kalman matrices from the integer Krylov builders
+
+
+class TestKalmanMatrices:
+    def test_match_block_products(self):
+        # entry for entry against hstack/vstack of Fraction products,
+        # integer and rational inputs alike
+        rng = random.Random(29)
+        for _ in range(40):
+            n, p, q = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
+            dens = [rng.choice((1, 1, 2, 3, 10)) for _ in range(3)]
+            a = random_matrix(rng, n, n, 6).scale(Fraction(1, dens[0]))
+            b = random_matrix(rng, n, p, 6).scale(Fraction(1, dens[1]))
+            c = random_matrix(rng, q, n, 6).scale(Fraction(1, dens[2]))
+            ctrl, obs = _controllability(a, b), _observability(a, c)
+            assert ctrl == controllability_blocks(a, b)
+            assert obs == observability_blocks(a, c)
+            assert (ctrl.shape, obs.shape) == ((n, n * p), (n * q, n))
+
+
+# ---------------------------------------------------------------------------
 # determinant relation
 
 
@@ -627,6 +654,28 @@ class TestSlRelation:
             RationalMatrix.zeros(2, 1), RM([[1, 1]]), RationalMatrix.diagonal([1, 2])
         )
         assert res.d2 == 0 and res.hankel_det == 0 and res.holds
+
+    def test_matches_matrix_powers(self):
+        # d1, d2 and the Hankel determinant against their definitions on
+        # Fraction powers of A, integer and rational inputs alike
+        rng = random.Random(23)
+        for n in (1, 2, 3, 4):
+            for den in (1, 1, 2, 6):
+                u = random_matrix(rng, n, 1, 6).scale(Fraction(1, den))
+                v = random_matrix(rng, 1, n, 6).scale(Fraction(2, 3 * den))
+                a = random_matrix(rng, n, n, 6).scale(Fraction(1, den))
+                pows = matrix_powers(a, 2 * n - 2)
+                d1 = RationalMatrix.vstack([v @ pows[i] for i in range(n)]).det()
+                d2 = RationalMatrix.hstack([pows[i] @ u for i in range(n)]).det()
+                hankel = RationalMatrix.from_rows(
+                    [[(v @ pows[i + j] @ u).entry(0, 0) for j in range(n)]
+                     for i in range(n)]
+                ).det()
+                res = sl_relation_check(u, v, a)
+                assert (res.d1, res.d2, res.hankel_det) == (d1, d2, hankel)
+                assert [type(x) for x in (res.d1, res.d2, res.hankel_det)] == [
+                    type(x) for x in (d1, d2, hankel)
+                ]
 
     def test_random_identity(self):
         rng = random.Random(19)
@@ -669,8 +718,15 @@ class TestNonclosedDemo:
         assert g1 > g2 > g3 > 0
 
     def test_limit_never_attained_certificate(self):
-        assert limit_point_is_outside_family_image(3, RM([[1], [0]]))
-        assert not limit_point_is_outside_family_image(3, RationalMatrix.zeros(2, 1))
+        demo = nonclosed_image_demo(3, RM([[1], [0]]), Fraction(1, 10))
+        assert limit_point_is_outside_family_image(demo)
+        # each of the three checks reads the demo: a limit with the image's
+        # power sums, or with a zero first part, is not certified
+        moved = dataclasses.replace(demo, limit_tau=demo.image_tau)
+        assert not limit_point_is_outside_family_image(moved)
+        zero_parts = (RationalMatrix.zeros(2, 1),) + demo.limit_parts[1:]
+        vanished = dataclasses.replace(demo, limit_parts=zero_parts)
+        assert not limit_point_is_outside_family_image(vanished)
 
     def test_image_tau_never_zero_on_family(self):
         # any nonzero eps leaves a nonzero top power sum, separating the

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from eadjoint import _kernels as _k
 from eadjoint.errors import DegenerateSpectrumError, ShapeError, SingularMatrixError
-from eadjoint.invariants import matrix_powers
 from eadjoint.linalg import (
     MAX_RATIONAL_DIGITS,
     PRIME,
@@ -15,17 +14,23 @@ from eadjoint.linalg import (
     RationalMatrix,
     Subspace,
     char_poly,
+    _krylov,
+    _krylov_left,
     column_space,
-    discriminant_is_nonzero,
     kernel_subspace,
     rank_mod_prime,
     rational_from_str,
     rational_to_str,
-    sylvester_resultant,
     trace_product,
     vandermonde_solve,
 )
-from oracles import charpoly_from_power_sums, evaluate_polynomial, rref_inverse
+from oracles import (
+    charpoly_from_power_sums,
+    evaluate_polynomial,
+    matrix_powers,
+    polynomial_derivative,
+    rref_inverse,
+)
 
 RM = RationalMatrix.from_rows
 
@@ -442,19 +447,29 @@ class TestSubspaces:
 
 
 # ---------------------------------------------------------------------------
-# resultants / discriminants
+# Krylov builders
 
 
-class TestDiscriminant:
-    def test_known_resultant(self):
-        # res(x^2 + 1, 2x) = 4: roots +-i, product of 2x evaluated there
-        assert sylvester_resultant((1, 0, 1), (2, 0)) == 4
-
-    def test_discriminant_flags(self):
-        assert discriminant_is_nonzero(char_poly(RationalMatrix.diagonal([1, 2, 3])))
-        assert not discriminant_is_nonzero(char_poly(RationalMatrix.identity(2)))
-        # rotation matrix: eigenvalues +-i, no root extraction needed
-        assert discriminant_is_nonzero(char_poly(RM([[0, 1], [-1, 0]])))
+class TestKrylov:
+    def test_blocks_are_powers_times_x(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            n, w, count = rng.randint(1, 5), rng.randint(1, 3), rng.randint(0, 7)
+            a = random_matrix(rng, n, n, 6)
+            x = random_matrix(rng, n, w, 6)
+            y = random_matrix(rng, w, n, 6)
+            pows = matrix_powers(a, count)
+            right = _krylov(list(a.entries), n, list(x.entries), w, count)
+            left = _krylov_left(list(y.entries), w, list(a.entries), n, count)
+            if count:
+                assert right == list(
+                    RationalMatrix.hstack([pows[k] @ x for k in range(count)]).entries
+                )
+                assert left == list(
+                    RationalMatrix.vstack([y @ pows[k] for k in range(count)]).entries
+                )
+            else:
+                assert right == left == []
 
 
 class TestTraceProduct:
@@ -474,7 +489,7 @@ class TestPolynomialCoeffs:
 
     def test_derivative(self):
         p = PolynomialCoeffs((1, -3, 2))
-        assert p.derivative() == (2, -3)
+        assert polynomial_derivative(p) == (2, -3)
 
 
 class TestRankModPrime:

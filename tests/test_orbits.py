@@ -12,13 +12,11 @@ from eadjoint.invariants import (
     group_action,
     jacobian_rank,
 )
-from eadjoint.linalg import RationalMatrix, kernel_subspace
+from eadjoint.linalg import RationalMatrix, is_regular_semisimple, kernel_subspace
 from eadjoint.orbits import (
     fiber_reconstruction_data,
-    is_regular_semisimple,
     rank_one_factor,
     reconstruct_fiber_point,
-    same_closed_orbit,
     stabilizer,
 )
 from eadjoint.sampling import (
@@ -28,7 +26,12 @@ from eadjoint.sampling import (
     random_matrix,
     random_rank_one_factors,
 )
-from oracles import sign_flipped_action_equations, zero_point
+from oracles import (
+    resultant_discriminant_is_nonzero,
+    sign_flipped_action_equations,
+    sylvester_resultant,
+    zero_point,
+)
 
 RM = RationalMatrix.from_rows
 
@@ -257,6 +260,39 @@ class TestRegularSemisimple:
         # eigenvalues are +-i: distinct without any root extraction
         assert is_regular_semisimple(RM([[0, 1], [-1, 0]]))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError):
+            is_regular_semisimple(RationalMatrix.zeros(2, 3))
+
+    def test_known_resultant(self):
+        # the oracle's resultant: res(x^2 + 1, 2x) = 4, the product of 2x
+        # over the roots +-i
+        assert sylvester_resultant((1, 0, 1), (2, 0)) == 4
+
+    def test_matches_the_resultant_discriminant(self):
+        # one Hankel rank against res(chi, chi') != 0 on integer, rational
+        # and conjugated repeated-eigenvalue matrices, n <= 6
+        rng = random.Random(41)
+        flags = []
+        for trial in range(420):
+            n = trial % 6 + 1
+            kind = trial // 6 % 3
+            if kind == 0:
+                a = random_matrix(rng, n, n, rng.choice((1, 2, 10)))
+            elif kind == 1:
+                den = rng.choice((2, 3, 7))
+                a = random_matrix(rng, n, n, 5).scale(Fraction(1, den))
+            else:
+                t = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+                if n > 1:
+                    t[rng.randrange(n)] = t[rng.randrange(n)]
+                g = random_invertible(rng, n, 3)
+                a = g @ RationalMatrix.diagonal(t) @ g.inverse()
+            flag = is_regular_semisimple(a)
+            assert flag == resultant_discriminant_is_nonzero(a), a
+            flags.append(flag)
+        assert True in flags and False in flags
+
 
 class TestRankOneFactor:
     def test_zero(self):
@@ -354,23 +390,6 @@ class TestReconstruction:
         assert list(data.X) == xs
         for x, (c, b) in zip(data.X, data.factors):
             assert c @ b == x
-
-
-class TestSameClosedOrbit:
-    def test_group_action_preserves(self):
-        rng = random.Random(9)
-        w = reconstruct_fiber_point([1, 2], [RM([[2]]), RM([[3]])])
-        g = random_invertible(rng, 2)
-        assert same_closed_orbit(w, group_action(g, w))
-
-    def test_different_invariants(self):
-        w1 = reconstruct_fiber_point([1, 2], [RM([[2]]), RM([[3]])])
-        w2 = reconstruct_fiber_point([1, 3], [RM([[2]]), RM([[3]])])
-        assert not same_closed_orbit(w1, w2)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            same_closed_orbit(zero_point(2, 1, 1), zero_point(3, 1, 1))
 
 
 class TestFiberOrbitIdentity:

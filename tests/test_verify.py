@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from eadjoint import verify
@@ -123,6 +125,30 @@ class TestJacobianCells:
             assert detail == (
                 f"rank {n * (p + q) + 1} exceeds the quotient dimension {n * (p + q)}"
             )
+
+
+class TestPsiDemoCells:
+    def failing(self):
+        """label -> failure detail of the psi suite at 1 trial."""
+        rep = run_suite("psi", seed=3, trials=1)
+        return {f.label: f.detail for f in rep.failures}
+
+    def test_every_cell_passes(self):
+        assert self.failing() == {}
+
+    def test_limit_moved_onto_the_image_fails_the_demo_cells(self, monkeypatch):
+        # a limit point carrying the image's power sums is no limit point:
+        # the exclusion certificate must read the demo and reject it
+        real = verify.nonclosed_image_demo
+
+        def moved(n, u, eps):
+            demo = real(n, u, eps)
+            return dataclasses.replace(demo, limit_tau=demo.image_tau)
+
+        monkeypatch.setattr(verify, "nonclosed_image_demo", moved)
+        assert self.failing() == {
+            f"demo n={n}": "limit-point exclusion certificate failed" for n in (2, 3)
+        }
 
 
 class TestRequestBounds:
