@@ -62,17 +62,18 @@ def stabilizer(w: Point) -> StabilizerReport:
     At a controllable point, rank [B, AB, ..., A^{n-1}B] = n, the kernel
     is zero without solving the system: XB = 0 and XA = AX give
     X A^k B = A^k X B = 0 for every k, so X kills a spanning set and X = 0.
-    Otherwise the kernel is solved exactly.  Two checks guard the answer,
-    both on the cleared point: ``check_action_equations`` always, and the
+    Otherwise the system is built and its kernel solved exactly.  Two
+    checks guard that answer, both on the cleared point:
+    ``check_action_equations`` on the rows before they are solved, and the
     re-substitution of every kernel basis element into the defining
     equations by matrix products.
     """
     wi = _integer_rescaled_point(w)[0]
     n = w.n
-    rows = action_equations(wi)
-    check_action_equations(wi, rows)
     if _controllable(wi):
         return StabilizerReport(0, n * n, Subspace.zero(n * n))
+    rows = action_equations(wi)
+    check_action_equations(wi, rows)
     ker = _span(n * n, _kernel_vectors(rows, n * n))  # rows are integral
     b, c, a = wi.B, wi.C, wi.A
     for col in range(ker.dim):
@@ -161,10 +162,12 @@ def reconstruct_fiber_point(t, gamma, strict_rank1=False) -> Point:
 def reconstruction_input_from_json(obj):
     """Parse {"t": [...], "gamma": [matrix, ...]}.
 
-    n = len(t) or a gamma shape q x p above ``MAX_SIZE`` is rejected before
-    any entry is parsed.
+    ``t`` and ``gamma`` must be JSON lists.  n = len(t) or a gamma shape
+    q x p above ``MAX_SIZE`` is rejected before any entry is parsed.
     """
     try:
+        if not (isinstance(obj["t"], list) and isinstance(obj["gamma"], list)):
+            raise TypeError('"t" and "gamma" must be lists')
         check_sizes(len(obj["t"]), len(obj["gamma"][0][0]), len(obj["gamma"][0]))
         t = [rational_from_str(s) for s in obj["t"]]
         gamma = [RationalMatrix.from_lists(g) for g in obj["gamma"]]

@@ -6,6 +6,7 @@ them.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from eadjoint.errors import MultipleCopiesError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
@@ -255,3 +256,34 @@ def positive_pairing_set(lam, candidates) -> frozenset:
     pairing a full dot product: the reference for the packed masks of the
     ladder search."""
     return frozenset(c for c in candidates if sum(l * x for l, x in zip(lam, c)) > 0)
+
+
+def naive_mat_mul(a, m, n, b, p):
+    """Row-major product of an m x n and an n x p matrix as a sum per entry."""
+    return [sum(a[i * n + t] * b[t * p + j] for t in range(n))
+            for i in range(m) for j in range(p)]
+
+
+def fraction_rref(rows, ncols):
+    """(pivot columns, nonzero rows) of the rational RREF by Gauss-Jordan
+    elimination in Fractions: every pivot is 1, zero above and below."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+def fraction_rank(rows, ncols) -> int:
+    """The rank as the number of pivots of ``fraction_rref``."""
+    return len(fraction_rref(rows, ncols)[0])

@@ -143,6 +143,17 @@ class TestReconstructAndClassify:
             assert code == 2
             assert json.loads(out)["error"] == "malformed_input"
 
+    def test_t_and_gamma_must_be_lists(self, capsys, monkeypatch):
+        # a string or an object t would otherwise be iterated as a spectrum
+        for req in (
+            {"t": "123", "gamma": [[["1"]], [["2"]], [["3"]]]},
+            {"t": {"1": 0, "2": 0}, "gamma": [[["1"]], [["2"]]]},
+            {"t": ["1", "2", "3"], "gamma": "123"},
+        ):
+            code, out = run_cli(capsys, ["reconstruct"], req, monkeypatch)
+            assert code == 2
+            assert json.loads(out)["error"] == "malformed_input"
+
     def test_r2_point_is_a_domain_error(self, capsys, monkeypatch):
         for args in (["classify"], ["certify", "--k", "0"]):
             code, out = run_cli(capsys, args, R2_POINT_JSON, monkeypatch)

@@ -1,135 +1,89 @@
-"""Backend parity: the compiled kernels must replicate the pure ones exactly.
+"""The three integer kernels against the slow Fraction oracles.
 
-The committed ``src/eadjoint/_core.c`` is compiled into a temporary directory
-and loaded as ``eadjoint._core``; the tests skip only when there is no C
-compiler or no ``Python.h``.
+``mat_mul`` is compared with a product summed entry by entry, ``rank_int``
+and ``rre_int`` with Gauss-Jordan elimination in Fractions, on random
+matrices of the shapes elimination treats differently: tall, wide, zero,
+with repeated rows, and with entries up to 2^40.
 """
 
-import importlib.util
-import os
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
+from math import gcd
 
-import pytest
-
-import eadjoint
-from eadjoint import _corepy, _kernels
-
-CORE_C = Path(eadjoint.__file__).with_name("_core.c")
+from eadjoint import _kernels
+from oracles import fraction_rank, fraction_rref, naive_mat_mul
 
 
-@pytest.fixture(scope="module")
-def core_path(tmp_path_factory):
-    cc = shutil.which("cc") or shutil.which("gcc")
-    include = sysconfig.get_paths()["include"]
-    if cc is None or not Path(include, "Python.h").is_file():
-        pytest.skip("no C compiler or no Python.h to build eadjoint._core")
-    out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(CORE_C), "-o", str(out)],
-        check=True,
-        capture_output=True,
-    )
+def random_entry(rng, bound):
+    # a third of the entries are zero, so pivot searches skip rows
+    return 0 if rng.random() < 1 / 3 else rng.randint(-bound, bound)
+
+
+def int_matrices(seed, count=30):
+    """(rows, ncols) for ``count`` matrices of each shape family."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        for m, n, bound in (
+            (rng.randint(5, 8), rng.randint(1, 4), 40),  # tall
+            (rng.randint(1, 4), rng.randint(5, 8), 40),  # wide
+            (rng.randint(1, 6), rng.randint(1, 6), 2**40),  # large entries
+        ):
+            out.append(([[random_entry(rng, bound) for _ in range(n)]
+                         for _ in range(m)], n))
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        out.append(([[0] * n for _ in range(m)], n))  # zero
+        base = [[random_entry(rng, 9) for _ in range(n)] for _ in range(m)]
+        repeated = base + [[rng.choice((1, -1, 3)) * x for x in rng.choice(base)]
+                           for _ in range(rng.randint(1, 3))]
+        rng.shuffle(repeated)
+        out.append((repeated, n))  # duplicate rows and their multiples
     return out
 
 
-@pytest.fixture(scope="module")
-def compiled(core_path):
-    spec = importlib.util.spec_from_file_location("eadjoint._core", core_path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def random_int_rows(rng, m, n, bound=40):
-    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+def mixed_entries(rng, count):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.4
+            else random_entry(rng, 9) for _ in range(count)]
 
 
 class TestParity:
-    def test_mat_mul_int_and_fraction(self, compiled):
+    """Each kernel agrees with its oracle on random inputs."""
+
+    def test_mat_mul_int_and_fraction(self):
         rng = random.Random(1)
-        for _ in range(50):
+        for _ in range(80):
             m, n, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-            a = [
-                Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                if rng.random() < 0.4
-                else rng.randint(-9, 9)
-                for _ in range(m * n)
-            ]
-            b = [
-                Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                if rng.random() < 0.4
-                else rng.randint(-9, 9)
-                for _ in range(n * p)
-            ]
-            assert compiled.mat_mul(a, m, n, b, p) == _corepy.mat_mul(a, m, n, b, p)
+            a, b = mixed_entries(rng, m * n), mixed_entries(rng, n * p)
+            assert _kernels.mat_mul(a, m, n, b, p) == naive_mat_mul(a, m, n, b, p)
 
-    def test_rank_int(self, compiled):
-        rng = random.Random(2)
-        for _ in range(80):
-            m, n = rng.randint(1, 7), rng.randint(1, 7)
-            rows = random_int_rows(rng, m, n)
-            assert compiled.rank_int(rows, n) == _corepy.rank_int(rows, n)
+    def test_rank_int(self):
+        for rows, ncols in int_matrices(2):
+            assert _kernels.rank_int(rows, ncols) == fraction_rank(rows, ncols)
 
-    def test_rre_int_identical_objects(self, compiled):
-        rng = random.Random(3)
-        for _ in range(80):
-            m, n = rng.randint(1, 7), rng.randint(1, 7)
-            rows = random_int_rows(rng, m, n)
-            assert compiled.rre_int(rows, n) == _corepy.rre_int(rows, n)
+    def test_rre_int_matches_oracle_rref(self):
+        # dividing each pivot row by its pivot gives the rational RREF
+        for rows, ncols in int_matrices(3):
+            rank, pivots, out = _kernels.rre_int(rows, ncols)
+            want_pivots, want_rows = fraction_rref(rows, ncols)
+            assert (rank, pivots) == (len(want_pivots), want_pivots)
+            for row, c, want in zip(out, pivots, want_rows):
+                assert [Fraction(x, row[c]) for x in row] == want
 
-    def test_inputs_not_mutated(self, compiled):
-        rows = [[2, 4], [1, 3]]
-        snapshot = [list(r) for r in rows]
-        compiled.rre_int(rows, 2)
-        _corepy.rre_int(rows, 2)
-        compiled.rank_int(rows, 2)
-        _corepy.rank_int(rows, 2)
-        assert rows == snapshot
+    def test_rre_int_contract(self):
+        # primitive integer rows with a positive pivot, then zero rows
+        for rows, ncols in int_matrices(4):
+            rank, pivots, out = _kernels.rre_int(rows, ncols)
+            assert len(out) == len(rows)
+            assert all(len(row) == ncols for row in out)
+            for row, c in zip(out, pivots):
+                assert all(isinstance(x, int) for x in row)
+                assert row[c] > 0
+                assert gcd(*row) == 1
+            assert all(not any(row) for row in out[rank:])
 
-
-_BIND_CHECK = """
-import importlib.util, sys
-spec = importlib.util.spec_from_file_location("eadjoint._core", sys.argv[1])
-core = importlib.util.module_from_spec(spec)
-sys.modules["eadjoint._core"] = core
-spec.loader.exec_module(core)
-from eadjoint import _kernels
-assert _kernels.backend_name() == "compiled", _kernels.backend_name()
-assert _kernels.mat_mul is core.mat_mul
-"""
-
-
-def test_compiled_kernels_are_bound(core_path):
-    # a fresh interpreter, so the build is registered before _kernels imports
-    env = dict(os.environ)
-    src = str(Path(eadjoint.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _BIND_CHECK, str(core_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_certificates_identical_across_backends(compiled, monkeypatch):
-    from eadjoint.nullcone import adapted_certificate, sample_component
-
-    results = {}
-    for backend in (_corepy, compiled):
-        for name in ("mat_mul", "rank_int", "rre_int"):
-            monkeypatch.setattr(_kernels, name, getattr(backend, name))
-        out = []
-        for seed in range(5):
-            w = sample_component(3, 2, 1, 1, seed)
-            cert = adapted_certificate(w, 1)
-            out.append((w, cert.g, cert.lam))
-        results[backend.__name__] = out
-    assert results["eadjoint._corepy"] == results["eadjoint._core"]
+    def test_inputs_not_mutated(self):
+        for rows, ncols in int_matrices(5, count=5):
+            snapshot = [list(r) for r in rows]
+            _kernels.rre_int(rows, ncols)
+            _kernels.rank_int(rows, ncols)
+            assert rows == snapshot

@@ -140,6 +140,16 @@ class TestKalmanCertificate:
             sides[controllable] += 1
         assert min(sides) >= 30
 
+    def test_controllable_points_build_no_system(self, monkeypatch):
+        def built(w):
+            raise AssertionError("system built")
+
+        monkeypatch.setattr(orbits, "action_equations", built)
+        w = Point(RM([[2], [3]]), RM([[5, 7]]), (RationalMatrix.diagonal([1, 2]),))
+        assert stabilizer(w).stab_dim == 0
+        with pytest.raises(AssertionError, match="system built"):  # the exact path
+            stabilizer(zero_point(2, 1, 1))
+
     def test_pinned_family_is_not_controllable(self):
         # its centralizer has dimension n - k > 0 whenever k < n
         from eadjoint.invariants import _controllable
