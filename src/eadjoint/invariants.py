@@ -35,7 +35,6 @@ from .linalg import (
     elementary_from_power_sums,
     integer_rescaled,
     rank_mod_prime,
-    rational_from_str,
     rational_to_str,
 )
 
@@ -160,16 +159,6 @@ class InvariantVector:
             "tau": [rational_to_str(t) for t in self.tau],
             "gamma": [g.to_lists() for g in self.gamma],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "InvariantVector":
-        try:
-            return cls(
-                tuple(rational_from_str(t) for t in obj["tau"]),
-                tuple(RationalMatrix.from_lists(g) for g in obj["gamma"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed invariant vector: {exc}") from exc
 
 
 def _integer_rescaled_point(w: Point):

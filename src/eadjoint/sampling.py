@@ -64,25 +64,25 @@ def random_regular_semisimple(rng, n, bound=DEFAULT_BOUND) -> RationalMatrix:
             return a
 
 
-def random_distinct_rationals(rng, n, bound=DEFAULT_BOUND, denominators=(1, 2, 3)):
-    """n pairwise distinct rationals with small denominators."""
+def random_distinct_rationals(rng, n, bound=DEFAULT_BOUND):
+    """n pairwise distinct rationals with denominators 1, 2 or 3."""
     seen = set()
     out = []
     while len(out) < n:
-        v = Fraction(rng.randint(-bound, bound), rng.choice(denominators))
+        v = Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3)))
         if v not in seen:
             seen.add(v)
             out.append(v)
     return out
 
 
-def random_rank_one_factors(rng, q, p, bound=DEFAULT_BOUND, allow_zero=False):
+def random_rank_one_factors(rng, q, p, bound=DEFAULT_BOUND):
     """A pair (c, b) with c of shape q x 1 and b of shape 1 x p.
 
-    With ``allow_zero`` the pair is occasionally (0, 0), producing the rank
-    zero degeneration of the fiber data.
+    The pair is occasionally (0, 0), producing the rank zero degeneration
+    of the fiber data.
     """
-    if allow_zero and rng.random() < 0.15:
+    if rng.random() < 0.15:
         return RationalMatrix.zeros(q, 1), RationalMatrix.zeros(1, p)
     return (
         random_full_support_matrix(rng, q, 1, bound),

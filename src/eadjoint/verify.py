@@ -3,7 +3,8 @@
 Every suite is a list of independent cells (one parameter combination each);
 a cell derives its own seed from the base seed and its position, so runs are
 deterministic per (suite, seed, trials) and cells can be distributed across
-worker processes.  Genericity statements pass a cell when at least 95% of
+worker processes.  A cell names a check of one trial; ``_run_task`` alone
+loops over the trials.  Genericity statements pass a cell when at least 95% of
 its trials hit the generic value and no trial violates a hard bound;
 everything else is exact and must hold on every trial.
 """
@@ -20,7 +21,6 @@ from .invariants import (
     Point,
     evaluate_invariants,
     group_action,
-    jacobian_matrix,
     jacobian_rank,
     limit_point_is_outside_family_image,
     nonclosed_image_demo,
@@ -31,7 +31,6 @@ from .invariants import (
 from .linalg import RationalMatrix, char_poly
 from .nullcone import (
     adapted_certificate,
-    check_certificate,
     component_certificates,
     component_interval,
     component_tangent_dim,
@@ -104,124 +103,103 @@ def _generic_ok(hits, trials):
 
 
 # ---------------------------------------------------------------------------
-# cell runners (module level so worker processes can import them)
+# cell checks (module level so worker processes can import them); each one
+# checks one trial, see ``_run_task``
 
 
-def _cell_invariance(seed, params):
-    n, p, q, r = params["n"], params["p"], params["q"], params["r"]
-    rng = as_rng(seed)
-    for _ in range(params["trials"]):
-        w = random_point(rng, n, p, q, r)
-        g = random_invertible(rng, n)
-        moved = group_action(g, w)
-        if r == 1:
-            if evaluate_invariants(moved) != evaluate_invariants(w):
-                return "plain invariants changed under the action"
-        a = word_invariants(w, n)
-        b = word_invariants(moved, n)
-        if a.tau != b.tau or a.gamma != b.gamma:
-            return "word invariants changed under the action"
+def _generic_point(rng, n, p, q):
+    """Squarefree characteristic polynomial, no zero entry in B or C."""
+    return Point(
+        random_full_support_matrix(rng, n, p),
+        random_full_support_matrix(rng, q, n),
+        (random_regular_semisimple(rng, n),),
+    )
+
+
+def _fiber_data(rng, n, p, q):
+    """n distinct rationals t and n q x p summands of rank at most one."""
+    t = random_distinct_rationals(rng, n)
+    return t, [c @ b for c, b in (random_rank_one_factors(rng, q, p) for _ in range(n))]
+
+
+def _cell_invariance(rng, trial, n, p, q, r):
+    w = random_point(rng, n, p, q, r)
+    g = random_invertible(rng, n)
+    moved = group_action(g, w)
+    if r == 1 and evaluate_invariants(moved) != evaluate_invariants(w):
+        return "plain invariants changed under the action"
+    a = word_invariants(w, n)
+    b = word_invariants(moved, n)
+    if a.tau != b.tau or a.gamma != b.gamma:
+        return "word invariants changed under the action"
     return None
 
 
-def _cell_jacobian(seed, params):
-    # generic samples: squarefree characteristic polynomial, no zero entry
-    # in B or C (the rank can still drop, hence the 95% threshold).  The
-    # hard bound is the quotient dimension n(p + q): the rank is lower
+def _cell_jacobian(rng, trial, n, p, q):
+    # a generic sample can still drop rank, hence a genericity statement.
+    # The hard bound is the quotient dimension n(p + q): the rank is lower
     # semicontinuous, so no point exceeds its generic value.
-    n, p, q = params["n"], params["p"], params["q"]
-    rng = as_rng(seed)
     generic = n * (p + q)
-    hits = 0
-    for _ in range(params["trials"]):
-        w = Point(
-            random_full_support_matrix(rng, n, p),
-            random_full_support_matrix(rng, q, n),
-            (random_regular_semisimple(rng, n),),
-        )
-        r = jacobian_rank(w)
-        if r > generic:
-            return f"rank {r} exceeds the quotient dimension {generic}"
-        hits += r == generic
-    if not _generic_ok(hits, params["trials"]):
-        return f"generic rank hit only {hits}/{params['trials']}"
+    r = jacobian_rank(_generic_point(rng, n, p, q))
+    if r > generic:
+        return f"rank {r} exceeds the quotient dimension {generic}"
+    return r == generic
+
+
+def _cell_stabilizer_pinned(rng, trial, n, p, q, k):
+    d = stabilizer(pinned_row_witness(n, p, q, k, seed=rng.randrange(2**32))).stab_dim
+    if d != n - k:
+        return f"stabilizer dimension {d}, expected {n - k}"
     return None
 
 
-def _cell_stabilizer_pinned(seed, params):
-    n, p, q, k = params["n"], params["p"], params["q"], params["k"]
-    rng = as_rng(seed)
-    for _ in range(params["trials"]):
-        w = pinned_row_witness(n, p, q, k, seed=rng.randrange(2**32))
-        d = stabilizer(w).stab_dim
-        if d != n - k:
-            return f"stabilizer dimension {d}, expected {n - k}"
-    return None
-
-
-def _cell_stabilizer_witness(seed, params):
-    n, p, q, k = params["n"], params["p"], params["q"], params["k"]
-    rng = as_rng(seed)
+def _cell_stabilizer_witness(rng, trial, n, p, q, k):
     expected = n * n - min(k, n - k)
-    for _ in range(params["trials"]):
-        _, dim = generic_orbit_witness(n, p, q, k, seed=rng.randrange(2**32))
-        if dim != expected:
-            return f"orbit dimension {dim}, expected {expected}"
+    _, dim = generic_orbit_witness(n, p, q, k, seed=rng.randrange(2**32))
+    if dim != expected:
+        return f"orbit dimension {dim}, expected {expected}"
     return None
 
 
-def _cell_nullcone_classes(seed, params):
-    n = params["n"]
+def _cell_nullcone_classes(rng, trial, n):
     classes = enumerate_maximal_unstable(n, 2, 2)
     if [c.k for c in classes] != list(range(n + 1)):
         return f"expected the ladder 0..{n}, got {[c.k for c in classes]}"
     return None
 
 
-def _cell_nullcone_equivalence(seed, params):
-    n = params["n"]
-    rng = as_rng(seed)
-    e = regular_nilpotent(n)
-    for trial in range(params["trials"]):
-        p, q = rng.randint(1, 3), rng.randint(1, 3)
-        kind = trial % 4
-        if kind == 0:
-            w = random_point(rng, n, p, q)
-        elif kind == 1:
-            w = sample_component(n, p, q, rng.randint(0, n), rng.randrange(2**32))
-        elif kind == 2:
-            w = Point(random_matrix(rng, n, p), random_matrix(rng, q, n), (e,))
-        else:
-            w = Point(
-                RationalMatrix.zeros(n, p),
-                RationalMatrix.zeros(q, n),
-                (random_matrix(rng, n, n),),
-            )
-        null = in_null_cone(w)
-        iv = evaluate_invariants(w)
-        alt = char_poly(w.A).is_power_of_x() and all(g.is_zero() for g in iv.gamma)
-        if null != alt or null != iv.is_zero():
-            return "membership tests disagree"
+def _cell_nullcone_equivalence(rng, trial, n):
+    p, q = rng.randint(1, 3), rng.randint(1, 3)
+    kind = trial % 4
+    if kind == 0:
+        w = random_point(rng, n, p, q)
+    elif kind == 1:
+        w = sample_component(n, p, q, rng.randint(0, n), rng.randrange(2**32))
+    elif kind == 2:
+        w = Point(random_matrix(rng, n, p), random_matrix(rng, q, n), (regular_nilpotent(n),))
+    else:
+        w = Point(
+            RationalMatrix.zeros(n, p),
+            RationalMatrix.zeros(q, n),
+            (random_matrix(rng, n, n),),
+        )
+    null = in_null_cone(w)
+    iv = evaluate_invariants(w)
+    alt = char_poly(w.A).is_power_of_x() and all(g.is_zero() for g in iv.gamma)
+    if null != alt or null != iv.is_zero():
+        return "membership tests disagree"
     return None
 
 
-def _cell_nullcone_tangent(seed, params):
-    n, p, q, k = params["n"], params["p"], params["q"], params["k"]
-    rng = as_rng(seed)
+def _cell_nullcone_tangent(rng, trial, n, p, q, k):
     formula = (n * n - n) + p * k + q * (n - k)
-    hits = 0
-    for _ in range(params["trials"]):
-        d = component_tangent_dim(n, p, q, k, seed=rng.randrange(2**32))
-        if d > formula:
-            return f"tangent dimension {d} exceeds the formula {formula}"
-        hits += d == formula
-    if not _generic_ok(hits, params["trials"]):
-        return f"generic dimension hit only {hits}/{params['trials']}"
-    return None
+    d = component_tangent_dim(n, p, q, k, seed=rng.randrange(2**32))
+    if d > formula:
+        return f"tangent dimension {d} exceeds the formula {formula}"
+    return d == formula
 
 
-def _cell_nullcone_summary(seed, params):
-    n, p, q = params["n"], params["p"], params["q"]
+def _cell_nullcone_summary(rng, trial, n, p, q):
     s = nullcone_summary(n, p, q)
     if s.component_dims != tuple(
         (n * n - n) + p * k + q * (n - k) for k in range(n + 1)
@@ -236,142 +214,93 @@ def _cell_nullcone_summary(seed, params):
     return None
 
 
-def _cell_classifier(seed, params):
-    n, p, q, k = params["n"], params["p"], params["q"], params["k"]
-    rng = as_rng(seed)
-    for _ in range(params["trials"]):
-        w = sample_component(n, p, q, k, rng.randrange(2**32))
-        iv = component_interval(w)
-        if not iv.in_null_cone:
-            return "component sample escaped the null cone"
-        if k not in iv:
-            return f"sampled point of C_{k} not classified into C_{k}"
+def _cell_classifier(rng, trial, n, p, q, k):
+    iv = component_interval(sample_component(n, p, q, k, rng.randrange(2**32)))
+    if not iv.in_null_cone:
+        return "component sample escaped the null cone"
+    if k not in iv:
+        return f"sampled point of C_{k} not classified into C_{k}"
     return None
 
 
-def _cell_certificates(seed, params):
-    n, p, q, k = params["n"], params["p"], params["q"], params["k"]
-    rng = as_rng(seed)
-    for trial in range(params["trials"]):
-        w = sample_component(n, p, q, k, rng.randrange(2**32))
-        iv, certs = component_certificates(w)  # re-verified internally
-        if k not in iv:
-            return f"sampled point of C_{k} not classified into C_{k}"
-        if sorted(certs) != list(iv.members()):
-            return "certificate set does not cover the interval"
-        if not check_certificate(w, certs[k]):
-            return "certificate failed the bit-exact checks"
-        if trial % 20 == 0:
-            for kk in (iv.d_min - 1, iv.d_max + 1):
-                if 0 <= kk <= n:
-                    try:
-                        adapted_certificate(w, kk)
-                        return f"certificate for non-member k={kk} was produced"
-                    except NotAMemberError:
-                        pass
+def _cell_certificates(rng, trial, n, p, q, k):
+    w = sample_component(n, p, q, k, rng.randrange(2**32))
+    iv, certs = component_certificates(w)  # each one checked bit-exactly inside
+    if k not in iv:
+        return f"sampled point of C_{k} not classified into C_{k}"
+    if sorted(certs) != list(iv.members()):
+        return "certificate set does not cover the interval"
+    if trial % 20 == 0:
+        for kk in (iv.d_min - 1, iv.d_max + 1):
+            if 0 <= kk <= n:
+                try:
+                    adapted_certificate(w, kk)
+                    return f"certificate for non-member k={kk} was produced"
+                except NotAMemberError:
+                    pass
     return None
 
 
-def _cell_reconstruction_roundtrip(seed, params):
-    n, p, q = params["n"], params["p"], params["q"]
-    rng = as_rng(seed)
-    for _ in range(params["trials"]):
-        t = random_distinct_rationals(rng, n)
-        xs = []
-        for _ in range(n):
-            c, b = random_rank_one_factors(rng, q, p, allow_zero=True)
-            xs.append(c @ b)
-        image = psi_map(t, xs)
-        iv = evaluate_invariants(reconstruct_fiber_point(t, image.gamma))
-        if iv.gamma != image.gamma:
-            return "moment matrices were not reproduced"
-        if iv.tau != image.tau:
-            return "power sums were not reproduced"
+def _cell_reconstruction_roundtrip(rng, trial, n, p, q):
+    t, xs = _fiber_data(rng, n, p, q)
+    image = psi_map(t, xs)
+    iv = evaluate_invariants(reconstruct_fiber_point(t, image.gamma))
+    if iv.gamma != image.gamma:
+        return "moment matrices were not reproduced"
+    if iv.tau != image.tau:
+        return "power sums were not reproduced"
     return None
 
 
-def _cell_reconstruction_regular(seed, params):
-    n, p, q = params["n"], params["p"], params["q"]
-    rng = as_rng(seed)
-    domain = n * n + n * p + n * q
-    for _ in range(params["trials"]):
-        t = random_distinct_rationals(rng, n)
-        xs = [
-            random_full_support_matrix(rng, q, 1)
-            @ random_full_support_matrix(rng, 1, p)
-            for _ in range(n)
-        ]
-        w = reconstruct_fiber_point(t, psi_map(t, xs).gamma, strict_rank1=True)
-        if stabilizer(w).stab_dim != 0:
-            return "reconstructed point has a positive-dimensional stabilizer"
-        if domain - jacobian_rank(w) != n * n:
-            return "fiber dimension count failed"
+def _cell_reconstruction_regular(rng, trial, n, p, q):
+    t = random_distinct_rationals(rng, n)
+    xs = [
+        random_full_support_matrix(rng, q, 1) @ random_full_support_matrix(rng, 1, p)
+        for _ in range(n)
+    ]
+    w = reconstruct_fiber_point(t, psi_map(t, xs).gamma, strict_rank1=True)
+    if stabilizer(w).stab_dim != 0:
+        return "reconstructed point has a positive-dimensional stabilizer"
+    if n * (n + p + q) - jacobian_rank(w) != n * n:
+        return "fiber dimension count failed"
     return None
 
 
-def _cell_reconstruction_coregular(seed, params):
+def _cell_reconstruction_coregular(rng, trial, n, p, q):
     # the n + npq generators are algebraically independent exactly when
     # p = 1 or q = 1; otherwise they outnumber the quotient dimension
     # n(p + q), so their differentials are dependent at every point
-    n, p, q = params["n"], params["p"], params["q"]
-    rng = as_rng(seed)
     generators = n + n * p * q
-    coregular = p == 1 or q == 1
-    hits = 0
-    for _ in range(params["trials"]):
-        w = Point(
-            random_full_support_matrix(rng, n, p),
-            random_full_support_matrix(rng, q, n),
-            (random_regular_semisimple(rng, n),),
-        )
-        rows = jacobian_matrix(w).rows
-        if rows != generators:
-            return f"Jacobian has {rows} rows, expected {generators}"
-        r = jacobian_rank(w)
-        if not coregular and r >= generators:
-            return f"rank {r} reaches the generator count {generators}"
-        hits += r == generators
-    if coregular and not _generic_ok(hits, params["trials"]):
-        return f"full rank hit only {hits}/{params['trials']}"
+    r = jacobian_rank(_generic_point(rng, n, p, q))
+    if p == 1 or q == 1:
+        return r == generators
+    if r >= generators:
+        return f"rank {r} reaches the generator count {generators}"
     return None
 
 
-def _cell_sl_relation(seed, params):
-    n = params["n"]
-    rng = as_rng(seed)
-    for _ in range(params["trials"]):
-        res = sl_relation_check(
-            random_matrix(rng, n, 1),
-            random_matrix(rng, 1, n),
-            random_matrix(rng, n, n),
-        )
-        if not res.holds:
-            return "determinant relation failed"
-    return None
-
-
-def _cell_psi_symmetry(seed, params):
-    n, p, q = params["n"], params["p"], params["q"]
-    rng = as_rng(seed)
-    for _ in range(params["trials"]):
-        t = random_distinct_rationals(rng, n)
-        xs = []
-        for _ in range(n):
-            c, b = random_rank_one_factors(rng, q, p, allow_zero=True)
-            xs.append(c @ b)
-        base = psi_map(t, xs)
-        for perm in permutations(range(n)):
-            if psi_map([t[i] for i in perm], [xs[i] for i in perm]) != base:
-                return f"symmetry broken by permutation {perm}"
-    return None
-
-
-def _cell_psi_demo(seed, params):
-    n = params["n"]
-    rng = as_rng(seed)
-    u = random_full_support_matrix(rng, params["q"], 1) @ random_full_support_matrix(
-        rng, 1, params["p"]
+def _cell_sl_relation(rng, trial, n):
+    res = sl_relation_check(
+        random_matrix(rng, n, 1),
+        random_matrix(rng, 1, n),
+        random_matrix(rng, n, n),
     )
+    if not res.holds:
+        return "determinant relation failed"
+    return None
+
+
+def _cell_psi_symmetry(rng, trial, n, p, q):
+    t, xs = _fiber_data(rng, n, p, q)
+    base = psi_map(t, xs)
+    for perm in permutations(range(n)):
+        if psi_map([t[i] for i in perm], [xs[i] for i in perm]) != base:
+            return f"symmetry broken by permutation {perm}"
+    return None
+
+
+def _cell_psi_demo(rng, trial, n, p, q):
+    u = random_full_support_matrix(rng, q, 1) @ random_full_support_matrix(rng, 1, p)
     demos = [
         nonclosed_image_demo(n, u, eps)
         for eps in (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40))
@@ -561,17 +490,35 @@ def _cell_seed(base_seed, index):
 
 
 def _run_task(task):
+    """Run one cell: its check once per trial, or once when the cell has no
+    trial count, all trials drawing from one rng seeded with the cell seed.
+
+    A check returns a failure message, which ends the cell; ``None`` when
+    an exact statement held; or ``True``/``False`` for a hit or miss of a
+    genericity statement, which passes on at least 95% hits of all trials.
+    """
     runner_name, label, seed, params = task
-    if params.get("trials", 1) < 1:
+    cell = dict(params)
+    trials = cell.pop("trials", 1)
+    if trials < 1:
         # a cell that checks nothing must not count as a pass
         return CellOutcome(label, seed, False, "cell ran zero trials")
+    check = _RUNNERS[runner_name]
+    rng = as_rng(seed)
+    hits, generic = 0, False
     try:
-        detail = _RUNNERS[runner_name](seed, params)
+        for trial in range(trials):
+            result = check(rng, trial, **cell)
+            if isinstance(result, bool):
+                generic = True
+                hits += result
+            elif result is not None:
+                return CellOutcome(label, seed, False, result)
     except Exception as exc:  # a raising cell is a failing cell
-        detail = f"{type(exc).__name__}: {exc}"
-    if detail is None:
-        return CellOutcome(label, seed, True)
-    return CellOutcome(label, seed, False, detail)
+        return CellOutcome(label, seed, False, f"{type(exc).__name__}: {exc}")
+    if generic and not _generic_ok(hits, trials):
+        return CellOutcome(label, seed, False, f"generic value hit only {hits}/{trials}")
+    return CellOutcome(label, seed, True)
 
 
 def suite_cells(name, trials=None):

@@ -534,6 +534,27 @@ class TestCertificates:
                     lam.pairing(coeffs) > 0 for coeffs in x_k_weight_set(n, k)
                 )
 
+    def test_built_certificate_is_rechecked(self, monkeypatch):
+        # the library re-checks every certificate it builds; a builder
+        # that returns g = 1 is caught there and in the certificates suite
+        from eadjoint.verify import run_suite
+
+        def identity_builder(a, s, big, k):
+            n = a.rows
+            return Certificate(k, RationalMatrix.identity(n), standard_destabilizer(n, k))
+
+        w = sample_component(3, 2, 2, 1, 5)
+        assert not check_certificate(w, identity_builder(w.A, None, None, 1))
+        monkeypatch.setattr(nullcone, "_build_certificate", identity_builder)
+        detail = "constructed certificate failed validation"
+        with pytest.raises(AssertionError, match=detail):
+            component_certificates(w)
+        with pytest.raises(AssertionError, match=detail):
+            adapted_certificate(w, 1)
+        rep = run_suite("certificates", seed=3, trials=1)
+        assert rep.failures
+        assert {f.detail for f in rep.failures} == {f"AssertionError: {detail}"}
+
     def test_certificate_json(self):
         w = zero_point(2, 1, 1)
         cert = adapted_certificate(w, 1)

@@ -370,7 +370,7 @@ class TestReconstruction:
             t = random_distinct_rationals(rng, n)
             xs = []
             for _ in range(n):
-                c, b = random_rank_one_factors(rng, q, p, allow_zero=True)
+                c, b = random_rank_one_factors(rng, q, p)
                 xs.append(c @ b)
             gamma = []
             for k in range(n):

@@ -55,7 +55,7 @@ class TestFailureReporting:
     def test_raising_cell_becomes_failure(self, monkeypatch):
         from eadjoint import verify
 
-        def boom(seed, params):
+        def boom(rng, trial, n):
             raise RuntimeError("exploded")
 
         monkeypatch.setitem(verify._RUNNERS, "sl-relation", boom)
@@ -64,6 +64,53 @@ class TestFailureReporting:
         assert len(rep.failures) == 4
         assert "exploded" in rep.failures[0].detail
         assert rep.failures[0].seed is not None
+
+
+class TestCellContract:
+    """_run_task calls a one-trial check and owns the trial loop."""
+
+    def install(self, monkeypatch, results=lambda trial: None):
+        calls = []
+
+        def check(rng, trial, **cell):
+            calls.append((trial, cell))
+            return results(trial)
+
+        monkeypatch.setitem(verify._RUNNERS, "sl-relation", check)
+        monkeypatch.setitem(verify._RUNNERS, "nullcone-classes", check)
+        return calls
+
+    def test_called_once_per_trial(self, monkeypatch):
+        calls = self.install(monkeypatch)
+        out = verify._run_task(("sl-relation", "n=2", 0, {"n": 2, "trials": 7}))
+        assert out.ok
+        assert [trial for trial, _ in calls] == list(range(7))
+
+    def test_keywords_are_the_cell_params_without_trials(self, monkeypatch):
+        calls = self.install(monkeypatch)
+        rep = run_suite("sl-relation", seed=1, trials=2)
+        assert rep.passes == 4
+        assert [cell for _, cell in calls] == [{"n": n} for n in range(1, 5) for _ in range(2)]
+
+    def test_first_message_ends_the_cell(self, monkeypatch):
+        calls = self.install(
+            monkeypatch, lambda trial: f"failed at {trial}" if trial >= 3 else None
+        )
+        out = verify._run_task(("sl-relation", "n=1", 0, {"n": 1, "trials": 10}))
+        assert (out.ok, out.detail) == (False, "failed at 3")
+        assert len(calls) == 4
+
+    def test_generic_rule(self, monkeypatch):
+        for misses, ok in ((1, True), (2, False)):
+            self.install(monkeypatch, lambda trial, misses=misses: trial >= misses)
+            out = verify._run_task(("sl-relation", "n=1", 0, {"n": 1, "trials": 20}))
+            assert out.ok == ok
+        assert out.detail == "generic value hit only 18/20"
+
+    def test_cell_without_trials_runs_once(self, monkeypatch):
+        calls = self.install(monkeypatch)
+        assert verify._run_task(("nullcone-classes", "classes n=3", 0, {"n": 3})).ok
+        assert calls == [(0, {"n": 3})]
 
 
 class TestCoregularCells:
