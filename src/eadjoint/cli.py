@@ -32,7 +32,7 @@ from .nullcone import (
     sample_component,
 )
 from .orbits import reconstruct_fiber_point, reconstruction_input_from_json
-from .verify import MAX_TRIALS, SUITE_NAMES, run_suites
+from .verify import MAX_TRIALS, SUITE_NAMES, run_suite
 
 
 def _emit(obj):
@@ -100,7 +100,9 @@ def _cmd_sample(args):
 
 def _cmd_verify(args):
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = run_suites(names, seed=args.seed, trials=args.trials, jobs=args.jobs)
+    reports = [
+        run_suite(n, seed=args.seed, trials=args.trials, jobs=args.jobs) for n in names
+    ]
     # wall time stays off stdout so the output is byte-stable per request
     payload = [r.to_json_obj() for r in reports]
     _emit(payload[0] if len(payload) == 1 else payload)

@@ -317,41 +317,10 @@ class RationalMatrix:
         return _divided(self.rows, self.cols, h, l, d)
 
     def det(self) -> Rational:
-        """Determinant by fraction-free Bareiss elimination (exact)."""
+        """Determinant as (-1)^n times the constant term of ``char_poly``."""
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = []
-        denom = 1
-        for i in range(n):
-            l, row = _scaled_to_int(self.entries[i * n : (i + 1) * n])
-            a.append(row)
-            denom *= l
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = -1
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        swap = i
-                        break
-                if swap < 0:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            pkk = a[k][k]
-            for i in range(k + 1, n):
-                aik = a[i][k]
-                rowi = a[i]
-                rowk = a[k]
-                for j in range(k + 1, n):
-                    rowi[j] = (rowi[j] * pkk - aik * rowk[j]) // prev
-                rowi[k] = 0
-            prev = pkk
-        return _canon(Fraction(sign * a[n - 1][n - 1], denom))
+        return (-1) ** self.rows * char_poly(self).coeffs[-1]
 
 
 def _scaled_to_int(values):
@@ -667,7 +636,7 @@ class Subspace:
 
     def _annihilator(self):
         """Integer rows spanning {z : z @ basis = 0}, not canonical."""
-        return _kernel_vectors(self._rows, self.ambient_dim)
+        return _kernel_of_reduced(self.dim, self._pivots, self._rows, self.ambient_dim)
 
     def _same_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -687,7 +656,11 @@ def _kernel_vectors(rows, n):
     entries -l * row[f] / pivot, with l the least common multiple of the
     pivots involved, which keeps the vector integral.
     """
-    rank, pivots, red = _k.rre_int(rows, n)
+    return _kernel_of_reduced(*_k.rre_int(rows, n), n)
+
+
+def _kernel_of_reduced(rank, pivots, red, n):
+    """``_kernel_vectors`` read off rows already in ``rre_int``'s form."""
     pivot_set = set(pivots)
     out = []
     for f in range(n):

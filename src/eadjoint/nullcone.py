@@ -668,40 +668,33 @@ def regular_nilpotent(n) -> RationalMatrix:
 def generic_orbit_witness(n, p, q, k, seed=0):
     """A U_k point with principal adjoint part realizing the largest orbit.
 
-    For k >= n - k this is the pinned family of ``pinned_row_witness``.  For
-    k < n - k it is the transpose dual (J C^T, B^T J, J A^T J), J the
-    coordinate reversal, of that family at n - k with p and q swapped: the
-    dual carries U_{n-k} onto U_k, fixes the Jordan block and pins the
-    first row of the supported C block, and X -> -J X^T J carries one
-    stabilizer onto the other.  Either way the centralizer has dimension
-    min(k, n - k), so the returned orbit dimension is n^2 - min(k, n - k).
+    The point is the pinned family of ``pinned_row_witness``, whose
+    centralizer has dimension min(k, n - k), so the returned orbit dimension
+    is n^2 - min(k, n - k).
     """
-    if not (0 <= k <= n):
-        raise ValueError("k must lie in [0, n]")
     from .orbits import stabilizer
 
-    if k >= n - k:
-        w = pinned_row_witness(n, p, q, k, seed)
-    else:
-        d = pinned_row_witness(n, q, p, n - k, seed)
-        j = RationalMatrix.from_rows(RationalMatrix.identity(n).to_rows()[::-1])
-        w = Point(j @ d.C.T, d.B.T @ j, (j @ d.A.T @ j,))
+    w = pinned_row_witness(n, p, q, k, seed)
     return w, stabilizer(w).orbit_dim
 
 
 def pinned_row_witness(n, p, q, k, seed=0) -> Point:
-    """The k >= n - k 'pinned column' family with generic remaining entries.
+    """The 'pinned' U_k family with generic remaining entries, k in 0..n.
 
-    B's first column is the k-th elementary vector, B's other supported
-    entries and the supported C block are generic; the adjoint part is the
-    regular nilpotent Jordan block.  Its centralizer dimension is exactly
-    n - k, independent of the generic choices.
+    The adjoint part A is the regular nilpotent Jordan block, B's first
+    column is the k-th elementary vector (k >= 1) and C's first row has a 1
+    in column k (k < n); B's other supported entries and the rest of the
+    supported C block are generic.  A's invariant subspaces are exactly the
+    coordinate flags V_j, so the pins make S = K = V_k for every draw and
+    the stabilizer Hom_A(V/S, K) is Hom(Q[t]/t^(n-k), Q[t]/t^k), of
+    dimension min(k, n - k) independent of the generic choices.
     """
-    if not (1 <= k <= n and k >= n - k):
-        raise ValueError("the pinned family needs n - k <= k <= n")
+    if not (0 <= k <= n):
+        raise ValueError("k must lie in [0, n]")
     rng = as_rng(seed)
     b = [[0] * p for _ in range(n)]
-    b[k - 1][0] = 1
+    if k >= 1:
+        b[k - 1][0] = 1
     for i in range(k):
         for j in range(1, p):
             b[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
@@ -709,6 +702,8 @@ def pinned_row_witness(n, p, q, k, seed=0) -> Point:
     for i in range(q):
         for j in range(k, n):
             c[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
+    if k < n:
+        c[0][k] = 1
     return Point(
         RationalMatrix.from_rows(b),
         RationalMatrix.from_rows(c),

@@ -557,7 +557,3 @@ def run_suite(name, seed=0, trials=None, jobs=1) -> VerifyReport:
     wall = time.perf_counter() - start
     failures = tuple(o for o in outcomes if not o.ok)
     return VerifyReport(name, len(outcomes), len(outcomes) - len(failures), failures, wall)
-
-
-def run_suites(names, seed=0, trials=None, jobs=1):
-    return [run_suite(n, seed=seed, trials=trials, jobs=jobs) for n in names]

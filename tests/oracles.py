@@ -59,7 +59,7 @@ def polynomial_derivative(p: PolynomialCoeffs) -> tuple:
 
 def sylvester_resultant(f: tuple, g: tuple):
     """Resultant of two polynomials given by coefficient tuples (top down),
-    as the Bareiss determinant of their Sylvester matrix."""
+    as the determinant of their Sylvester matrix."""
     df = len(f) - 1
     dg = len(g) - 1
     if df < 0 or dg < 0:

@@ -3,7 +3,7 @@
 ``mat_mul`` is compared with a product summed entry by entry, ``rank_int``
 and ``rre_int`` with Gauss-Jordan elimination in Fractions, on random
 matrices of the shapes elimination treats differently: tall, wide, zero,
-with repeated rows, and with entries up to 2^40.
+empty, of low rank, with repeated rows, and with entries up to 2^40.
 """
 
 import random
@@ -38,6 +38,15 @@ def int_matrices(seed, count=30):
                            for _ in range(rng.randint(1, 3))]
         rng.shuffle(repeated)
         out.append((repeated, n))  # duplicate rows and their multiples
+        if rng.random() < 0.5:
+            out.append(([], rng.randint(0, 5)))  # no rows
+        else:
+            out.append(([[] for _ in range(rng.randint(1, 5))], 0))  # no columns
+        m, n = rng.randint(2, 8), rng.randint(2, 8)
+        base = [[random_entry(rng, 40) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        out.append(([[sum(rng.randint(-3, 3) * b[j] for b in base) for j in range(n)]
+                     for _ in range(m)], n))  # rank at most 3
     return out
 
 

@@ -153,9 +153,13 @@ class TestMatrixBasics:
         assert RationalMatrix.identity(4).det() == 1
         assert RM([[1, 2], [2, 4]]).det() == 0
         assert RM([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]).det() == Fraction(1, 6)
+        assert RationalMatrix.zeros(0, 0).det() == 1
+        with pytest.raises(ShapeError):
+            RationalMatrix.zeros(2, 3).det()
 
     def test_det_matches_cofactor_expansion(self):
-        # independent cofactor-expansion check on random 3x3 matrices
+        # independent cofactor-expansion check on random 3x3 integer
+        # matrices and one random 4x4 matrix of Fractions
         rng = random.Random(11)
 
         def cof(m):
@@ -176,6 +180,9 @@ class TestMatrixBasics:
         for _ in range(25):
             m = random_matrix(rng, 3, 3, 6)
             assert m.det() == cof(m)
+        m = RM([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)]
+                for _ in range(4)])
+        assert m.det() == cof(m)
 
     def test_serialization_roundtrip(self):
         m = RM([[Fraction(-3, 7), 5], [0, Fraction(1, 2)]])

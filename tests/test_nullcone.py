@@ -696,42 +696,34 @@ class TestWitnesses:
                 assert in_null_cone(w)
                 assert k in component_interval(w)
 
-    def test_small_k_witness_is_the_dual_of_the_pinned_family(self):
-        # for k < n - k: a U_k point, A the Jordan block, row 0 of C equal
-        # to e_k, and every other supported entry drawn from the pinned
-        # family at n - k with p and q swapped
-        for n in range(2, 7):
-            for k in range(n):
-                if k >= n - k:
-                    continue
+    def test_witness_is_a_pinned_u_k_point(self):
+        # every k: a U_k point, A the Jordan block, B's first column e_(k-1)
+        # when k >= 1 and C's first row 1 in column k when k < n
+        for n in range(1, 7):
+            for k in range(n + 1):
                 for p, q in ((1, 1), (2, 3), (3, 2)):
                     for seed in range(3):
                         w, dim = generic_orbit_witness(n, p, q, k, seed)
                         assert point_in_unstable_subspace(w, k)
                         assert w.A == principal_nilpotent(n)
-                        assert w.C.row_list(0) == [int(j == k) for j in range(n)]
-                        d = pinned_row_witness(n, q, p, n - k, seed)
-                        assert w.B.entries == tuple(
-                            d.C.entry(j, n - 1 - i) for i in range(n) for j in range(p)
-                        )
-                        assert w.C.entries == tuple(
-                            d.B.entry(n - 1 - j, i) for i in range(q) for j in range(n)
-                        )
-                        assert dim == n * n - k
+                        if k >= 1:
+                            assert w.B.col_list(0) == [int(i == k - 1) for i in range(n)]
+                        if k < n:
+                            assert w.C.entry(0, k) == 1
+                        assert dim == n * n - min(k, n - k)
 
     def test_pinned_family_stab_dims(self):
         rng = random.Random(29)
         for n in range(1, 7):
-            for k in range(1, n + 1):
-                if k < n - k:
-                    continue
+            for k in range(n + 1):
                 p, q = rng.randint(1, 3), rng.randint(1, 3)
                 w = pinned_row_witness(n, p, q, k, seed=rng.randint(0, 10**6))
-                assert stabilizer(w).stab_dim == n - k
+                assert stabilizer(w).stab_dim == min(k, n - k)
 
-    def test_pinned_family_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            pinned_row_witness(5, 1, 1, 2)
+    def test_pinned_family_rejects_k_outside_0_to_n(self):
+        for k in (-1, 6):
+            with pytest.raises(ValueError):
+                pinned_row_witness(5, 1, 1, k)
 
 
 # ---------------------------------------------------------------------------
