@@ -1,25 +1,29 @@
 """Stabilizers, orbit dimensions and fiber reconstruction.
 
-The stabilizer of a point is computed as the exact kernel of the linear
-system X B = 0, C X = 0, [X, A] = 0 in the n^2-dimensional matrix space,
-or read off as zero at a controllable point; the orbit dimension is its
-codimension.  Over a regular semisimple spectrum the fiber of the quotient
-map is reconstructed from its invariant data by a Vandermonde solve
-followed by rank-one factorization.
+The stabilizer of a point is Hom_A(V/S, K): every X with X B = 0, C X = 0
+and [X, A] = 0 kills S, the A-span of im B, and maps into K, the largest
+A-invariant subspace of ker C (the Kalman subspaces).  It is computed as
+the exact kernel of [X, A] = 0 on X = P Y N, with P a basis of K and N the
+rows annihilating S, or read off as zero when S = V or K = 0; the orbit
+dimension is its codimension.  Over a regular semisimple spectrum the
+fiber of the quotient map is reconstructed from its invariant data by a
+Vandermonde solve followed by rank-one factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
+from . import _kernels as _k
 from .errors import FiberConditionError, ShapeError
 from .invariants import (
     Point,
-    _controllable,
+    _controllability,
     _integer_rescaled_point,
-    action_equations,
-    check_action_equations,
+    _observability,
     check_sizes,
 )
 from .linalg import (
@@ -28,6 +32,7 @@ from .linalg import (
     _canon,
     _kernel_vectors,
     _span,
+    rank_mod_prime,
     rational_from_str,
     vandermonde_solve,
 )
@@ -52,37 +57,119 @@ class StabilizerReport:
 def stabilizer(w: Point) -> StabilizerReport:
     """Solve {X : XB = 0, CX = 0, XA = AX} exactly; report dimensions.
 
-    The system is ``action_equations`` of the cleared point
-    (l_B B, l_C C, l_A A) from ``_integer_rescaled_point``: XB = 0, CX = 0
-    and [X, A] = 0 hold exactly when they hold with B, C, A scaled by
-    nonzero constants, so the kernel and its canonical basis are those of
-    w.  The group stabilizer has the same dimension as this Lie algebra
-    centralizer, so orbit_dim = n^2 - stab_dim.
+    Everything runs on the cleared point (l_B B, l_C C, l_A A) from
+    ``_integer_rescaled_point``: XB = 0, CX = 0 and [X, A] = 0 hold exactly
+    when they hold with B, C, A scaled by nonzero constants, so the kernel
+    and its canonical basis are those of w.  The group stabilizer has the
+    same dimension as this Lie algebra centralizer, so
+    orbit_dim = n^2 - stab_dim.
 
-    At a controllable point, rank [B, AB, ..., A^{n-1}B] = n, the kernel
-    is zero without solving the system: XB = 0 and XA = AX give
-    X A^k B = A^k X B = 0 for every k, so X kills a spanning set and X = 0.
-    Otherwise the system is built and its kernel solved exactly.  Two
-    checks guard that answer, both on the cleared point:
-    ``check_action_equations`` on the rows before they are solved, and the
-    re-substitution of every kernel basis element into the defining
-    equations by matrix products.
+    XB = 0 and XA = AX give X A^k B = A^k X B = 0, so X kills S, the
+    column space of ctrl = [B, AB, ..., A^{n-1}B]; CX = 0 gives
+    C A^k X = 0, so im X lies in K = ker [C; CA; ...; CA^{n-1}].  Hence
+    X = P Y N = sum_ab y_ab p_a n_b^T, where the columns p_a of P are a
+    basis of K and the rows n_b of N span the left kernel of ctrl, and
+    XB = 0, CX = 0 hold for every Y: the stabilizer is Hom_A(V/S, K).  It
+    is zero when rank ctrl = n mod a prime (no exact elimination at all),
+    or when N or P is empty (S = V, K = 0).  Otherwise the dim K (n - dim S)
+    unknowns y_ab solve ``_hom_equations``, and each solution is mapped
+    back to vec(P Y N) and spanned canonically.
+
+    Three checks guard that answer: ``_check_hom_equations`` on the rows
+    before they are solved (a wrong coefficient could shrink the kernel
+    unseen), the rank of the mapped-back matrices against the number of
+    solutions, and the re-substitution of every kernel basis element (as
+    its primitive integer multiple) into the defining equations by matrix
+    products.
     """
     wi = _integer_rescaled_point(w)[0]
     n = w.n
-    if _controllable(wi):
-        return StabilizerReport(0, n * n, Subspace.zero(n * n))
-    rows = action_equations(wi)
-    check_action_equations(wi, rows)
-    ker = _span(n * n, _kernel_vectors(rows, n * n))  # rows are integral
-    b, c, a = wi.B, wi.C, wi.A
-    for col in range(ker.dim):
-        x = RationalMatrix(n, n, ker.basis.col_list(col))
-        if not (
-            (x @ b).is_zero() and (c @ x).is_zero() and (x @ a - a @ x).is_zero()
+    zero = StabilizerReport(0, n * n, Subspace.zero(n * n))
+    ctrl = _controllability(wi.A, wi.B)
+    if rank_mod_prime(ctrl.to_rows(), ctrl.cols) == n:
+        return zero
+    ns = _kernel_vectors(ctrl.transpose().to_rows(), n)
+    if not ns:
+        return zero
+    ps = _kernel_vectors(_observability(wi.A, wi.C).to_rows(), n)
+    if not ps:
+        return zero
+    rows = _hom_equations(wi.A, ps, ns)
+    _check_hom_equations(wi.A, ps, ns, rows)
+    ys = _kernel_vectors(rows, len(ps) * len(ns))
+    ker = _span(n * n, [_hom_matrix(ps, ns, y) for y in ys])
+    if ker.dim != len(ys):
+        raise AssertionError("stabilizer solutions lost rank when mapped back")
+    a, b, c = wi.A.entries, wi.B.entries, wi.C.entries
+    for x in ker._rows:
+        if (
+            any(_k.mat_mul(x, n, n, b, w.p))
+            or any(_k.mat_mul(c, w.q, n, x, n))
+            or _k.mat_mul(x, n, n, a, n) != _k.mat_mul(a, n, n, x, n)
         ):
             raise AssertionError("stabilizer kernel failed re-substitution")
     return StabilizerReport(ker.dim, n * n - ker.dim, ker)
+
+
+def _hom_equations(a: RationalMatrix, ps, ns):
+    """Rows of [X, A] = 0 in the unknowns y_ab of X = sum_ab y_ab p_a n_b^T.
+
+    Only the entries (i, j) of X A - A X with i in I, j in J are written,
+    I and J the free columns of ``_free_entries``: there P[I, :] and
+    N[:, J] are diagonal and invertible, and X A - A X = P Z N with
+    Z = Y Abar - A_K Y (AP = P A_K, NA = Abar N for the A-invariant K and
+    S), so these dim K (n - dim S) equations hold exactly when all n^2 do.
+    Row (i, j) lists, in column a*len(ns) + b, the coefficient of y_ab,
+    p_a[i] (n_b A)[j] - (A p_a)[i] n_b[j].
+    """
+    n, ae = a.rows, a.entries
+    aps = [_k.mat_mul(ae, n, n, p, 1) for p in ps]
+    nas = [_k.mat_mul(v, 1, n, ae, n) for v in ns]
+    free_j = _free_entries(ns)
+    return [
+        [p[i] * na[j] - ap[i] * v[j] for p, ap in zip(ps, aps) for v, na in zip(ns, nas)]
+        for i in _free_entries(ps)
+        for j in free_j
+    ]
+
+
+def _free_entries(vs):
+    """The last nonzero index of each ``_kernel_vectors`` output: its free
+    column, where every other vector of the list is zero."""
+    return [max(i for i, x in enumerate(v) if x) for v in vs]
+
+
+def _hom_matrix(ps, ns, y):
+    """vec(P Y N), row-major, for the row-major len(ps) x len(ns) matrix y."""
+    n, kappa, m = len(ns[0]), len(ps), len(ns)
+    pm = [p[i] for i in range(n) for p in ps]
+    nm = [x for v in ns for x in v]
+    return _k.mat_mul(_k.mat_mul(pm, n, kappa, y, m), n, m, nm, n)
+
+
+def _check_hom_equations(a: RationalMatrix, ps, ns, rows) -> None:
+    """Raise ``AssertionError`` unless ``rows`` are ``_hom_equations``.
+
+    The rows evaluated at the fixed Y with y_j = 7^(j + 1) must equal the
+    entries (i, j), i and j free columns, of X A - A X for X = P Y N,
+    computed by matrix products.  Any single wrong coefficient changes
+    that value, so this also catches a fault that only shrinks the kernel,
+    which re-substituting the kernel cannot see.  Each row is evaluated
+    over its nonzero entries only.
+    """
+    n, ae = a.rows, a.entries
+    ys = [7 ** (j + 1) for j in range(len(ps) * len(ns))]
+    x = _hom_matrix(ps, ns, ys)
+    xa, ax = _k.mat_mul(x, n, n, ae, n), _k.mat_mul(ae, n, n, x, n)
+    free_j = _free_entries(ns)
+    expected = tuple(
+        xa[i * n + j] - ax[i * n + j] for i in _free_entries(ps) for j in free_j
+    )
+    values = tuple(
+        sum(map(mul, compress(row, row), compress(ys, row))) for row in rows
+    )
+    if values != expected:
+        raise AssertionError("reduced equations failed re-substitution at the fixed Y")
 
 
 # ---------------------------------------------------------------------------

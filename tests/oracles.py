@@ -228,6 +228,20 @@ def sign_flipped_action_equations(w: Point):
     raise AssertionError("no adjoint-block row with two entries")
 
 
+def sign_flipped_hom_equations(a: RationalMatrix, ps, ns):
+    """``orbits._hom_equations`` with the sign of its A p_a term flipped:
+    all n^2 rows of X A + A X = 0 in the unknowns y_ab of
+    X = sum_ab y_ab p_a n_b^T, by Fraction products.  For A the regular
+    nilpotent block its kernel holds matrices that do not commute with A."""
+    n = a.rows
+    cols = []
+    for p in ps:
+        for v in ns:
+            x = RationalMatrix(n, 1, p) @ RationalMatrix(1, n, v)
+            cols.append((x @ a + a @ x).entries)
+    return [[col[r] for col in cols] for r in range(n * n)]
+
+
 def exact_jacobian_rank(w: Point) -> int:
     """The Jacobian rank by one exact elimination (``rank_int``) of
     ``jacobian_matrix``, with no certificate."""

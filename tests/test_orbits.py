@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eadjoint import orbits
+from eadjoint import _kernels, orbits
 from eadjoint.errors import DegenerateSpectrumError, FiberConditionError, ShapeError
 from eadjoint.invariants import (
     Point,
@@ -28,7 +28,7 @@ from eadjoint.sampling import (
 )
 from oracles import (
     resultant_discriminant_is_nonzero,
-    sign_flipped_action_equations,
+    sign_flipped_hom_equations,
     sylvester_resultant,
     zero_point,
 )
@@ -107,47 +107,99 @@ class TestStabilizer:
         assert len(dims) > 2
 
 
+def block_sum(u, v):
+    """u + v on Q^(n_u + n_v): A = diag(A_u, A_v), B = [B_u; B_v],
+    C = [C_u, C_v]."""
+    nu, nv = u.n, v.n
+    a = [r + [0] * nv for r in u.A.to_rows()] + [[0] * nu + r for r in v.A.to_rows()]
+    return Point(
+        RM(u.B.to_rows() + v.B.to_rows()),
+        RM([ru + rv for ru, rv in zip(u.C.to_rows(), v.C.to_rows())]),
+        (RM(a),),
+    )
+
+
 class TestKalmanCertificate:
-    def test_equals_the_exact_kernel_on_both_sides(self):
-        # controllable points take the certificate, the others the exact
-        # solve; both must give the canonical kernel of the full system
-        from eadjoint.invariants import _controllable, _integer_rescaled_point
-        from eadjoint.nullcone import pinned_row_witness, random_unstable_point
+    def test_equals_the_exact_kernel_on_both_sides(self, monkeypatch):
+        # controllable and observable points take a shortcut, the others
+        # the reduced solve on Hom_A(V/S, K); all must give the canonical
+        # kernel of the full system
+        from eadjoint.invariants import (
+            _controllability,
+            _controllable,
+            _integer_rescaled_point,
+            _observability,
+        )
+        from eadjoint.nullcone import (
+            pinned_row_witness,
+            random_unstable_point,
+            sample_component,
+        )
 
         rng = random.Random(44)
         points = []
-        for i in range(60):
+        for i in range(100):
             n, p, q = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
             w = Point(random_matrix(rng, n, p), random_matrix(rng, q, n),
                       (random_matrix(rng, n, n),))
-            if i % 4 == 1:
+            if i % 5 == 1:
                 w = Point(RationalMatrix.zeros(n, p), w.C, w.A_list)
-            elif i % 4 == 2:
+            elif i % 5 == 2:
                 w = random_unstable_point(rng, n, p, q, rng.randint(0, n))
-            elif i % 4 == 3 and n > 1:
-                w = pinned_row_witness(n, p, q, rng.randint((n + 1) // 2, n), seed=i)
-            g = random_invertible(rng, n).scale(Fraction(1, rng.randint(2, 9)))
+            elif i % 5 == 3 and n > 1:
+                w = pinned_row_witness(n, p, q, rng.randint(0, n), seed=i)
+            elif i % 5 == 4:
+                # B vanishes on the second block, so 0 < dim S < n; C on
+                # either block may vanish too, so K is anywhere in 0..n
+                nv = rng.randint(1, 3)
+                v = Point(RationalMatrix.zeros(nv, p), random_matrix(rng, q, nv),
+                          (random_matrix(rng, nv, nv),))
+                if rng.random() < 0.5:
+                    v = Point(v.B, RationalMatrix.zeros(q, nv), v.A_list)
+                if rng.random() < 0.25:
+                    w = Point(w.B, RationalMatrix.zeros(q, n), w.A_list)
+                w = block_sum(w, v)
+            g = random_invertible(rng, w.n).scale(Fraction(1, rng.randint(2, 9)))
             points += [w, group_action(g, w)]
-        sides = [0, 0]
+        # C_k points at n = 8 and 10 against the full (n^2 + 2n + 2n) x n^2 system
+        points += [sample_component(n, 2, 2, k, seed=n) for n, k in ((8, 3), (10, 5))]
+        built = []
+        hom_equations = orbits._hom_equations
+        monkeypatch.setattr(orbits, "_hom_equations",
+                            lambda *args: built.append(1) or hom_equations(*args))
+        paths = {"controllable": 0, "observable": 0, "reduced": 0, "proper": 0}
         for w in points:
-            controllable = _controllable(_integer_rescaled_point(w)[0])
+            wi = _integer_rescaled_point(w)[0]
+            s = _controllability(wi.A, wi.B).rank()
+            kappa = w.n - _observability(wi.A, wi.C).rank()
+            path = ("controllable" if _controllable(wi)
+                    else "observable" if kappa == 0 else "reduced")
+            del built[:]
             rep = stabilizer(w)
+            assert len(built) == (path == "reduced")
             exact = kernel_subspace(RM(action_equations(w)))
-            assert rep.kernel_basis == exact and rep.stab_dim == exact.dim
+            assert rep.kernel_basis.basis == exact.basis and rep.stab_dim == exact.dim
             assert rep.stab_dim + rep.orbit_dim == w.n ** 2
-            if controllable:
+            if path != "reduced":
                 assert exact.dim == 0
-            sides[controllable] += 1
-        assert min(sides) >= 30
+            paths[path] += 1
+            paths["proper"] += path == "reduced" and 0 < s and kappa < w.n
+        minimum = {"controllable": 50, "observable": 50, "reduced": 30, "proper": 25}
+        assert all(paths[path] >= minimum[path] for path in paths), paths
 
     def test_controllable_points_build_no_system(self, monkeypatch):
-        def built(w):
+        def built(*args):
             raise AssertionError("system built")
 
-        monkeypatch.setattr(orbits, "action_equations", built)
-        w = Point(RM([[2], [3]]), RM([[5, 7]]), (RationalMatrix.diagonal([1, 2]),))
-        assert stabilizer(w).stab_dim == 0
-        with pytest.raises(AssertionError, match="system built"):  # the exact path
+        monkeypatch.setattr(orbits, "_hom_equations", built)
+        a = (RationalMatrix.diagonal([1, 2]),)
+        controllable = Point(RM([[2], [3]]), RM([[0, 0]]), a)
+        observable = Point(RM([[0], [0]]), RM([[5, 7]]), a)
+        assert stabilizer(observable).stab_dim == 0
+        with monkeypatch.context() as m:  # the mod-p rank decides, no elimination
+            m.setattr(_kernels, "rre_int", built)
+            assert stabilizer(controllable).stab_dim == 0
+        with pytest.raises(AssertionError, match="system built"):  # the reduced path
             stabilizer(zero_point(2, 1, 1))
 
     def test_pinned_family_is_not_controllable(self):
@@ -226,37 +278,53 @@ class TestActionEquations:
                 ]
 
     def test_sign_flip_in_the_adjoint_block_is_caught(self, monkeypatch):
-        # the kernel of the flipped system holds matrices that do not
-        # commute with A, and the re-substitution checks must raise
-        monkeypatch.setattr(orbits, "action_equations", sign_flipped_action_equations)
-        for n in (2, 3, 4):
-            w = Point(RationalMatrix.zeros(n, 1), RationalMatrix.zeros(1, n),
-                      (principal_nilpotent(n),))
+        # the kernel of X A + A X = 0 holds matrices that do not commute
+        # with A: the fixed-Y check raises first, and without it the
+        # re-substitution of the kernel basis must raise
+        monkeypatch.setattr(orbits, "_hom_equations", sign_flipped_hom_equations)
+        points = [
+            Point(RationalMatrix.zeros(n, 1), RationalMatrix.zeros(1, n),
+                  (principal_nilpotent(n),))
+            for n in (2, 3, 4)
+        ]
+        for w in points:
             with pytest.raises(AssertionError, match="re-substitution"):
+                stabilizer(w)
+        monkeypatch.setattr(orbits, "_check_hom_equations", lambda *args: None)
+        for w in points:
+            with pytest.raises(AssertionError, match="kernel failed re-substitution"):
                 stabilizer(w)
 
     def test_fault_that_shrinks_the_kernel_is_caught(self, monkeypatch):
-        # a spurious X_00 in the first (all-zero) B-block row adds the
-        # equation X_00 = 0: the kernel shrinks inside the true stabilizer,
-        # so every kernel element still re-substitutes cleanly and only the
-        # fixed-X evaluation of the rows can see the fault
-        def extra_equation(w):
-            rows = action_equations(w)
-            rows[0][0] += 1
+        # B = C = 0 and A the regular nilpotent block: P and N are the unit
+        # vectors, so y = vec(X), and one row of [X, A] = 0 is empty.  A
+        # spurious y_00 there adds the equation X_00 = 0: the kernel shrinks
+        # inside the true stabilizer, so every kernel element still
+        # re-substitutes cleanly and only the fixed-Y evaluation of the rows
+        # can see the fault
+        hom_equations = orbits._hom_equations
+        seen = []
+
+        def extra_equation(a, ps, ns):
+            seen.append((ps, ns))
+            rows = hom_equations(a, ps, ns)
+            next(row for row in rows if not any(row))[0] += 1
             return rows
 
         points = []
         for n in (2, 3, 4):
             w = Point(RationalMatrix.zeros(n, 1), RationalMatrix.zeros(1, n),
                       (principal_nilpotent(n),))
+            units = [[int(i == j) for j in range(n)] for i in range(n)]
             true = stabilizer(w).kernel_basis
-            shrunk = kernel_subspace(RM(extra_equation(w)))
+            shrunk = kernel_subspace(RM(extra_equation(w.A, units, units)))
             assert shrunk.dim == true.dim - 1 and true.contains(shrunk)
-            points.append(w)
-        monkeypatch.setattr(orbits, "action_equations", extra_equation)
-        for w in points:
-            with pytest.raises(AssertionError, match="fixed X"):
+            points.append((w, units))
+        monkeypatch.setattr(orbits, "_hom_equations", extra_equation)
+        for w, units in points:
+            with pytest.raises(AssertionError, match="fixed Y"):
                 stabilizer(w)
+            assert seen[-1] == (units, units)
 
 
 class TestRegularSemisimple:
