@@ -448,6 +448,8 @@ def _certificate_defect(w: Point, cert: Certificate):
     n, k = w.n, cert.k
     if cert.g.shape != (n, n):
         raise ShapeError("group element has wrong size")
+    if len(cert.lam.lam) != n:
+        raise ShapeError("cocharacter length must be n")
     wi = _integer_rescaled_point(w)[0]
     if not 0 <= k <= n:
         return "k"
@@ -649,13 +651,14 @@ class NullconeSummary:
 
 
 def nullcone_summary(n, p, q) -> NullconeSummary:
-    """Closed-form component dimensions (n^2 - n) + pk + q(n - k) and the max.
+    """Closed-form component dimensions (n^2 - n) + pk + q(n - k), their
+    max and whether they are all equal.
 
     n, p and q outside 1..``MAX_SIZE`` are an ``OutOfRangeError``.
     """
     check_sizes(n, p, q)
     dims = tuple((n * n - n) + p * k + q * (n - k) for k in range(n + 1))
-    return NullconeSummary(dims, max(dims), p == q)
+    return NullconeSummary(dims, max(dims), len(set(dims)) == 1)
 
 
 def regular_nilpotent(n) -> RationalMatrix:
@@ -663,19 +666,6 @@ def regular_nilpotent(n) -> RationalMatrix:
     return RationalMatrix(
         n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)]
     )
-
-
-def generic_orbit_witness(n, p, q, k, seed=0):
-    """A U_k point with principal adjoint part realizing the largest orbit.
-
-    The point is the pinned family of ``pinned_row_witness``, whose
-    centralizer has dimension min(k, n - k), so the returned orbit dimension
-    is n^2 - min(k, n - k).
-    """
-    from .orbits import stabilizer
-
-    w = pinned_row_witness(n, p, q, k, seed)
-    return w, stabilizer(w).orbit_dim
 
 
 def pinned_row_witness(n, p, q, k, seed=0) -> Point:

@@ -34,7 +34,6 @@ from eadjoint.nullcone import (
     component_interval,
     component_tangent_dim,
     enumerate_maximal_unstable,
-    generic_orbit_witness,
     in_null_cone,
     invariant_hull_of_image,
     largest_invariant_in_kernel,
@@ -677,13 +676,13 @@ class TestDimensions:
 class TestWitnesses:
     def test_extreme_k_full_orbit(self):
         for n in (2, 3, 4):
-            _, dim0 = generic_orbit_witness(n, 2, 2, 0, seed=1)
-            _, dimn = generic_orbit_witness(n, 2, 2, n, seed=1)
+            dim0 = stabilizer(pinned_row_witness(n, 2, 2, 0, seed=1)).orbit_dim
+            dimn = stabilizer(pinned_row_witness(n, 2, 2, n, seed=1)).orbit_dim
             assert dim0 == n * n
             assert dimn == n * n
 
     def test_n4_k2(self):
-        _, dim = generic_orbit_witness(4, 2, 2, 2, seed=2)
+        dim = stabilizer(pinned_row_witness(4, 2, 2, 2, seed=2)).orbit_dim
         assert dim == 16 - 2
 
     def test_formula_all_k(self):
@@ -691,8 +690,8 @@ class TestWitnesses:
         for n in range(1, 6):
             for k in range(n + 1):
                 p, q = rng.randint(1, 3), rng.randint(1, 3)
-                w, dim = generic_orbit_witness(n, p, q, k, seed=rng.randint(0, 10**6))
-                assert dim == n * n - min(k, n - k)
+                w = pinned_row_witness(n, p, q, k, seed=rng.randint(0, 10**6))
+                assert stabilizer(w).orbit_dim == n * n - min(k, n - k)
                 assert in_null_cone(w)
                 assert k in component_interval(w)
 
@@ -703,14 +702,14 @@ class TestWitnesses:
             for k in range(n + 1):
                 for p, q in ((1, 1), (2, 3), (3, 2)):
                     for seed in range(3):
-                        w, dim = generic_orbit_witness(n, p, q, k, seed)
+                        w = pinned_row_witness(n, p, q, k, seed)
                         assert point_in_unstable_subspace(w, k)
                         assert w.A == principal_nilpotent(n)
                         if k >= 1:
                             assert w.B.col_list(0) == [int(i == k - 1) for i in range(n)]
                         if k < n:
                             assert w.C.entry(0, k) == 1
-                        assert dim == n * n - min(k, n - k)
+                        assert stabilizer(w).orbit_dim == n * n - min(k, n - k)
 
     def test_pinned_family_stab_dims(self):
         # Hom_A(V/S, K) = Hom(Q[t]/t^(n-k), Q[t]/t^k) has dimension min(k, n - k)
@@ -974,3 +973,9 @@ class TestInverseFreeCheck:
         w = zero_point(2, 1, 1)
         with pytest.raises(ShapeError):
             check_certificate(w, Certificate(1, RationalMatrix.identity(3), OnePSG((1, -1))))
+        # a valid certificate with extra cocharacter entries is malformed
+        w = sample_component(3, 2, 2, 1, 5)
+        cert = adapted_certificate(w, 1)
+        assert check_certificate(w, cert)
+        with pytest.raises(ShapeError, match="cocharacter length"):
+            check_certificate(w, Certificate(1, cert.g, OnePSG(cert.lam.lam + (-99,))))

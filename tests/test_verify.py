@@ -32,6 +32,9 @@ class TestSuiteRegistry:
         assert len(suite_cells("certificates")) == 126
         assert len(suite_cells("sl-relation")) == 4
         assert len(suite_cells("reconstruction")) == 117
+        assert len(suite_cells("stabilizer")) == 243
+        assert len(suite_cells("nullcone")) == 171
+        assert len(suite_cells("psi")) == 11
 
 
 class TestDeterminism:
@@ -172,6 +175,28 @@ class TestJacobianCells:
             assert detail == (
                 f"rank {n * (p + q) + 1} exceeds the quotient dimension {n * (p + q)}"
             )
+
+
+class TestStabilizerCells:
+    def test_one_more_centralizer_dimension_fails_every_cell(self, monkeypatch):
+        # each cell checks orbit_dim = n^2 - min(k, n - k); for k >= n - k
+        # that is the centralizer dimension n - k
+        real = verify.stabilizer
+
+        def inflated(w):
+            rep = real(w)
+            return dataclasses.replace(
+                rep, stab_dim=rep.stab_dim + 1, orbit_dim=rep.orbit_dim - 1
+            )
+
+        monkeypatch.setattr(verify, "stabilizer", inflated)
+        for i, (runner, label, params) in enumerate(suite_cells("stabilizer", trials=1)):
+            assert runner == "stabilizer-witness"
+            outcome = verify._run_task((runner, label, i, params))
+            n, k = params["n"], params["k"]
+            expected = n * n - min(k, n - k)
+            assert not outcome.ok
+            assert outcome.detail == f"orbit dimension {expected - 1}, expected {expected}"
 
 
 class TestPsiDemoCells:
