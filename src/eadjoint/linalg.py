@@ -606,7 +606,7 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(n)
         # the intersection is the common kernel of both annihilators
-        return _span(n, _kernel_vectors(self._annihilator() + other._annihilator(), n))
+        return _kernel_span(self._annihilator() + other._annihilator(), n)
 
     def image_under(self, a: RationalMatrix) -> "Subspace":
         if a.cols != self.ambient_dim:
@@ -631,8 +631,7 @@ class Subspace:
             [x for row in ann for x in row], len(ann), self.ambient_dim,
             integer_rescaled(a)[1].entries, c,
         )
-        rows = [prod[i * c : (i + 1) * c] for i in range(len(ann))]
-        return _span(c, _kernel_vectors(rows, c))
+        return _kernel_span([prod[i * c : (i + 1) * c] for i in range(len(ann))], c)
 
     def _annihilator(self):
         """Integer rows spanning {z : z @ basis = 0}, not canonical."""
@@ -657,6 +656,26 @@ def _kernel_vectors(rows, n):
     pivots involved, which keeps the vector integral.
     """
     return _kernel_of_reduced(*_k.rre_int(rows, n), n)
+
+
+def _kernel_span(rows, n) -> Subspace:
+    """The subspace {x in Q^n : row . x = 0 for every row}, from one
+    elimination.
+
+    Eliminated with its columns reversed, each ``_kernel_of_reduced`` vector
+    has its last nonzero entry, a positive one, at its own free column and
+    zeros at the other free columns.  Read forwards, those vectors are
+    reduced echelon rows with the free columns as pivots, so made primitive
+    and put in pivot order they are the stored rows of the kernel.
+    """
+    rank, pivots, red = _k.rre_int([row[::-1] for row in rows], n)
+    out = []
+    for v in reversed(_kernel_of_reduced(rank, pivots, red, n)):
+        g = gcd(*v)
+        out.append(tuple(x // g for x in reversed(v)))
+    pivot_set = set(pivots)
+    free = tuple(n - 1 - f for f in range(n - 1, -1, -1) if f not in pivot_set)
+    return Subspace(n, tuple(out), free)
 
 
 def _kernel_of_reduced(rank, pivots, red, n):
@@ -687,7 +706,7 @@ def column_space(m: RationalMatrix) -> Subspace:
 
 def kernel_subspace(m: RationalMatrix) -> Subspace:
     """Null space {x : m @ x = 0} with canonical basis."""
-    return _span(m.cols, _kernel_vectors(m._int_rows(), m.cols))
+    return _kernel_span(m._int_rows(), m.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,9 @@ from .invariants import (
 from .linalg import (
     RationalMatrix,
     Subspace,
+    _divided,
+    _integer_inverse,
+    _kernel_span,
     column_space,
     kernel_subspace,
 )
@@ -328,14 +331,14 @@ def _null_controllability(wi: Point) -> RationalMatrix | None:
     and C A^k B = 0 for k < n, so the point is null exactly when
     A^(2^m) = 0 for the least 2^m >= n and C ctrl = 0.
     """
-    a, n = wi.A, wi.n
-    power, reach = a, 1
+    n = wi.n
+    power, reach = wi.A.entries, 1
     while reach < n:
-        power, reach = power @ power, 2 * reach
-    if not power.is_zero():
+        power, reach = _k.mat_mul(power, n, n, power, n), 2 * reach
+    if any(power):
         return None
-    ctrl = _controllability(a, wi.B)
-    if not (wi.C @ ctrl).is_zero():
+    ctrl = _controllability(wi.A, wi.B)
+    if any(_k.mat_mul(wi.C.entries, wi.q, n, ctrl.entries, ctrl.cols)):
         return None
     return ctrl
 
@@ -428,8 +431,9 @@ def standard_destabilizer(n, k) -> OnePSG:
     return OnePSG(tuple(range(k, 0, -1)) + tuple(range(-1, k - n - 1, -1)))
 
 
-def _certificate_defect(w: Point, cert: Certificate):
-    """None for a valid certificate, else the first condition it fails.
+def _certificate_defect(wi: Point, cert: Certificate):
+    """None for a valid certificate of the point cleared to ``wi`` by
+    ``_integer_rescaled_point``, else the first condition it fails.
 
     With g_i the rows of g, the moved point g.w = (gB, C g^-1, g A g^-1)
     lies in U_k exactly when
@@ -445,19 +449,18 @@ def _certificate_defect(w: Point, cert: Certificate):
     means some weight of U_k pairs non-positively with the cocharacter, "k"
     that k lies outside 0..n.
     """
-    n, k = w.n, cert.k
+    n, k = wi.n, cert.k
     if cert.g.shape != (n, n):
         raise ShapeError("group element has wrong size")
     if len(cert.lam.lam) != n:
         raise ShapeError("cocharacter length must be n")
-    wi = _integer_rescaled_point(w)[0]
     if not 0 <= k <= n:
         return "k"
     g = cert.g._int_rows()
     if _k.rank_int(g, n) < n:
         return "rank g"
     tail = [x for row in g[k:] for x in row]
-    if any(_k.mat_mul(tail, n - k, n, wi.B.entries, w.p)):
+    if any(_k.mat_mul(tail, n - k, n, wi.B.entries, wi.p)):
         return "g B"
     if _k.rank_int(g[k:] + wi.C._int_rows(), n) != n - k:
         return "C g^-1"
@@ -472,7 +475,7 @@ def _certificate_defect(w: Point, cert: Certificate):
 
 def check_certificate(w: Point, cert: Certificate) -> bool:
     """Both certificate invariants, bit-exactly, from g alone (no inverse)."""
-    return _certificate_defect(w, cert) is None
+    return _certificate_defect(_integer_rescaled_point(w)[0], cert) is None
 
 
 def _first_new_basis_column(target: Subspace, current: Subspace):
@@ -484,7 +487,8 @@ def _first_new_basis_column(target: Subspace, current: Subspace):
 
 
 def _build_certificate(a: RationalMatrix, s: Subspace, big: Subspace, k: int) -> Certificate:
-    """Flag construction between the hull s and the core big; see below."""
+    """Flag construction between the hull s and the core big of the integer
+    matrix a; see below."""
     n = a.rows
     f = s
     while f.dim < k:
@@ -495,32 +499,38 @@ def _build_certificate(a: RationalMatrix, s: Subspace, big: Subspace, k: int) ->
 
     # each layer is the preimage of the last under A; cut down to F (which
     # is A-invariant) it is ker(A^j) intersected with F below F, and above
-    # F it is A^-j F.  current lies in layer, and the layer's next flag
-    # vectors are its basis columns outside the span of current and the
-    # columns before them: the pivot columns past current of one
-    # elimination of [current | layer], with the vectors as columns
-    flag_vectors = []
+    # F it is A^-j F: one kernel, of [ann(current) A; ann(F)] below F and
+    # of ann(current) A above it.  current lies in layer, and basis column
+    # j of layer is outside the span of current and the columns before it
+    # exactly when no vector of current, in layer's basis coordinates (its
+    # entries at layer's pivots), has its last nonzero coordinate at j
+    ann_f = f._annihilator()
+    flag = []
     current = Subspace.zero(n)
     while current.dim < n:
-        layer = current.preimage_under(a)
-        if current.dim < k:
-            layer = layer.intersect(f)
-        vectors = [*current._rows, *layer._rows]
-        _, pivots, _ = _k.rre_int(
-            [[v[i] for v in vectors] for i in range(n)], len(vectors)
-        )
-        flag_vectors += [layer.basis.col_list(j - current.dim)
-                         for j in pivots if j >= current.dim]
+        ann = current._annihilator()
+        prod = _k.mat_mul([x for row in ann for x in row], len(ann), n, a.entries, n)
+        rows = [prod[i * n : (i + 1) * n] for i in range(len(ann))]
+        layer = _kernel_span(rows + ann_f if current.dim < k else rows, n)
+        d, back = layer.dim, layer._pivots[::-1]
+        _, last, _ = _k.rre_int([[row[i] for i in back] for row in current._rows], d)
+        taken = {d - 1 - j for j in last}
+        flag += [row for j, row in enumerate(layer._rows) if j not in taken]
         current = layer
-    basis = RationalMatrix.from_rows(
-        [[flag_vectors[j][i] for j in range(n)] for i in range(n)]
+
+    # the flag basis matrix has column j flag[j] / D_j, D_j its pivot entry,
+    # so g, its inverse, is D Bint^-1 with Bint's columns the rows of flag
+    _, h, den = _integer_inverse(
+        RationalMatrix(n, n, [v[i] for i in range(n) for v in flag], validate=False)
     )
-    return Certificate(k, basis.inverse(), standard_destabilizer(n, k))
+    pivot_entries = [next(x for x in v if x) for v in flag]
+    g = _divided(n, n, [pivot_entries[i // n] * x for i, x in enumerate(h)], 1, den)
+    return Certificate(k, g, standard_destabilizer(n, k))
 
 
-def _null_point_subspaces(w: Point):
-    """(integer-rescaled A, S, K) of a null point; raises outside the cone."""
-    wi = _integer_rescaled_point(w)[0]
+def _null_point_subspaces(wi: Point):
+    """(A, S, K) of a null point cleared to ``wi`` by
+    ``_integer_rescaled_point``; raises outside the cone."""
     ctrl = _null_controllability(wi)
     if ctrl is None:
         raise NotInNullConeError("certificates exist only for null points")

@@ -14,8 +14,11 @@ from eadjoint.linalg import (
     RationalMatrix,
     Subspace,
     char_poly,
+    _kernel_span,
+    _kernel_vectors,
     _krylov,
     _krylov_left,
+    _span,
     column_space,
     kernel_subspace,
     rank_mod_prime,
@@ -432,6 +435,38 @@ class TestSubspaces:
         assert pre.contains_vector([0, 1, 0])
         assert pre.contains_vector([1, 0, 0])
         assert not pre.contains_vector([0, 0, 1])
+
+    def test_kernel_span_is_the_span_of_the_kernel_vectors(self):
+        # one elimination against two: eliminate, then eliminate the kernel
+        rng = random.Random(61)
+        shapes = {"empty": 0, "zero": 0, "n1": 0, "full": 0, "deficient": 0,
+                  "wide": 0, "tall": 0, "huge": 0}
+        for trial in range(6000):
+            n = rng.randint(1, 7)
+            m = rng.choice((0, rng.randint(1, n), rng.randint(n, n + 4)))
+            bound = rng.choice((1, 9, 2**100))
+            rows = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(n)]
+                    for _ in range(m)]
+            if trial % 5 == 0 and m > 1:
+                # rank deficient: a row combined from two others
+                c = rng.randint(-3, 3)
+                rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+            if trial % 17 == 0:
+                rows = [[0] * n for _ in range(m)]
+            got = _kernel_span(rows, n)
+            want = _span(n, _kernel_vectors(rows, n))
+            assert (got._rows, got._pivots) == (want._rows, want._pivots)
+            assert got.dim == want.dim
+            rank = n - got.dim
+            shapes["empty"] += m == 0
+            shapes["zero"] += m > 0 and rank == 0
+            shapes["n1"] += n == 1
+            shapes["full"] += m > 0 and rank == min(m, n)
+            shapes["deficient"] += rank < min(m, n)
+            shapes["wide"] += 0 < m < n
+            shapes["tall"] += m > n
+            shapes["huge"] += bound == 2**100 and rank > 0
+        assert min(shapes.values()) >= 100, shapes
 
     def test_annihilator(self):
         s = column_space(RM([[1, 0], [0, 1], [1, 1]]))

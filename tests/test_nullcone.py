@@ -12,7 +12,12 @@ from eadjoint.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from eadjoint.invariants import Point, evaluate_invariants, group_action
+from eadjoint.invariants import (
+    Point,
+    _integer_rescaled_point,
+    evaluate_invariants,
+    group_action,
+)
 from eadjoint.linalg import (
     RationalMatrix,
     Subspace,
@@ -893,16 +898,36 @@ class TestKalmanSubspaces:
 
 
 class TestFlagConstruction:
-    def test_matches_kernel_powers_on_wide_intervals(self):
-        wide = 0
-        for w in sparse_null_points(53, 120):
-            a, hull, core = nullcone._null_point_subspaces(w)
+    @staticmethod
+    def matches_kernel_powers(points):
+        """Build every certificate of each point both ways; (certs, wide)."""
+        certs = wide = 0
+        for w in points:
+            a, hull, core = nullcone._null_point_subspaces(_integer_rescaled_point(w)[0])
             wide += core.dim > hull.dim
             for k in range(hull.dim, core.dim + 1):
                 expected = certificate_by_kernel_powers(a, hull, core, k)
                 assert nullcone._build_certificate(a, hull, core, k) == expected
                 assert check_certificate(w, expected)
-        assert wide >= 60
+                certs += 1
+        return certs, wide
+
+    def test_matches_kernel_powers_on_wide_intervals(self):
+        assert self.matches_kernel_powers(sparse_null_points(53, 120))[1] >= 60
+
+    def test_matches_kernel_powers_on_sampled_and_moved_points(self):
+        # n <= 6, every k; the moved points give flag rows whose pivot
+        # entries are not 1, which a valid but rescaled g would miss
+        rng = random.Random(59)
+
+        def points():
+            for trial in range(120):
+                n = rng.randint(1, 6)
+                p, q, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, n)
+                w = sample_component(n, p, q, k, rng.randrange(2**32))
+                yield group_action(random_invertible(rng, n), w) if trial % 2 else w
+
+        assert self.matches_kernel_powers(points())[0] >= 120
 
 
 class TestInverseFreeCheck:
@@ -942,7 +967,7 @@ class TestInverseFreeCheck:
                 for bad in self.corrupted(rng, w, cert):
                     ok = check_certificate(w, bad)
                     assert ok == group_action_check(w, bad)
-                    reason = _certificate_defect(w, bad)
+                    reason = _certificate_defect(_integer_rescaled_point(w)[0], bad)
                     assert (reason is None) == ok
                     defects[reason] = defects.get(reason, 0) + 1
         assert valid >= 50

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eadjoint.linalg import RationalMatrix, Subspace, char_poly, kernel_subspace
+from eadjoint.linalg import (
+    RationalMatrix,
+    Subspace,
+    _kernel_span,
+    char_poly,
+    kernel_subspace,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -79,6 +85,10 @@ def test_span_and_kernel(case):
     assert kernel_subspace(m).basis == span_basis(to_sym(m).nullspace(), n)
     assert kernel_subspace(a.transpose()).basis == span_basis(
         to_sym(a).T.nullspace(), n
+    )
+    # the one-elimination kernel on raw integer rows, wide or tall
+    assert _kernel_span(a._int_rows(), a.cols).basis == span_basis(
+        to_sym(a).nullspace(), a.cols
     )
 
 
