@@ -306,16 +306,6 @@ def _observability(a: RationalMatrix, c: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(n * q, n, obs, validate=False)
 
 
-def _controllable(wi: Point) -> bool:
-    """Whether rank [B, AB, ..., A^{n-1}B] = n is proven at an integer point.
-
-    Decided by ``rank_mod_prime``, a lower bound for the rank: True is
-    certain; False means rank below n or a rank that only drops mod p.
-    """
-    ctrl = _controllability(wi.A, wi.B)
-    return rank_mod_prime(ctrl.to_rows(), ctrl.cols) == wi.n
-
-
 # ---------------------------------------------------------------------------
 # word invariants (general r)
 
@@ -394,11 +384,11 @@ def word_invariants(w: Point, max_len: int) -> WordInvariants:
     return WordInvariants(max_len, tau, gamma)
 
 
-def _jacobian_entries(wi: Point):
+def _jacobian_entries(wi: Point, obs, ctrl):
     """Row-major integer entries of the Jacobian at an integer r = 1 point.
 
-    With L_i = C A^i (block i of the observability matrix) and R_m = A^m B
-    (column block m of the controllability matrix), the product rule gives
+    With L_i = C A^i (block i of obs = ``_observability``) and R_m = A^m B
+    (column block m of ctrl = ``_controllability``), the product rule gives
       tau_k row, dA column (a, b):      k (A^{k-1})_ba
       Gamma_k row (i, j), dA column (a, b):
                                         sum_{s<k} (L_s)_ia (R_{k-1-s})_bj
@@ -409,8 +399,7 @@ def _jacobian_entries(wi: Point):
     """
     n, p, q = wi.n, wi.p, wi.q
     a, nn, np_, qn = wi.A.entries, n * n, n * p, q * n
-    obs = _krylov_left(wi.C.entries, q, a, n, n)
-    ctrl = _krylov(a, n, wi.B.entries, p, n)
+    obs, ctrl = obs.entries, ctrl.entries
     lefts = [obs[s : s + qn] for s in range(0, n * qn, qn)]
     rights = [
         [x for r in range(m, n * np_, np_) for x in ctrl[r : r + p]]
@@ -458,7 +447,8 @@ def jacobian_matrix(w: Point) -> RationalMatrix:
     wi, lb, lc, (la,) = _integer_rescaled_point(w)
     n, p, q = w.n, w.p, w.q
     nrows, ncols = n + n * q * p, n * n + n * p + q * n
-    flat = _jacobian_entries(wi)
+    flat = _jacobian_entries(
+        wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B))
     if wi is not w:
         dens = [la**k for k in range(1, n + 1)]
         dens += [lc * lb * la**k for k in range(n) for _ in range(q * p)]
@@ -471,17 +461,47 @@ def jacobian_matrix(w: Point) -> RationalMatrix:
     return RationalMatrix(nrows, ncols, flat, validate=False)
 
 
-def _check_orbit_tangents(wi: Point, jac: RationalMatrix) -> None:
-    """Raise ``AssertionError`` unless jac T = 0 exactly at an integer point.
+def _split_bound(wi: Point, obs: RationalMatrix, ctrl: RationalMatrix) -> bool:
+    """Whether rank J >= n(p + q) follows from the block split of J, by one
+    or two n x n ranks mod ``PRIME`` read off the observability and
+    controllability matrices obs and ctrl of the integer point wi.
+
+    The tau rows of J are zero on the dB and dC columns, so J contains the
+    block-triangular submatrix [[T_A, 0], [G_A, G]], where T_A is the tau
+    rows on the dA columns and G the n(p + q - 1) rows (k, 0, j) and
+    (k, i, 0), i >= 1, of the Gamma_k on the dB and dC columns.  Hence
+    rank J >= rank T_A + rank G = n + n(p + q - 1) when
+    - K = [b_0, A b_0, ..., A^{n-1} b_0], columns 0, p, 2p, ... of ctrl,
+      has rank n: the rows k vec(A^{k-1})^T of T_A span the polynomials
+      in A, of dimension at least rank K (A is cyclic); and
+    - for p >= 2, O = [c_0; c_0 A; ...; c_0 A^{n-1}], rows 0, q, 2q, ... of
+      obs, has rank n.
+    Then G is block upper triangular with invertible diagonal blocks: the
+    dB columns (b, j), j >= 1, meet only the rows (k, 0, j), in O; the dC
+    columns (i, c), i >= 1, only the rows (k, i, 0), in K^T; and the rows
+    (k, 0, 0) are [O | K^T] on the dB columns (b, 0) and the dC columns
+    (0, c).  A rank mod ``PRIME`` is a lower bound for the rank over Q.
+    """
+    n, p = wi.n, wi.p
+    np_, qn = n * p, wi.q * n
+    krylov_b = [ctrl.entries[c * np_ : (c + 1) * np_ : p] for c in range(n)]
+    krylov_c = [obs.entries[s : s + n] for s in range(0, n * qn, qn)]
+    return rank_mod_prime(krylov_b, n) == n and (
+        p == 1 or rank_mod_prime(krylov_c, n) == n)
+
+
+def _check_orbit_tangents(wi: Point, e, ncols) -> None:
+    """Raise ``AssertionError`` unless J T = 0 exactly at an integer point,
+    J given by its row-major entries e and its column count.
 
     Column X of T is the orbit tangent (XB, -CX, [X, A]), read off the
     rows of ``action_equations`` (checked by ``check_action_equations``).
-    Each column of jac is packed into one integer, entry i in the field at
-    bit f*i; column X of jac T is then one sum of multiples of packed
+    Each column of J is packed into one integer, entry i in the field at
+    bit f*i; column X of J T is then one sum of multiples of packed
     columns.  Its entries are below 2^(f-1) in absolute value, so the sum is
     zero exactly when they all are.
     """
-    n, ncols, e = wi.n, jac.cols, jac.entries
+    n = wi.n
     eqs = action_equations(wi)
     check_action_equations(wi, eqs)
     top = max(map(abs, e)) * max(max(map(abs, row)) for row in eqs)
@@ -510,28 +530,41 @@ def jacobian_rank(w: Point) -> int:
     scaling s is a linear isomorphism of the domain, and pi(s v) = D pi(v)
     with D invertible and diagonal (tau_k scales by l_A^k, Gamma_k by
     l_C l_A^k l_B).  So d pi(s w) s = D d pi(w), and the two Jacobians
-    have the same rank.
+    have the same rank.  obs and ctrl are built once and shared by every
+    step below.
 
-    The rank r mod ``PRIME`` of the integer Jacobian J is a proven lower
-    bound, and it is returned without an elimination over Z when it is also
-    an upper bound:
-    - r = min(rows, cols), the full rank (the coregular case p = 1 or q = 1);
-    - r = cols - n^2 at a controllable point.  There X -> (XB, -CX, [X, A])
-      is injective (XB = 0 and [X, A] = 0 give X A^k B = 0 for every k, so
-      X = 0), its n^2-dimensional image lies in ker J because the invariants
-      are constant on orbits, and ``_check_orbit_tangents`` verifies J T = 0
-      exactly, so rank J <= cols - n^2.
-    Otherwise the rank comes from ``rank_int``.
+    Lower bound from the block split (``_split_bound``): the Krylov
+    matrices of b_0 and, for p >= 2, of c_0 have rank n mod ``PRIME``, so
+    rank J >= n(p + q) with no Jacobian built.  The matching upper bound:
+    - the row count n + npq = n(p + q) when p = 1 or q = 1 (coregular), so
+      n(p + q) is returned at once;
+    - for p, q >= 2, cols - n^2 = n(p + q) at a controllable point, which
+      the point is: the Krylov matrix of b_0 has rank n and its columns are
+      columns of ctrl.  There X -> (XB, -CX, [X, A]) is injective (XB = 0
+      and [X, A] = 0 give X A^k B = 0 for every k, so X = 0), its
+      n^2-dimensional image lies in ker J because the invariants are
+      constant on orbits, and ``_check_orbit_tangents`` verifies J T = 0
+      exactly on the full integer J, so rank J <= cols - n^2.
+    Otherwise J is built and its rank r mod ``PRIME`` is the lower bound:
+    r is returned when r = min(rows, cols), or when r = cols - n^2, ctrl
+    has rank n mod ``PRIME`` and J T = 0 as above.  Any other r falls back
+    to ``rank_int``.
     """
     wi = _integer_rescaled_point(w)[0]
-    jac = jacobian_matrix(wi)
-    nrows, ncols, e = jac.rows, jac.cols, jac.entries
+    n, p, q = w.n, w.p, w.q
+    nrows, ncols, full = n + n * q * p, n * (n + p + q), n * (p + q)
+    obs, ctrl = _observability(wi.A, wi.C), _controllability(wi.A, wi.B)
+    if _split_bound(wi, obs, ctrl):
+        if p > 1 and q > 1:
+            _check_orbit_tangents(wi, _jacobian_entries(wi, obs, ctrl), ncols)
+        return full
+    e = _jacobian_entries(wi, obs, ctrl)
     rows = [e[i : i + ncols] for i in range(0, nrows * ncols, ncols)]
     r = rank_mod_prime(rows, ncols)
     if r == min(nrows, ncols):
         return r
-    if r == ncols - w.n * w.n and _controllable(wi):
-        _check_orbit_tangents(wi, jac)
+    if r == full and rank_mod_prime(ctrl.to_rows(), ctrl.cols) == n:
+        _check_orbit_tangents(wi, e, ncols)
         return r
     return _k.rank_int(rows, ncols)
 

@@ -236,12 +236,6 @@ class RationalMatrix:
     def T(self):
         return self.transpose()
 
-    def trace(self) -> Rational:
-        if not self.is_square:
-            raise ShapeError("trace of a non-square matrix")
-        n = self.rows
-        return _canon(sum(self.entries[i * n + i] for i in range(n)))
-
     @staticmethod
     def hstack(mats):
         mats = list(mats)
@@ -592,10 +586,6 @@ class Subspace:
             vecs = [_scaled_to_int(v)[1]]
         return _k.rank_int([*self._rows, *vecs], self.ambient_dim) == self.dim
 
-    def contains(self, other: "Subspace") -> bool:
-        self._same_ambient(other)
-        return _k.rank_int([*self._rows, *other._rows], self.ambient_dim) == self.dim
-
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
         return _span(self.ambient_dim, [*self._rows, *other._rows])
@@ -723,10 +713,6 @@ class PolynomialCoeffs:
         if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("polynomial must be monic")
         object.__setattr__(self, "coeffs", tuple(_canon(c) for c in self.coeffs))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def is_power_of_x(self) -> bool:
         return all(not c for c in self.coeffs[1:])

@@ -12,6 +12,7 @@ from eadjoint.errors import MultipleCopiesError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     InvariantVector,
     Point,
+    _controllability,
     action_equations,
     cyclic_canonical,
     evaluate_invariants,
@@ -20,11 +21,38 @@ from eadjoint.invariants import (
 from eadjoint.linalg import (
     PolynomialCoeffs,
     RationalMatrix,
+    Subspace,
     _canon,
     char_poly,
     elementary_from_power_sums,
+    rank_mod_prime,
     trace_product,
 )
+
+
+def trace(m: RationalMatrix):
+    """The sum of the diagonal entries of a square matrix."""
+    if not m.is_square:
+        raise ShapeError("trace of a non-square matrix")
+    return _canon(sum(m.entries[:: m.rows + 1]))
+
+
+def degree(p: PolynomialCoeffs) -> int:
+    """The degree of a monic polynomial."""
+    return len(p.coeffs) - 1
+
+
+def contains(s: Subspace, t: Subspace) -> bool:
+    """Whether t lies in s; ``ShapeError`` if their ambient spaces differ."""
+    return s.sum_with(t).dim == s.dim
+
+
+def controllable(wi: Point) -> bool:
+    """Whether rank [B, AB, ..., A^{n-1}B] = n mod ``PRIME`` at an integer
+    point: True proves rank n; False means rank below n or a rank that
+    only drops mod the prime."""
+    ctrl = _controllability(wi.A, wi.B)
+    return rank_mod_prime(ctrl.to_rows(), ctrl.cols) == wi.n
 
 
 def matrix_powers(a: RationalMatrix, top: int):
@@ -53,7 +81,7 @@ def observability_blocks(a: RationalMatrix, c: RationalMatrix) -> RationalMatrix
 
 def polynomial_derivative(p: PolynomialCoeffs) -> tuple:
     """Coefficients of p' from the top power down."""
-    n = p.degree
+    n = degree(p)
     return tuple(_canon(p.coeffs[i] * (n - i)) for i in range(n))
 
 
@@ -79,7 +107,7 @@ def resultant_discriminant_is_nonzero(a: RationalMatrix) -> bool:
     """Distinct eigenvalues of a from res(chi, chi') != 0, chi the
     Faddeev-LeVerrier characteristic polynomial."""
     p = char_poly(a)
-    if p.degree <= 1:
+    if degree(p) <= 1:
         return True
     return sylvester_resultant(p.coeffs, polynomial_derivative(p)) != 0
 
@@ -192,7 +220,7 @@ def fraction_invariants(w: Point) -> InvariantVector:
     """The invariant vector from Fraction products of the powers of A."""
     n = w.n
     pows = matrix_powers(w.A, n)
-    tau = tuple(pows[k].trace() for k in range(1, n + 1))
+    tau = tuple(trace(pows[k]) for k in range(1, n + 1))
     gamma = tuple(w.C @ (pows[k] @ w.B) for k in range(n))
     return InvariantVector(tau, gamma)
 
@@ -209,7 +237,7 @@ def fraction_word_invariants(w: Point, max_len):
                 nw = word + (letter,)
                 nxt[nw] = prod @ w.A_list[letter - 1]
                 gamma[nw] = w.C @ (nxt[nw] @ w.B)
-                tau.setdefault(cyclic_canonical(nw), nxt[nw].trace())
+                tau.setdefault(cyclic_canonical(nw), trace(nxt[nw]))
         frontier = nxt
     return tau, gamma
 

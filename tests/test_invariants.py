@@ -22,7 +22,7 @@ from eadjoint.invariants import (
     sl_relation_check,
     word_invariants,
 )
-from eadjoint.linalg import PRIME, RationalMatrix, rank_mod_prime
+from eadjoint.linalg import PRIME, RationalMatrix, kernel_subspace, rank_mod_prime
 from eadjoint.nullcone import pinned_row_witness, random_unstable_point
 from oracles import (
     TangentVector,
@@ -35,6 +35,7 @@ from oracles import (
     fraction_word_invariants,
     matrix_powers,
     observability_blocks,
+    trace,
     zero_point,
 )
 
@@ -191,7 +192,7 @@ class TestWordInvariants:
         # the canonical key carries the common value of both rotations
         assert (1, 2) in words.tau
         assert (2, 1) not in words.tau
-        assert words.tau[(1, 2)] == (a1 @ a2).trace() == (a2 @ a1).trace()
+        assert words.tau[(1, 2)] == trace(a1 @ a2) == trace(a2 @ a1)
 
     def test_word_values_match_direct_products(self):
         rng = random.Random(8)
@@ -303,7 +304,7 @@ class TestDifferential:
             random_matrix(rng, 3, 3),
         )
         dv = differential(w, dw)
-        assert dv.tau[0] == dw.dA.trace()
+        assert dv.tau[0] == trace(dw.dA)
         assert all(t == 0 for t in dv.tau[1:])
         assert all(g.is_zero() for g in dv.gamma)
 
@@ -459,14 +460,16 @@ class TestClearedIntegerPath:
 
 
 class Spy:
-    """A callable that counts its calls and forwards them."""
+    """A callable that counts its calls, keeps the last result and forwards
+    them."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.calls, self.result = fn, 0, None
 
     def __call__(self, *args):
         self.calls += 1
-        return self.fn(*args)
+        self.result = self.fn(*args)
+        return self.result
 
 
 def scaled(w, s):
@@ -498,6 +501,76 @@ def certificate_points(rng):
                 yield kind, pinned_row_witness(n, p, q, k, seed=t)
 
 
+SPLIT_FAMILIES = (
+    "generic", "b0 = 0", "c0 = 0", "scalar A", "derogatory A", "B = 0",
+    "C = 0", "rank-one C", "scaled by PRIME", "g-moved", "U_k", "pinned",
+)
+
+
+def split_points(rng, per_family=30):
+    """(family, point) for every family of ``SPLIT_FAMILIES`` in turn:
+    generic integer points and the degenerate families of the split bound
+    (B's first column or C's first row zero, A scalar or with a repeated
+    eigenvalue in two Jordan blocks, B or C zero, C of rank one, every
+    entry a multiple of ``PRIME``, rational points moved by g, null-cone
+    points), n <= 4 and p, q <= 3."""
+    for t in range(per_family * len(SPLIT_FAMILIES)):
+        family = SPLIT_FAMILIES[t % len(SPLIT_FAMILIES)]
+        n, p, q = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+        if family in ("derogatory A", "pinned"):
+            n = max(n, 2)
+        w = random_point(rng, n, p, q)
+        b, c, a = w.B.to_rows(), w.C.to_rows(), w.A
+        if family == "b0 = 0":
+            b = [[0] + row[1:] for row in b]
+        elif family == "c0 = 0":
+            c[0] = [0] * n
+        elif family == "scalar A":
+            a = RationalMatrix.identity(n).scale(rng.randint(-3, 3))
+        elif family == "derogatory A":
+            d = [rng.randint(-4, 4) for _ in range(n)]
+            d[1] = d[0]
+            g = random_invertible(rng, n)
+            a = group_action(g, Point(w.B, w.C, (RationalMatrix.diagonal(d),))).A
+        elif family == "B = 0":
+            b = [[0] * p for _ in range(n)]
+        elif family == "C = 0":
+            c = [[0] * n for _ in range(q)]
+        elif family == "rank-one C":
+            c = [[x * y for y in c[0]] for x in range(1, max(q, 2) + 1)]
+        elif family == "scaled by PRIME":
+            w = scaled(w, PRIME)
+        elif family == "g-moved":
+            g = random_invertible(rng, n).scale(Fraction(1, rng.randint(2, 9)))
+            w = group_action(g, w)
+        elif family == "U_k":
+            w = random_unstable_point(rng, n, p, q, rng.randint(0, n))
+        elif family == "pinned":
+            w = pinned_row_witness(n, p, q, rng.randint((n + 1) // 2, n), seed=t)
+        if family in ("scaled by PRIME", "g-moved", "U_k", "pinned"):
+            yield family, w
+        else:
+            yield family, Point(RM(b), RM(c), (a,))
+
+
+def split_blocks(w):
+    """(K, O, T_A, G) of ``_split_bound`` for w itself: the Krylov matrices
+    [b_0, A b_0, ...] and [c_0; c_0 A; ...] by Fraction products, and T_A
+    and G sliced out of ``jacobian_matrix(w)``."""
+    n, p, q = w.n, w.p, w.q
+    powers = matrix_powers(w.A, n - 1)
+    b0 = RationalMatrix.column(w.B.col_list(0))
+    c0 = RationalMatrix(1, n, w.C.row_list(0))
+    k = RationalMatrix.hstack([m @ b0 for m in powers])
+    o = RationalMatrix.vstack([c0 @ m for m in powers])
+    rows = jacobian_matrix(w).to_rows()
+    t_a = RM([row[: n * n] for row in rows[:n]])
+    picked = [(kk, 0, j) for kk in range(n) for j in range(p)]
+    picked += [(kk, i, 0) for kk in range(n) for i in range(1, q)]
+    g = RM([rows[n + (kk * q + i) * p + j][n * n :] for kk, i, j in picked])
+    return k, o, t_a, g
+
+
 class TestJacobianRankCertificate:
     def test_matches_the_exact_rank_on_every_branch(self, monkeypatch):
         tangents = Spy(invariants._check_orbit_tangents)
@@ -521,6 +594,63 @@ class TestJacobianRankCertificate:
         assert "exact" in branches["non-controllable"]
         assert "certified" not in branches["non-controllable"]
 
+    def test_split_bound_on_the_degenerate_families(self, monkeypatch):
+        # the rank is exact on every family; the split bound certifies it
+        # alone (coregular), with J T = 0 (p, q >= 2), or J is eliminated
+        bound = Spy(invariants._split_bound)
+        entries = Spy(invariants._jacobian_entries)
+        tangents = Spy(invariants._check_orbit_tangents)
+        exact = Spy(_kernels.rank_int)
+        monkeypatch.setattr(invariants, "_split_bound", bound)
+        monkeypatch.setattr(invariants, "_jacobian_entries", entries)
+        monkeypatch.setattr(invariants, "_check_orbit_tangents", tangents)
+        monkeypatch.setattr(_kernels, "rank_int", exact)
+        branches, seen = {}, set()
+        for family, w in split_points(random.Random(79)):
+            before = entries.calls, tangents.calls, exact.calls
+            rank = jacobian_rank(w)
+            built, checked, eliminated = (
+                x.calls - y for x, y in zip((entries, tangents, exact), before))
+            if bound.result:
+                branch = "split, tangents" if checked else "split"
+                assert built == checked == (w.p > 1 and w.q > 1)
+            else:
+                branch = ("fallback, exact" if eliminated else
+                          "fallback, tangents" if checked else "fallback")
+                assert built == 1
+            assert eliminated == (branch == "fallback, exact")
+            assert rank == exact_jacobian_rank(w), (family, w)
+            branches[branch] = branches.get(branch, 0) + 1
+            seen.add(family)
+        assert seen == set(SPLIT_FAMILIES)
+        assert all(branches.get(branch, 0) >= 10 for branch in (
+            "split", "split, tangents", "fallback", "fallback, tangents",
+            "fallback, exact")), branches
+
+    def test_split_bound_holds_on_the_blocks_of_the_jacobian(self):
+        # the bound holds when K and, for p >= 2, O have rank n, which mod
+        # PRIME is their rank over Q on these small points and fails on the
+        # points scaled by PRIME; then T_A and G, sliced out of J itself,
+        # have the full ranks n and n(p + q - 1) that the block argument
+        # claims, and rank T_A + rank G <= rank J holds everywhere
+        rng = random.Random(80)
+        counts = {"reached": 0, "missed": 0, "missed on O alone": 0}
+        for family, w in split_points(rng, per_family=12):
+            n, p, q = w.n, w.p, w.q
+            wi = invariants._integer_rescaled_point(w)[0]
+            got = invariants._split_bound(
+                wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B))
+            k, o, t_a, g = split_blocks(w)
+            cyclic = k.rank() == n and (p == 1 or o.rank() == n)
+            assert got == (cyclic and family != "scaled by PRIME"), (family, w)
+            assert k.rank() <= t_a.rank()
+            assert t_a.rank() + g.rank() <= exact_jacobian_rank(w)
+            if got:
+                assert (t_a.rank(), g.rank()) == (n, n * (p + q - 1))
+            counts["reached" if got else "missed"] += 1
+            counts["missed on O alone"] += p > 1 and k.rank() == n > o.rank()
+        assert min(counts.values()) >= 10, counts
+
     def test_point_scaled_by_the_prime_takes_the_exact_path(self, monkeypatch):
         # mod p only the tau_1 row of the scaled point survives
         exact = Spy(_kernels.rank_int)
@@ -536,14 +666,17 @@ class TestJacobianRankCertificate:
             assert exact.calls == calls + 1
 
     def test_sign_flip_in_the_dB_block_is_caught(self, monkeypatch):
-        # negating the dB columns keeps the rank, so the certificate is
-        # reached, and J T = 0 fails on the dB part of every tangent
+        # negating the dB columns of the J that J T = 0 is checked on keeps
+        # the split bound (built from obs and ctrl, not from J), so the
+        # tangent check is reached, and it fails on the dB part of every
+        # tangent
         entries = invariants._jacobian_entries
 
-        def flipped(wi):
+        def flipped(wi, obs, ctrl):
             n, ncols = wi.n, wi.n * (wi.n + wi.p + wi.q)
             dB = range(n * n, n * n + n * wi.p)
-            return [-x if t % ncols in dB else x for t, x in enumerate(entries(wi))]
+            return [-x if t % ncols in dB else x
+                    for t, x in enumerate(entries(wi, obs, ctrl))]
 
         monkeypatch.setattr(invariants, "_jacobian_entries", flipped)
         rng = random.Random(76)
@@ -553,7 +686,8 @@ class TestJacobianRankCertificate:
 
     def test_multiple_of_the_prime_outside_the_span_is_caught(self, monkeypatch):
         # adding p e_i to a dB column leaves J unchanged mod p but raises its
-        # rank over Q when e_i is outside the column span: only J T = 0 sees it
+        # rank over Q when e_i is outside the column span: only J T = 0 sees
+        # it, on the J that _jacobian_entries hands to the tangent check
         w = random_point(random.Random(77), 3, 2, 2)
         rows = jacobian_matrix(w).to_rows()
         nrows, ncols = len(rows), len(rows[0])
@@ -567,10 +701,38 @@ class TestJacobianRankCertificate:
         rows[i][9] += PRIME  # column 9 is the first dB column
         assert rank_mod_prime(rows, ncols) == rank
         assert _kernels.rank_int(rows, ncols) == rank + 1
-        bad = RationalMatrix.from_rows(rows)
-        monkeypatch.setattr(invariants, "jacobian_matrix", lambda wi: bad)
+        bad = [x for row in rows for x in row]
+        monkeypatch.setattr(invariants, "_jacobian_entries", lambda *args: bad)
         with pytest.raises(AssertionError, match="annihilate"):
             jacobian_rank(w)
+
+    def test_tangent_check_is_not_trusted_at_a_non_controllable_point(
+            self, monkeypatch):
+        # at B = C = 0 the stabilizer is the centralizer of A, so T is not
+        # injective and J T = 0 allows rank J > cols - n^2: a J of rank
+        # cols - n^2 mod PRIME but one more over Q, with J T = 0, must go
+        # to the exact elimination, not to the tangent certificate
+        n, p, q = 2, 2, 2
+        w = Point(RationalMatrix.zeros(n, p), RationalMatrix.zeros(q, n),
+                  (RM([[1, 2], [3, 4]]),))
+        eqs = invariants.action_equations(w)
+        nb, nc = n * p, n * p + q * n
+        # T in the Jacobian's column order dA, dB, dC, the C block negated
+        tangents = eqs[nc:] + eqs[:nb] + [[-x for x in row] for row in eqs[nb:nc]]
+        annihilator = kernel_subspace(RationalMatrix.from_rows(tangents).T)
+        full = n * (p + q)
+        rows = [list(v) for v in annihilator._rows[: full + 1]]
+        rows[full] = [PRIME * x for x in rows[full]]
+        rows.append([0] * len(rows[0]))
+        ncols = len(rows[0])
+        assert rank_mod_prime(rows, ncols) == full
+        assert _kernels.rank_int(rows, ncols) == full + 1
+        bad = [x for row in rows for x in row]
+        monkeypatch.setattr(invariants, "_jacobian_entries", lambda *args: bad)
+        tangent_check = Spy(invariants._check_orbit_tangents)
+        monkeypatch.setattr(invariants, "_check_orbit_tangents", tangent_check)
+        assert jacobian_rank(w) == full + 1
+        assert tangent_check.calls == 0
 
     def test_jacobian_matrix_matches_the_differential_exactly(self):
         # identical entries, int where integral and Fraction otherwise, on

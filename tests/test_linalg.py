@@ -29,10 +29,12 @@ from eadjoint.linalg import (
 )
 from oracles import (
     charpoly_from_power_sums,
+    contains,
     evaluate_polynomial,
     matrix_powers,
     polynomial_derivative,
     rref_inverse,
+    trace,
 )
 
 RM = RationalMatrix.from_rows
@@ -100,7 +102,7 @@ class TestMatrixBasics:
         a = RM([[1, 2], [3, 4]])
         b = RM([[0, 1], [1, 0]])
         assert (a @ b) == RM([[2, 1], [4, 3]])
-        assert a.trace() == 5
+        assert trace(a) == 5
         with pytest.raises(ShapeError):
             a @ RM([[1, 2, 3]])
 
@@ -308,7 +310,7 @@ class TestCharPoly:
         for n in (1, 2, 3, 4, 5):
             a = random_matrix(rng, n, n, 6)
             powers = matrix_powers(a, n)
-            psums = [powers[k].trace() for k in range(1, n + 1)]
+            psums = [trace(powers[k]) for k in range(1, n + 1)]
             assert charpoly_from_power_sums(psums).coeffs == char_poly(a).coeffs
 
     def test_trace_powers_satisfy_recursion(self):
@@ -319,7 +321,7 @@ class TestCharPoly:
             a = random_matrix(rng, n, n, 5)
             coeffs = char_poly(a).coeffs
             powers = matrix_powers(a, 2 * n + 1)
-            traces = [powers[k].trace() for k in range(0, 2 * n + 2)]
+            traces = [trace(powers[k]) for k in range(0, 2 * n + 2)]
             for m in range(n, 2 * n + 2):
                 predicted = -sum(
                     coeffs[i] * traces[m - i] for i in range(1, n + 1)
@@ -372,23 +374,23 @@ class TestSubspaces:
     def test_zero_subspace_comparisons(self):
         z = Subspace.zero(3)
         t = column_space(RM([[1], [0], [2]]))
-        assert t.contains(z) and not z.contains(t)
-        assert z == Subspace.zero(3) and z.contains(Subspace.zero(3))
+        assert contains(t, z) and not contains(z, t)
+        assert z == Subspace.zero(3) and contains(z, Subspace.zero(3))
 
     def test_full_space_equal(self):
         s = column_space(RM([[1, 1], [0, 1]]))
         assert s == Subspace.full(2)
-        assert s.contains(Subspace.full(2)) and Subspace.full(2).contains(s)
+        assert contains(s, Subspace.full(2)) and contains(Subspace.full(2), s)
 
     def test_incomparable_axes(self):
         # stacked basis has rank 2, so neither contains the other
         e1 = column_space(RM([[1], [0]]))
         e2 = column_space(RM([[0], [1]]))
-        assert not e1.contains(e2) and not e2.contains(e1)
+        assert not contains(e1, e2) and not contains(e2, e1)
 
     def test_ambient_mismatch(self):
         with pytest.raises(ShapeError):
-            Subspace.zero(2).contains(Subspace.zero(3))
+            contains(Subspace.zero(2), Subspace.zero(3))
 
     def test_canonical_form_is_spanning_set_independent(self):
         rng = random.Random(23)
@@ -484,8 +486,8 @@ class TestSubspaces:
         total = s.sum_with(t)
         meet = s.intersect(t)
         assert total.dim + meet.dim == s.dim + t.dim
-        assert total.contains(s) and total.contains(t)
-        assert s.contains(meet) and t.contains(meet)
+        assert contains(total, s) and contains(total, t)
+        assert contains(s, meet) and contains(t, meet)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +523,7 @@ class TestTraceProduct:
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             a = random_matrix(rng, n, m, 6)
             b = random_matrix(rng, m, n, 6)
-            assert trace_product(a, b) == (a @ b).trace()
+            assert trace_product(a, b) == trace(a @ b)
 
 
 class TestPolynomialCoeffs:
