@@ -24,12 +24,13 @@ A is nilpotent, and the Gamma_k = C A^k B exactly when C ctrl = 0.
 
 The components come from the maximal unstable weight sets, which form the
 ladder X_0..X_n up to relabelling the coordinates (Hilbert-Mumford).  The
-ladder search checks that claim exhaustively: the weight set of a
-cocharacter depends only on its sign-annotated order type, so every order
-type is visited once and its set packed into one integer.  Every set lies
-inside the set of its refining chamber and all chamber sets have one size,
-so the maximal sets are the distinct chamber sets; each is relabelled in
-the coordinate order its positive roots fix and compared with its rung.
+ladder search checks that claim over every cocharacter: the weight set of a
+cocharacter depends only on its sign-annotated order type, and once the
+weights are shown S_n-invariant one nonincreasing order type per S_n-orbit
+is enough (the Weyl-group reduction, Hesselink 1979), its set packed into
+one integer.  Every set lies inside the set of its refining chamber and the
+n + 1 chamber sets have one size, so the maximal sets are the relabelled
+chamber sets; the chamber with k positive entries must give the rung X_k.
 
 A certificate (k, g, lambda) is checked from g alone, without inverting it:
 g.w lies in U_k exactly when g is invertible, rows k.. of gB vanish, the
@@ -183,27 +184,33 @@ def unstable_subspace(lam: OnePSG, n, p, q) -> UnstableCoordinates:
     return UnstableCoordinates(b_rows, c_cols, a_entries)
 
 
-def _order_type_cocharacters(n):
-    """One cocharacter for each sign-annotated weak order of n coordinates.
+def _orbit_representatives(n):
+    """One nonincreasing cocharacter for each S_n-orbit of order types.
 
     The weight set of a cocharacter depends only on how its entries compare
-    with each other and with zero.  Such an order type is an ordered set
-    partition of the coordinates 0..n-1 and a zero marker n: the marker's
-    block sits at level 0, the blocks before it at negative levels and the
-    blocks after it at positive ones.  The orders are grown one item at a
-    time, each item joining an existing level or opening a new one.
+    with each other and with zero: its sign-annotated order type, an ordered
+    set partition of the coordinates with a zero marker.  Permuting the
+    coordinates leaves only the block sizes, so an orbit is a composition of
+    n into blocks, highest level first, with the marker alone in one of the
+    gaps or inside one of the blocks (the block at level 0).  That gives
+    (n + 2) 2^(n-1) representatives; one with blocks of sizes b_1..b_m
+    stands for n!/(b_1!...b_m!) order types.
     """
-    orders = [()]
-    for _ in range(n + 1):
-        grown = []
-        for ranks in orders:
-            levels = max(ranks, default=-1) + 1
-            grown.extend(ranks + (j,) for j in range(levels))
-            grown.extend(
-                tuple(r + (r >= j) for r in ranks) + (j,) for j in range(levels + 1)
-            )
-        orders = grown
-    return [tuple(r - ranks[n] for r in ranks[:n]) for ranks in orders]
+    reps = []
+    for cuts in range(1 << (n - 1)):
+        sizes = [1]
+        for i in range(n - 1):
+            if cuts >> i & 1:
+                sizes.append(1)
+            else:
+                sizes[-1] += 1
+        m = len(sizes)
+        # block levels with the marker alone below g blocks, or inside block g
+        placings = [tuple(g - j - (j >= g) for j in range(m)) for g in range(m + 1)]
+        placings += [tuple(g - j for j in range(m)) for g in range(m)]
+        for levels in placings:
+            reps.append(tuple(v for v, b in zip(levels, sizes) for _ in range(b)))
+    return reps
 
 
 def _weight_masks(lams, candidates):
@@ -246,76 +253,57 @@ def _mask_weights(mask, candidates, width) -> frozenset:
     )
 
 
-def _ladder_rungs(weight_sets, n) -> set:
-    """The rungs k of the sets that are X_k with coordinates relabelled;
-    None stands for every set that is no rung.
-
-    In X_k the positive roots e_i - e_j totally order the coordinates, so
-    counting each coordinate's wins recovers the relabelling; k is the
-    number of weights e_i in the set.
-    """
-    units = frozenset(tuple(int(t == i) for t in range(n)) for i in range(n))
-    ladder = [x_k_weight_set(n, k) for k in range(n + 1)]
-    winner = {}  # every root e_i - e_j, i != j, to its winner i
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                winner[tuple(int(t == i) - int(t == j) for t in range(n))] = i
-    rungs = set()
-    for s in weight_sets:
-        wins = [0] * n
-        for coeffs in s:
-            i = winner.get(coeffs)
-            if i is not None:
-                wins[i] += 1
-        order = sorted(range(n), key=wins.__getitem__, reverse=True)
-        k = len(s & units)
-        relabelled = frozenset(tuple(map(c.__getitem__, order)) for c in s)
-        rungs.add(k if relabelled == ladder[k] else None)
-    return rungs
-
-
 def enumerate_maximal_unstable(n, p, q):
     """Search all cocharacters for the maximal unstable weight subsets.
 
-    Each sign-annotated order type of a cocharacter is visited once and
-    selects its positive-pairing weight subset, a packed mask.  A chamber
-    is an order type with no ties and no coordinate at level 0.  Breaking
-    an order type's ties by index and moving its level-0 coordinates to the
-    positive side refines it to a chamber; every pairing that was positive
-    stays positive, so the order type's set must lie inside its chamber's.
-    Every chamber set must have the same size, so none contains another,
-    and then the maximal subsets are exactly the distinct chamber sets.
-    Each must be a rung X_k of the ladder up to relabelling the
-    coordinates, and all n + 1 rungs must occur.  Any failed check raises.
+    Four checks, each raising on its own, decide it on one cocharacter per
+    S_n-orbit of order types (``_orbit_representatives``):
+
+    0. The candidate weights are unchanged by each adjacent transposition of
+       the coordinates.  Transpositions generate S_n, so the weight set of
+       sigma.lam is sigma applied to the set of lam, and every order type's
+       set is a relabelled representative's set.
+    1. Breaking a representative's ties by index and moving its level-0
+       coordinates to the positive side refines it to a chamber: no ties and
+       no coordinate at level 0.  Every pairing that was positive stays
+       positive, so its packed set must lie inside its chamber's.  The
+       chamber with k positive entries is itself a representative, so its
+       set is the one packed with the others.
+    2. The n + 1 chamber sets have one size.  With checks 0 and 1, every
+       set lies in a relabelled chamber set of that size, so the maximal
+       sets are exactly the relabelled chamber sets.
+    3. The chamber set with k positive entries is the rung X_k.
+
+    Every set is packed from ``weights_of_W`` and compared with the ladder
+    only at the end.
     """
     candidates = [w.coeffs for w in weights_of_W(n, p, q) if any(w.coeffs)]
-    lams = _order_type_cocharacters(n)
-    masks, width = _weight_masks(lams, candidates)
-    # an order type's chamber: the zero marker 0 and the coordinates 1..n
-    # sorted by level, ties kept in index order, so the marker goes first
-    # among level 0; a chamber is its own, its n + 1 levels all distinct
-    chambers, refined = {}, []
-    for lam, mask in zip(lams, masks):
-        levels = (0,) + lam
-        key = tuple(sorted(range(n + 1), key=levels.__getitem__))
-        if len(set(levels)) > n:
-            chambers[key] = mask
-        else:
-            refined.append((key, mask))
-    if any(mask & ~chambers[key] for key, mask in refined):
-        raise AssertionError(
-            "an order type's weight set leaves its chamber's: no ladder"
-        )
+    multiset = sorted(candidates)
+    for i in range(n - 1):
+        swapped = [c[:i] + (c[i + 1], c[i]) + c[i + 2 :] for c in candidates]
+        if sorted(swapped) != multiset:
+            raise AssertionError(
+                "the candidate weights are not S_n-invariant: no ladder"
+            )
+    reps = _orbit_representatives(n)
+    masks, width = _weight_masks(reps, candidates)
+    chambers = {
+        sum(v > 0 for v in lam): mask
+        for lam, mask in zip(reps, masks)
+        if 0 not in lam and len(set(lam)) == n
+    }
+    for lam, mask in zip(reps, masks):
+        if mask & ~chambers[sum(v >= 0 for v in lam)]:
+            raise AssertionError(
+                "an order type's weight set leaves its chamber's: no ladder"
+            )
     if len({mask.bit_count() for mask in chambers.values()}) != 1:
         raise AssertionError("chamber weight sets differ in size: no ladder")
-    distinct = {
-        _mask_weights(mask, candidates, width) for mask in set(chambers.values())
-    }
-    if _ladder_rungs(distinct, n) != set(range(n + 1)):
-        raise AssertionError(
-            "maximal unstable classes do not match the expected ladder"
-        )
+    for k in range(n + 1):
+        if _mask_weights(chambers[k], candidates, width) != x_k_weight_set(n, k):
+            raise AssertionError(
+                "maximal unstable classes do not match the expected ladder"
+            )
     return [UnstableSubset(k, x_k_weight_set(n, k)) for k in range(n + 1)]
 
 

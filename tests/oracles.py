@@ -8,6 +8,7 @@ them.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from eadjoint import nullcone
 from eadjoint.errors import MultipleCopiesError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     InvariantVector,
@@ -27,6 +28,12 @@ from eadjoint.linalg import (
     elementary_from_power_sums,
     rank_mod_prime,
     trace_product,
+)
+from eadjoint.nullcone import (
+    UnstableSubset,
+    _mask_weights,
+    _weight_masks,
+    x_k_weight_set,
 )
 
 
@@ -298,6 +305,98 @@ def positive_pairing_set(lam, candidates) -> frozenset:
     pairing a full dot product: the reference for the packed masks of the
     ladder search."""
     return frozenset(c for c in candidates if sum(l * x for l, x in zip(lam, c)) > 0)
+
+
+def order_type_cocharacters(n):
+    """One cocharacter for each sign-annotated weak order of n coordinates.
+
+    Such an order type is an ordered set partition of the coordinates
+    0..n-1 and a zero marker n: the marker's block sits at level 0, the
+    blocks before it at negative levels and the blocks after it at positive
+    ones.  The orders are grown one item at a time, each item joining an
+    existing level or opening a new one; there are a(n + 1) of them, the
+    ordered Bell numbers 3, 13, 75, 541, 4683 at n = 1..5.
+    """
+    orders = [()]
+    for _ in range(n + 1):
+        grown = []
+        for ranks in orders:
+            levels = max(ranks, default=-1) + 1
+            grown.extend(ranks + (j,) for j in range(levels))
+            grown.extend(
+                tuple(r + (r >= j) for r in ranks) + (j,) for j in range(levels + 1)
+            )
+        orders = grown
+    return [tuple(r - ranks[n] for r in ranks[:n]) for ranks in orders]
+
+
+def ladder_rungs(weight_sets, n) -> set:
+    """The rungs k of the sets that are X_k with coordinates relabelled;
+    None stands for every set that is no rung.
+
+    In X_k the positive roots e_i - e_j totally order the coordinates, so
+    counting each coordinate's wins recovers the relabelling; k is the
+    number of weights e_i in the set.
+    """
+    units = frozenset(tuple(int(t == i) for t in range(n)) for i in range(n))
+    ladder = [x_k_weight_set(n, k) for k in range(n + 1)]
+    winner = {}  # every root e_i - e_j, i != j, to its winner i
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                winner[tuple(int(t == i) - int(t == j) for t in range(n))] = i
+    rungs = set()
+    for s in weight_sets:
+        wins = [0] * n
+        for coeffs in s:
+            i = winner.get(coeffs)
+            if i is not None:
+                wins[i] += 1
+        order = sorted(range(n), key=wins.__getitem__, reverse=True)
+        k = len(s & units)
+        relabelled = frozenset(tuple(map(c.__getitem__, order)) for c in s)
+        rungs.add(k if relabelled == ladder[k] else None)
+    return rungs
+
+
+def order_type_maximal_unstable(n, p, q):
+    """The ladder search over every order type, with no symmetry argument.
+
+    Every order type's packed set must lie inside the set of its chamber
+    (ties broken by index, level-0 coordinates moved up), all (n + 1)!
+    chamber sets must have one size, and the distinct chamber sets must be
+    the n + 1 rungs up to relabelling; any failed check raises.  The weights
+    come from ``nullcone.weights_of_W`` looked up at call time, so a test
+    that corrupts them corrupts this search too.
+    """
+    candidates = [w.coeffs for w in nullcone.weights_of_W(n, p, q) if any(w.coeffs)]
+    lams = order_type_cocharacters(n)
+    masks, width = _weight_masks(lams, candidates)
+    # an order type's chamber: the zero marker 0 and the coordinates 1..n
+    # sorted by level, ties kept in index order, so the marker goes first
+    # among level 0; a chamber is its own, its n + 1 levels all distinct
+    chambers, refined = {}, []
+    for lam, mask in zip(lams, masks):
+        levels = (0,) + lam
+        key = tuple(sorted(range(n + 1), key=levels.__getitem__))
+        if len(set(levels)) > n:
+            chambers[key] = mask
+        else:
+            refined.append((key, mask))
+    if any(mask & ~chambers[key] for key, mask in refined):
+        raise AssertionError(
+            "an order type's weight set leaves its chamber's: no ladder"
+        )
+    if len({mask.bit_count() for mask in chambers.values()}) != 1:
+        raise AssertionError("chamber weight sets differ in size: no ladder")
+    distinct = {
+        _mask_weights(mask, candidates, width) for mask in set(chambers.values())
+    }
+    if ladder_rungs(distinct, n) != set(range(n + 1)):
+        raise AssertionError(
+            "maximal unstable classes do not match the expected ladder"
+        )
+    return [UnstableSubset(k, x_k_weight_set(n, k)) for k in range(n + 1)]
 
 
 def naive_mat_mul(a, m, n, b, p):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from eadjoint.nullcone import (
     Weight,
     _certificate_defect,
     _mask_weights,
-    _order_type_cocharacters,
+    _orbit_representatives,
     _weight_masks,
     adapted_certificate,
     check_certificate,
@@ -55,6 +56,8 @@ from eadjoint.orbits import stabilizer
 from eadjoint.sampling import random_invertible, random_matrix, random_point
 from oracles import (
     invariants_vanish,
+    order_type_cocharacters,
+    order_type_maximal_unstable,
     point_in_unstable_subspace,
     positive_pairing_set,
     sign_flipped_action_equations,
@@ -170,7 +173,7 @@ class TestEnumerateMaximalUnstable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_box_search(self, n):
         # one cocharacter per order type: the ordered Bell numbers 3, 13, 75, 541
-        lams = _order_type_cocharacters(n)
+        lams = order_type_cocharacters(n)
         assert len(set(lams)) == len(lams) == (3, 13, 75, 541)[n - 1]
         ladder = {
             _canonical_under_permutations(c.weights, n)
@@ -186,31 +189,100 @@ class TestEnumerateMaximalUnstable:
             maximal = [s for s in found if not any(s < t for t in found)]
             assert {_canonical_under_permutations(s, n) for s in maximal} == ladder
 
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda ws, n: ws + [Weight((1, 1) + (0,) * (n - 2))],
-            lambda ws, n: ws + [Weight((2,) + (0,) * (n - 1))],
-            lambda ws, n: [w for w in ws if w.coeffs != (-1,) + (0,) * (n - 1)],
-            lambda ws, n: [w for w in ws if w.coeffs != (1, -1) + (0,) * (n - 2)],
+    CORRUPTIONS = {
+        "extra-sum": lambda ws, n: ws + [Weight((1, 1) + (0,) * (n - 2))],
+        "extra-double": lambda ws, n: ws + [Weight((2,) + (0,) * (n - 1))],
+        "dropped-minus-e1": lambda ws, n: [
+            w for w in ws if w.coeffs != (-1,) + (0,) * (n - 1)
         ],
-        ids=["extra-sum", "extra-double", "dropped-minus-e1", "dropped-root"],
-    )
-    def test_corrupted_weights_raise(self, monkeypatch, corrupt):
+        "dropped-root": lambda ws, n: [
+            w for w in ws if w.coeffs != (1, -1) + (0,) * (n - 2)
+        ],
+        # no nonincreasing cocharacter pairs positively with e_2 - e_1, so
+        # only the invariance check sees it missing
+        "dropped-negative-root": lambda ws, n: [
+            w for w in ws if w.coeffs != (-1, 1) + (0,) * (n - 2)
+        ],
+        # 2 e_i in place of e_i: S_n-invariant, and every pairing keeps its
+        # sign, so only the rung check sees it
+        "doubled-units": lambda ws, n: [
+            Weight(tuple(2 * c for c in w.coeffs), w.multiplicity)
+            if sum(w.coeffs) == 1
+            else w
+            for w in ws
+        ],
+    }
+
+    @staticmethod
+    def corrupt_weights(monkeypatch, corrupt):
         true_weights = nullcone.weights_of_W
         monkeypatch.setattr(
             nullcone,
             "weights_of_W",
             lambda n, p, q, r=1: corrupt(true_weights(n, p, q, r), n),
         )
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            pytest.param(name, message, id=name)
+            for name, message in [
+                ("extra-sum", "ladder"),
+                ("extra-double", "ladder"),
+                ("dropped-minus-e1", "ladder"),
+                ("dropped-root", "ladder"),
+                ("dropped-negative-root", "not S_n-invariant: no ladder"),
+                ("doubled-units", "do not match the expected ladder"),
+            ]
+        ],
+    )
+    def test_corrupted_weights_raise(self, monkeypatch, name, message):
+        self.corrupt_weights(monkeypatch, self.CORRUPTIONS[name])
         for n in (2, 3, 4):
-            with pytest.raises(AssertionError, match="ladder"):
+            with pytest.raises(AssertionError, match=message):
                 enumerate_maximal_unstable(n, 2, 2)
+
+    def test_matches_the_search_over_every_order_type(self, monkeypatch):
+        for n in (1, 2, 3, 4, 5):
+            for p, q in [(1, 1), (2, 2), (2, 3), (3, 1)]:
+                assert enumerate_maximal_unstable(n, p, q) == (
+                    order_type_maximal_unstable(n, p, q)
+                )
+        for corrupt in self.CORRUPTIONS.values():
+            with monkeypatch.context() as m:
+                self.corrupt_weights(m, corrupt)
+                for n in (2, 3, 4, 5):
+                    for search in (enumerate_maximal_unstable, order_type_maximal_unstable):
+                        with pytest.raises(AssertionError, match="ladder"):
+                            search(n, 2, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_one_representative_per_orbit(self, n):
+        assert [c.k for c in enumerate_maximal_unstable(n, 2, 2)] == list(range(n + 1))
+        # the orbit of a representative with blocks b_1..b_m has
+        # n!/(b_1!...b_m!) order types; the orbits add up to the ordered
+        # Bell number a(n + 1), so every order type is covered once
+        reps = _orbit_representatives(n)
+        assert len(set(reps)) == len(reps) == (n + 2) * 2 ** (n - 1)
+        assert all(list(lam) == sorted(lam, reverse=True) for lam in reps)
+        orbits = sum(
+            math.factorial(n)
+            // math.prod(math.factorial(len(list(b))) for _, b in itertools.groupby(lam))
+            for lam in reps
+        )
+        fubini = (3, 13, 75, 541, 4683, 47293, 545835, 7087261)
+        assert orbits == fubini[n - 1]
+        if n <= 5:
+            # both put the zero marker at level 0 and the levels at
+            # consecutive ranks, so sorting an order type gives its orbit's
+            # representative
+            orders = order_type_cocharacters(n)
+            assert {tuple(sorted(lam, reverse=True)) for lam in orders} == set(reps)
 
     @staticmethod
     def widen_one_mask(monkeypatch, pick):
-        """Give the first order type that ``pick`` accepts the union of all
-        evaluated masks, which exceeds every chamber set."""
+        """Give the first representative that ``pick`` accepts the union of
+        all evaluated masks, which exceeds every chamber set."""
         true_masks = nullcone._weight_masks
 
         def widened(lams, candidates):
@@ -223,8 +295,8 @@ class TestEnumerateMaximalUnstable:
         monkeypatch.setattr(nullcone, "_weight_masks", widened)
 
     def test_containment_fails_alone(self, monkeypatch):
-        # an order type with a level-0 coordinate is no chamber: the chamber
-        # masks, so the size and rung checks, are untouched
+        # a representative with a level-0 coordinate is no chamber: the
+        # chamber masks, so the size and rung checks, are untouched
         self.widen_one_mask(monkeypatch, lambda lam: 0 in lam)
         for n in (2, 3, 4):
             with pytest.raises(AssertionError, match="leaves its chamber's"):
@@ -252,7 +324,7 @@ class TestEnumerateMaximalUnstable:
         ]
         candidates = [w.coeffs for w in weights_of_W(n, 2, 2) if any(w.coeffs)]
         candidates += extra
-        lams = _order_type_cocharacters(n) + [(n,) * n, (-n,) * n]
+        lams = order_type_cocharacters(n) + [(n,) * n, (-n,) * n]
         masks, width = _weight_masks(lams, candidates)
         assert len(masks) == len(lams)
         for lam, m in zip(lams, masks):
@@ -260,18 +332,19 @@ class TestEnumerateMaximalUnstable:
             assert decoded == positive_pairing_set(lam, candidates)
 
     def test_n6_ladder(self, monkeypatch):
+        # only the n + 1 chamber sets are decoded, one per rung
         seen = []
-        true_rungs = nullcone._ladder_rungs
+        true_decode = nullcone._mask_weights
 
-        def spy(weight_sets, n):
-            seen.append({len(s) for s in weight_sets})
-            seen.append(len(weight_sets))
-            return true_rungs(weight_sets, n)
+        def spy(mask, candidates, width):
+            seen.append(true_decode(mask, candidates, width))
+            return seen[-1]
 
-        monkeypatch.setattr(nullcone, "_ladder_rungs", spy)
+        monkeypatch.setattr(nullcone, "_mask_weights", spy)
         classes = enumerate_maximal_unstable(6, 2, 2)
         assert [c.k for c in classes] == list(range(7))
-        assert seen == [{21}, 5040]
+        assert [len(s) for s in seen] == [21] * 7
+        assert seen == [c.weights for c in classes]
 
 
 class TestMembership:
