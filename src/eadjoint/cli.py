@@ -45,7 +45,10 @@ def _read_input(path):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    return json.loads(raw)
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        raise ValueError("JSON input nested too deeply") from None
 
 
 _ERROR_CODES = (

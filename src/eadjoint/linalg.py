@@ -34,12 +34,26 @@ def _canon(x) -> Rational:
     raise TypeError(f"not an exact rational entry: {x!r}")
 
 
+def _int_to_str(x: int) -> str:
+    """str(x), also for integers longer than the interpreter's limit on
+    int-to-str conversion: such an x is split at a power of ten into two
+    halves of about half its digits each, converted in turn."""
+    try:
+        return str(x)
+    except ValueError:
+        if x < 0:
+            return "-" + _int_to_str(-x)
+        k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+        high, low = divmod(x, 10**k)
+        return _int_to_str(high) + _int_to_str(low).zfill(k)
+
+
 def rational_to_str(x: Rational) -> str:
     """Serialize to 'num' or 'num/den' in lowest terms, denominator > 0."""
     x = _canon(x)
     if isinstance(x, int):
-        return str(x)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_to_str(x)
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
 MAX_RATIONAL_DIGITS = 1000

@@ -27,10 +27,10 @@ ladder X_0..X_n up to relabelling the coordinates (Hilbert-Mumford).  The
 ladder search checks that claim over every cocharacter: the weight set of a
 cocharacter depends only on its sign-annotated order type, and once the
 weights are shown S_n-invariant one nonincreasing order type per S_n-orbit
-is enough (the Weyl-group reduction, Hesselink 1979), its set packed into
-one integer.  Every set lies inside the set of its refining chamber and the
-n + 1 chamber sets have one size, so the maximal sets are the relabelled
-chamber sets; the chamber with k positive entries must give the rung X_k.
+is enough (the Weyl-group reduction, Hesselink 1979).  Every set lies
+inside the set of its refining chamber and the n + 1 chamber sets have one
+size, so the maximal sets are the relabelled chamber sets; the chamber with
+k positive entries must give the rung X_k.
 
 A certificate (k, g, lambda) is checked from g alone, without inverting it:
 g.w lies in U_k exactly when g is invertible, rows k.. of gB vanish, the
@@ -42,6 +42,7 @@ with its rows cleared of denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import _kernels as _k
 from .errors import NotAMemberError, NotInNullConeError, OutOfRangeError, ShapeError
@@ -213,44 +214,9 @@ def _orbit_representatives(n):
     return reps
 
 
-def _weight_masks(lams, candidates):
-    """The positive-pairing weight set of each cocharacter as one packed int.
-
-    Candidate weight j owns the field of ``width`` bits at bit width*j,
-    wide enough that the bias 2^(width-1) - 1 plus any pairing stays inside
-    the field.  The bias of every field plus sum_i lam_i col_i, where col_i
-    packs coordinate i of every candidate, holds bias + <lam, c_j> in field
-    j, so its top bit is set exactly when the pairing is positive: one
-    big-int multiply-add per nonzero coordinate, then one AND with the top
-    bits.  Returns the masks, in the order of ``lams``, and the width.
-    """
-    n = len(lams[0])
-    reach = max(max(map(max, lams)), -min(map(min, lams)))
-    bound = reach * max((sum(map(abs, c)) for c in candidates), default=0)
-    width = bound.bit_length() + 1
-    ones = sum(1 << (width * j) for j in range(len(candidates)))
-    bias = ones * ((1 << (width - 1)) - 1)
-    tops = ones << (width - 1)
-    cols = [
-        sum(c[i] << (width * j) for j, c in enumerate(candidates) if c[i])
-        for i in range(n)
-    ]
-    masks = []
-    for lam in lams:
-        v = bias
-        for x, col in zip(lam, cols):
-            if x:
-                v += x * col
-        masks.append(v & tops)
-    return masks, width
-
-
-def _mask_weights(mask, candidates, width) -> frozenset:
-    """The candidate weights whose field is set in a packed mask."""
-    top = width - 1
-    return frozenset(
-        c for j, c in enumerate(candidates) if mask >> (width * j + top) & 1
-    )
+def _weight_set(lam, candidates) -> frozenset:
+    """The candidate weights that pair strictly positively with lam."""
+    return frozenset(c for c in candidates if sum(map(mul, lam, c)) > 0)
 
 
 def enumerate_maximal_unstable(n, p, q):
@@ -266,15 +232,15 @@ def enumerate_maximal_unstable(n, p, q):
     1. Breaking a representative's ties by index and moving its level-0
        coordinates to the positive side refines it to a chamber: no ties and
        no coordinate at level 0.  Every pairing that was positive stays
-       positive, so its packed set must lie inside its chamber's.  The
-       chamber with k positive entries is itself a representative, so its
-       set is the one packed with the others.
+       positive, so its set must lie inside its chamber's.  The chamber
+       with k positive entries is itself a representative, so its set is
+       one of the representatives' sets.
     2. The n + 1 chamber sets have one size.  With checks 0 and 1, every
        set lies in a relabelled chamber set of that size, so the maximal
        sets are exactly the relabelled chamber sets.
     3. The chamber set with k positive entries is the rung X_k.
 
-    Every set is packed from ``weights_of_W`` and compared with the ladder
+    Every set is computed from ``weights_of_W`` and compared with the ladder
     only at the end.
     """
     candidates = [w.coeffs for w in weights_of_W(n, p, q) if any(w.coeffs)]
@@ -286,21 +252,21 @@ def enumerate_maximal_unstable(n, p, q):
                 "the candidate weights are not S_n-invariant: no ladder"
             )
     reps = _orbit_representatives(n)
-    masks, width = _weight_masks(reps, candidates)
+    sets = [_weight_set(lam, candidates) for lam in reps]
     chambers = {
-        sum(v > 0 for v in lam): mask
-        for lam, mask in zip(reps, masks)
+        sum(v > 0 for v in lam): s
+        for lam, s in zip(reps, sets)
         if 0 not in lam and len(set(lam)) == n
     }
-    for lam, mask in zip(reps, masks):
-        if mask & ~chambers[sum(v >= 0 for v in lam)]:
+    for lam, s in zip(reps, sets):
+        if not s <= chambers[sum(v >= 0 for v in lam)]:
             raise AssertionError(
                 "an order type's weight set leaves its chamber's: no ladder"
             )
-    if len({mask.bit_count() for mask in chambers.values()}) != 1:
+    if len({len(s) for s in chambers.values()}) != 1:
         raise AssertionError("chamber weight sets differ in size: no ladder")
     for k in range(n + 1):
-        if _mask_weights(chambers[k], candidates, width) != x_k_weight_set(n, k):
+        if chambers[k] != x_k_weight_set(n, k):
             raise AssertionError(
                 "maximal unstable classes do not match the expected ladder"
             )
@@ -544,7 +510,7 @@ def adapted_certificate(w: Point, k) -> Certificate:
             f"[{s.dim}, {big.dim}]"
         )
     cert = _build_certificate(a, s, big, k)
-    if not check_certificate(wi, cert):
+    if _certificate_defect(wi, cert) is not None:
         raise AssertionError("constructed certificate failed validation")
     return cert
 
@@ -562,7 +528,7 @@ def component_certificates(w: Point):
     certs = {}
     for k in interval.members():
         cert = _build_certificate(a, s, big, k)
-        if not check_certificate(wi, cert):
+        if _certificate_defect(wi, cert) is not None:
             raise AssertionError("constructed certificate failed validation")
         certs[k] = cert
     return interval, certs

@@ -29,12 +29,7 @@ from eadjoint.linalg import (
     rank_mod_prime,
     trace_product,
 )
-from eadjoint.nullcone import (
-    UnstableSubset,
-    _mask_weights,
-    _weight_masks,
-    x_k_weight_set,
-)
+from eadjoint.nullcone import UnstableSubset, x_k_weight_set
 
 
 def trace(m: RationalMatrix):
@@ -302,8 +297,7 @@ def differential_jacobian_matrix(w: Point) -> RationalMatrix:
 
 def positive_pairing_set(lam, candidates) -> frozenset:
     """The candidate weights that pair strictly positively with lam, each
-    pairing a full dot product: the reference for the packed masks of the
-    ladder search."""
+    pairing a full dot product: the reference for the ladder search."""
     return frozenset(c for c in candidates if sum(l * x for l, x in zip(lam, c)) > 0)
 
 
@@ -362,7 +356,7 @@ def ladder_rungs(weight_sets, n) -> set:
 def order_type_maximal_unstable(n, p, q):
     """The ladder search over every order type, with no symmetry argument.
 
-    Every order type's packed set must lie inside the set of its chamber
+    Every order type's set must lie inside the set of its chamber
     (ties broken by index, level-0 coordinates moved up), all (n + 1)!
     chamber sets must have one size, and the distinct chamber sets must be
     the n + 1 rungs up to relabelling; any failed check raises.  The weights
@@ -371,28 +365,25 @@ def order_type_maximal_unstable(n, p, q):
     """
     candidates = [w.coeffs for w in nullcone.weights_of_W(n, p, q) if any(w.coeffs)]
     lams = order_type_cocharacters(n)
-    masks, width = _weight_masks(lams, candidates)
     # an order type's chamber: the zero marker 0 and the coordinates 1..n
     # sorted by level, ties kept in index order, so the marker goes first
     # among level 0; a chamber is its own, its n + 1 levels all distinct
     chambers, refined = {}, []
-    for lam, mask in zip(lams, masks):
+    for lam in lams:
         levels = (0,) + lam
         key = tuple(sorted(range(n + 1), key=levels.__getitem__))
+        s = positive_pairing_set(lam, candidates)
         if len(set(levels)) > n:
-            chambers[key] = mask
+            chambers[key] = s
         else:
-            refined.append((key, mask))
-    if any(mask & ~chambers[key] for key, mask in refined):
+            refined.append((key, s))
+    if any(not s <= chambers[key] for key, s in refined):
         raise AssertionError(
             "an order type's weight set leaves its chamber's: no ladder"
         )
-    if len({mask.bit_count() for mask in chambers.values()}) != 1:
+    if len({len(s) for s in chambers.values()}) != 1:
         raise AssertionError("chamber weight sets differ in size: no ladder")
-    distinct = {
-        _mask_weights(mask, candidates, width) for mask in set(chambers.values())
-    }
-    if ladder_rungs(distinct, n) != set(range(n + 1)):
+    if ladder_rungs(set(chambers.values()), n) != set(range(n + 1)):
         raise AssertionError(
             "maximal unstable classes do not match the expected ladder"
         )

@@ -1,14 +1,20 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from eadjoint.cli import main
-from eadjoint.invariants import MAX_SIZE, MAX_WORDS
+from eadjoint.invariants import MAX_SIZE, MAX_WORDS, Point
 from eadjoint.verify import MAX_TRIALS
+from oracles import fraction_invariants
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 DIAG_POINT_JSON = {
     "n": 2,
@@ -33,6 +39,17 @@ def run_cli(capsys, args, stdin_obj=None, monkeypatch=None):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def run_fresh_process(args, stdin=""):
+    """``python -m eadjoint`` in a new process that imports the package from
+    this checkout's ``src``, whether or not it is installed."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "eadjoint", *args],
+        input=stdin, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 class TestInvariants:
@@ -77,6 +94,42 @@ class TestInvariants:
         out = json.loads(capsys.readouterr().out)
         assert code == 2
         assert out["error"] == "malformed_input"
+
+    def test_deeply_nested_json_is_malformed(self, capsys, monkeypatch):
+        # 5,000 nested arrays exceed the JSON decoder's recursion limit
+        request = '{"n": 2, "B": ' + "[" * 5000 + "]" * 5000 + "}"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(request))
+        code = main(["classify"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "malformed_input",
+            "detail": "JSON input nested too deeply",
+        }
+        alone = run_fresh_process(["classify"], request)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (2, out, "")
+
+    def test_answers_longer_than_the_int_to_str_limit(self, capsys, monkeypatch):
+        # 1000-digit entries are inside the documented bounds, and tr(A^5)
+        # has more digits than the interpreter's default int-to-str limit
+        nines = "9" * 1000
+        point = {
+            "A": [[[nines] * 5 for _ in range(5)]],
+            "B": [["1"] for _ in range(5)],
+            "C": [["1"] * 5],
+        }
+        expected = fraction_invariants(Point.from_json_obj(point))
+        code, out = run_cli(capsys, ["invariants"], point, monkeypatch)
+        assert code == 0
+        answer = json.loads(out)
+        assert len(answer["tau"][-1]) > 4300
+        # Decimal prints an int without the int-to-str limit
+        assert answer == {
+            "tau": [str(Decimal(t)) for t in expected.tau],
+            "gamma": [[[str(Decimal(x))] for x in g.entries] for g in expected.gamma],
+        }
+        alone = run_fresh_process(["invariants"], json.dumps(point))
+        assert (alone.returncode, alone.stdout) == (0, out)
 
     def test_word_count_above_limit_is_a_domain_error(self, capsys, monkeypatch):
         # 2 + 4 + ... + 2^13 words in two letters, and MAX_WORDS + 1 in one
@@ -438,10 +491,7 @@ def test_in_process_requests_answer_like_a_fresh_process(capsys, monkeypatch):
         except SystemExit as exc:
             code = exc.code
         captured = capsys.readouterr()
-        alone = subprocess.run(
-            [sys.executable, "-m", "eadjoint", *args],
-            input=stdin, capture_output=True, text=True,
-        )
+        alone = run_fresh_process(args, stdin)
         assert (code, captured.out, captured.err) == (
             alone.returncode, alone.stdout, alone.stderr)
         codes.append(code)
@@ -449,11 +499,7 @@ def test_in_process_requests_answer_like_a_fresh_process(capsys, monkeypatch):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "eadjoint", "dims", "--n", "2", "--p", "1", "--q", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_fresh_process(["dims", "--n", "2", "--p", "1", "--q", "1"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {
         "component_dims": [4, 4, 4],

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,16 @@ class TestMatrixBasics:
             rational_from_str("1.5x")
         with pytest.raises(ValueError):
             rational_from_str("1/0")
+
+    def test_rational_strings_beyond_the_int_to_str_limit(self):
+        # Decimal prints an int without the interpreter's int-to-str limit
+        rng = random.Random(3)
+        for digits in (4300, 4301, 9000, 30000):
+            x = rng.randrange(10 ** (digits - 1), 10**digits)
+            for v in (x, -x, 10**digits, -(10**digits) + 1):
+                assert rational_to_str(v) == str(Decimal(v))
+            y = 10 ** (digits + 7) + 3
+            assert rational_to_str(Fraction(-x, y)) == f"{Decimal(-x)}/{Decimal(y)}"
 
     def test_rational_strings_strict(self):
         # only [+-]digits(/digits), surrounding whitespace ignored

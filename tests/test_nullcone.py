@@ -31,9 +31,7 @@ from eadjoint.nullcone import (
     OnePSG,
     Weight,
     _certificate_defect,
-    _mask_weights,
     _orbit_representatives,
-    _weight_masks,
     adapted_certificate,
     check_certificate,
     component_certificates,
@@ -180,12 +178,11 @@ class TestEnumerateMaximalUnstable:
             for c in enumerate_maximal_unstable(n, 2, 2)
         }
         candidates = [w.coeffs for w in weights_of_W(n, 2, 2) if any(w.coeffs)]
-        masks, width = _weight_masks(lams, candidates)
-        decoded = {_mask_weights(m, candidates, width) for m in masks}
-        decoded.discard(frozenset())
+        sets = {positive_pairing_set(lam, candidates) for lam in lams}
+        sets.discard(frozenset())
         for box in (n, 2 * n):
             found = box_weight_sets(n, box)
-            assert found == decoded
+            assert found == sets
             maximal = [s for s in found if not any(s < t for t in found)]
             assert {_canonical_under_permutations(s, n) for s in maximal} == ladder
 
@@ -280,24 +277,21 @@ class TestEnumerateMaximalUnstable:
             assert {tuple(sorted(lam, reverse=True)) for lam in orders} == set(reps)
 
     @staticmethod
-    def widen_one_mask(monkeypatch, pick):
-        """Give the first representative that ``pick`` accepts the union of
-        all evaluated masks, which exceeds every chamber set."""
-        true_masks = nullcone._weight_masks
+    def widen_one_set(monkeypatch, pick):
+        """Give the first representative that ``pick`` accepts every
+        candidate weight, which exceeds every chamber set."""
+        true_set = nullcone._weight_set
 
-        def widened(lams, candidates):
-            masks, width = true_masks(lams, candidates)
-            i = next(i for i, lam in enumerate(lams) if pick(lam))
-            for m in list(masks):
-                masks[i] |= m
-            return masks, width
+        def widened(lam, candidates):
+            first = next(r for r in _orbit_representatives(len(lam)) if pick(r))
+            return frozenset(candidates) if lam == first else true_set(lam, candidates)
 
-        monkeypatch.setattr(nullcone, "_weight_masks", widened)
+        monkeypatch.setattr(nullcone, "_weight_set", widened)
 
     def test_containment_fails_alone(self, monkeypatch):
         # a representative with a level-0 coordinate is no chamber: the
-        # chamber masks, so the size and rung checks, are untouched
-        self.widen_one_mask(monkeypatch, lambda lam: 0 in lam)
+        # chamber sets, so the size and rung checks, are untouched
+        self.widen_one_set(monkeypatch, lambda lam: 0 in lam)
         for n in (2, 3, 4):
             with pytest.raises(AssertionError, match="leaves its chamber's"):
                 enumerate_maximal_unstable(n, 2, 2)
@@ -305,46 +299,16 @@ class TestEnumerateMaximalUnstable:
     def test_unequal_chamber_sizes_raise(self, monkeypatch):
         # a widened chamber keeps containment; the size check raises before
         # the rung check
-        self.widen_one_mask(
+        self.widen_one_set(
             monkeypatch, lambda lam: 0 not in lam and len(set(lam)) == len(lam)
         )
         for n in (2, 3, 4):
             with pytest.raises(AssertionError, match="differ in size: no ladder"):
                 enumerate_maximal_unstable(n, 2, 2)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_packed_masks_match_pairings(self, n):
-        # corrupted weights with coefficients 2 and 3 widen the fields; the
-        # all-3 weights reach the field bound at lam = (+-n, ..., +-n)
-        extra = [
-            (2,) + (0,) * (n - 1),
-            (3,) * n,
-            (-3,) * n,
-            (2, -3) * (n // 2) + (3,) * (n % 2),
-        ]
-        candidates = [w.coeffs for w in weights_of_W(n, 2, 2) if any(w.coeffs)]
-        candidates += extra
-        lams = order_type_cocharacters(n) + [(n,) * n, (-n,) * n]
-        masks, width = _weight_masks(lams, candidates)
-        assert len(masks) == len(lams)
-        for lam, m in zip(lams, masks):
-            decoded = _mask_weights(m, candidates, width)
-            assert decoded == positive_pairing_set(lam, candidates)
-
-    def test_n6_ladder(self, monkeypatch):
-        # only the n + 1 chamber sets are decoded, one per rung
-        seen = []
-        true_decode = nullcone._mask_weights
-
-        def spy(mask, candidates, width):
-            seen.append(true_decode(mask, candidates, width))
-            return seen[-1]
-
-        monkeypatch.setattr(nullcone, "_mask_weights", spy)
+    def test_n6_ladder(self):
         classes = enumerate_maximal_unstable(6, 2, 2)
         assert [c.k for c in classes] == list(range(7))
-        assert [len(s) for s in seen] == [21] * 7
-        assert seen == [c.weights for c in classes]
 
 
 class TestMembership:
