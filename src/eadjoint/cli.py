@@ -24,7 +24,7 @@ from .errors import (
     NotInNullConeError,
     OutOfRangeError,
 )
-from .invariants import Point, evaluate_invariants, word_invariants
+from .invariants import MAX_WORD_LEN, Point, evaluate_invariants, word_invariants
 from .nullcone import (
     adapted_certificate,
     component_interval,
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-", help="point JSON (default stdin)")
     p.add_argument("--words", action="store_true", help="emit word invariants")
     p.add_argument("--max-len", type=int, default=None, dest="max_len",
-                   help="word length bound (default 2n-1)")
+                   help=f"word length bound, 0..{MAX_WORD_LEN} (default 2n-1)")
     p.set_defaults(fn=_cmd_invariants)
 
     p = sub.add_parser("reconstruct", help="rebuild a fiber point from (t, gamma)")

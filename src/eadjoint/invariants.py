@@ -337,18 +337,21 @@ class WordInvariants:
 
 
 MAX_WORDS = 10_000  # nonempty words r + r^2 + ... + r^max_len per request
+MAX_WORD_LEN = 2 * MAX_SIZE - 1  # the largest default max_len, 2n - 1
 
 
 def word_invariants(w: Point, max_len: int) -> WordInvariants:
     """All trace words tau_I (nonempty I) and moment words gamma_K, |K|, |I| <= max_len.
 
     tau keys are deduplicated up to cyclic rotation, the only identity that
-    holds a priori; gamma keys are not deduplicated.  More than
-    ``MAX_WORDS`` nonempty words is an ``OutOfRangeError``, raised before
-    any product is formed.
+    holds a priori; gamma keys are not deduplicated.  max_len outside
+    0..``MAX_WORD_LEN`` or more than ``MAX_WORDS`` nonempty words is an
+    ``OutOfRangeError``, raised before any product is formed.  At r = 1 the
+    word count stays small while the output grows with max_len^2, and words
+    longer than n add nothing new (Cayley-Hamilton).
     """
-    if max_len < 0:
-        raise OutOfRangeError(f"max_len must be nonnegative, got {max_len}")
+    if not 0 <= max_len <= MAX_WORD_LEN:
+        raise OutOfRangeError(f"max_len must lie in 0..{MAX_WORD_LEN}, got {max_len}")
     words, of_length = 0, 1
     for _ in range(max_len):
         of_length *= w.r

@@ -32,11 +32,14 @@ inside the set of its refining chamber and the n + 1 chamber sets have one
 size, so the maximal sets are the relabelled chamber sets; the chamber with
 k positive entries must give the rung X_k.
 
-A certificate (k, g, lambda) is checked from g alone, without inverting it:
-g.w lies in U_k exactly when g is invertible, rows k.. of gB vanish, the
-rows of C lie in the span of the rows k.. of g, and each row g_i A lies in
-the span of the rows of g below row i.  Those are integer rank tests on g
-with its rows cleared of denominators.
+One routine builds the certificates (k, g, lambda) of a null point: it
+grows an A-invariant F from S inside K once, one vector per step, and
+refines each F_k to a complete flag along which A strictly descends, g the
+inverse of the flag's basis.  A certificate is checked from g alone: g.w
+lies in U_k exactly when g is invertible, rows k.. of gB vanish, the rows
+of C lie in the span of the rows k.. of g, and each row g_i A lies in the
+span of the rows of g below row i.  Those are integer rank tests on g with
+its rows cleared of denominators.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .linalg import (
     _divided,
     _integer_inverse,
     _kernel_span,
+    _span,
     column_space,
     kernel_subspace,
 )
@@ -440,98 +444,84 @@ def _first_new_basis_column(target: Subspace, current: Subspace):
     return None
 
 
-def _build_certificate(a: RationalMatrix, s: Subspace, big: Subspace, k: int) -> Certificate:
-    """Flag construction between the hull s and the core big of the integer
-    matrix a; see below."""
+def _layer(a: RationalMatrix, current: Subspace, cut):
+    """One step up a chain of subspaces of the integer matrix a: (layer, new).
+
+    The layer is {x : a x in current} cut by the rows ``cut``, the kernel of
+    [ann(current) a; cut].  With current inside it, stored row j of the layer
+    is new, outside the span of current and the rows before it, exactly when
+    no vector of current in the layer's basis coordinates (its entries at the
+    layer's pivots) has its last nonzero coordinate at j.
+    """
     n = a.rows
-    f = s
-    while f.dim < k:
-        col = _first_new_basis_column(f.preimage_under(a).intersect(big), f)
-        if col is None:
-            raise AssertionError("invariant subspace growth stalled")
-        f = f.sum_with(Subspace.from_spanning_columns(RationalMatrix.column(col)))
-
-    # each layer is the preimage of the last under A; cut down to F (which
-    # is A-invariant) it is ker(A^j) intersected with F below F, and above
-    # F it is A^-j F: one kernel, of [ann(current) A; ann(F)] below F and
-    # of ann(current) A above it.  current lies in layer, and basis column
-    # j of layer is outside the span of current and the columns before it
-    # exactly when no vector of current, in layer's basis coordinates (its
-    # entries at layer's pivots), has its last nonzero coordinate at j
-    ann_f = f._annihilator()
-    flag = []
-    current = Subspace.zero(n)
-    while current.dim < n:
-        ann = current._annihilator()
-        prod = _k.mat_mul([x for row in ann for x in row], len(ann), n, a.entries, n)
-        rows = [prod[i * n : (i + 1) * n] for i in range(len(ann))]
-        layer = _kernel_span(rows + ann_f if current.dim < k else rows, n)
-        d, back = layer.dim, layer._pivots[::-1]
-        _, last, _ = _k.rre_int([[row[i] for i in back] for row in current._rows], d)
-        taken = {d - 1 - j for j in last}
-        flag += [row for j, row in enumerate(layer._rows) if j not in taken]
-        current = layer
-
-    # the flag basis matrix has column j flag[j] / D_j, D_j its pivot entry,
-    # so g, its inverse, is D Bint^-1 with Bint's columns the rows of flag
-    _, h, den = _integer_inverse(
-        RationalMatrix(n, n, [v[i] for i in range(n) for v in flag], validate=False)
-    )
-    pivot_entries = [next(x for x in v if x) for v in flag]
-    g = _divided(n, n, [pivot_entries[i // n] * x for i, x in enumerate(h)], 1, den)
-    return Certificate(k, g, standard_destabilizer(n, k))
+    ann = current._annihilator()
+    prod = _k.mat_mul([x for row in ann for x in row], len(ann), n, a.entries, n)
+    layer = _kernel_span([prod[i * n : (i + 1) * n] for i in range(len(ann))] + cut, n)
+    d, back = layer.dim, layer._pivots[::-1]
+    _, last, _ = _k.rre_int([[row[i] for i in back] for row in current._rows], d)
+    taken = {d - 1 - j for j in last}
+    return layer, [row for j, row in enumerate(layer._rows) if j not in taken]
 
 
-def _null_point_subspaces(wi: Point):
-    """(A, S, K) of a null point cleared to ``wi`` by
-    ``_integer_rescaled_point``; raises outside the cone."""
+def _certify(w: Point, only=None):
+    """(interval, {k: certificate}) of a null point, for every k of its
+    interval or for k = ``only`` alone; raises outside the cone or, for
+    ``only``, outside the interval.
+
+    F starts at S, the column space of ctrl, and K enters only through its
+    annihilator, the reduced rows of obs.  Each growth step adds the first
+    new row of A^-1 F inside K.  The flag of F_k climbs by ``_layer`` from
+    0, each layer the preimage of the last under A: cut by ann(F) below F,
+    where it is ker(A^j) inside F, and uncut above F, where it is A^-j F.
+    """
+    wi = _integer_rescaled_point(w)[0]
     ctrl = _null_controllability(wi)
     if ctrl is None:
         raise NotInNullConeError("certificates exist only for null points")
-    return wi.A, column_space(ctrl), largest_invariant_in_kernel(wi.A, wi.C)
+    n, a, f = wi.n, wi.A, column_space(ctrl)
+    rank, _, red = _k.rre_int(_observability(a, wi.C)._int_rows(), n)
+    interval = ComponentInterval(f.dim, n - rank, True)
+    if only is not None and only not in interval:
+        raise NotAMemberError(
+            f"point is not a member of component {only}: interval is "
+            f"[{interval.d_min}, {interval.d_max}]"
+        )
+    certs = {}
+    for k in range(f.dim, (interval.d_max if only is None else only) + 1):
+        if k > f.dim:
+            new = _layer(a, f, red[:rank])[1]
+            if not new:
+                raise AssertionError("invariant subspace growth stalled")
+            f = _span(n, [*f._rows, new[0]])
+        if only is not None and k != only:
+            continue
+        ann_f, flag, current = f._annihilator(), [], Subspace.zero(n)
+        while current.dim < n:
+            current, new = _layer(a, current, ann_f if current.dim < k else [])
+            flag += new
+        # the flag basis has column j flag[j] / D_j, D_j its pivot entry, so
+        # g, its inverse, is D Bint^-1 with Bint's columns the rows of flag
+        cols = [v[i] for i in range(n) for v in flag]
+        _, h, den = _integer_inverse(RationalMatrix(n, n, cols, validate=False))
+        pivot_entries = [next(x for x in v if x) for v in flag]
+        g = _divided(n, n, [pivot_entries[i // n] * x for i, x in enumerate(h)], 1, den)
+        certs[k] = Certificate(k, g, standard_destabilizer(n, k))
+        if _certificate_defect(wi, certs[k]) is not None:
+            raise AssertionError("constructed certificate failed validation")
+    return interval, certs
 
 
 def adapted_certificate(w: Point, k) -> Certificate:
-    """Construct a change of basis carrying a null point into U_k.
-
-    An A-invariant subspace F with image(B)-hull <= F <= ker(C)-core and
-    dim F = k is grown one kernel-filtration vector at a time, then refined
-    to a complete flag along which A strictly descends: below F through the
-    kernels of the powers of A restricted to F, above F through the iterated
-    preimages of F.  The basis change to that flag, together with the
-    strictly decreasing cocharacter, is returned after both certificate
-    conditions are re-verified.
-    """
-    wi = _integer_rescaled_point(w)[0]
-    a, s, big = _null_point_subspaces(wi)
-    if not (s.dim <= k <= big.dim):
-        raise NotAMemberError(
-            f"point is not a member of component {k}: interval is "
-            f"[{s.dim}, {big.dim}]"
-        )
-    cert = _build_certificate(a, s, big, k)
-    if _certificate_defect(wi, cert) is not None:
-        raise AssertionError("constructed certificate failed validation")
-    return cert
+    """A change of basis carrying a null point into U_k, with the strictly
+    decreasing cocharacter, re-verified bit-exactly (``_certify``)."""
+    return _certify(w, k)[1][k]
 
 
 def component_certificates(w: Point):
-    """Classify a null point and certify every component it belongs to.
-
-    Returns (interval, {k: certificate for k in the interval}), sharing the
-    invariant-subspace computations across the certificates.  Every
-    certificate is re-verified bit-exactly before being returned.
-    """
-    wi = _integer_rescaled_point(w)[0]
-    a, s, big = _null_point_subspaces(wi)
-    interval = ComponentInterval(s.dim, big.dim, True)
-    certs = {}
-    for k in interval.members():
-        cert = _build_certificate(a, s, big, k)
-        if _certificate_defect(wi, cert) is not None:
-            raise AssertionError("constructed certificate failed validation")
-        certs[k] = cert
-    return interval, certs
+    """(interval, {k: certificate for k in the interval}) of a null point,
+    all from one chain of invariant subspaces and each re-verified
+    bit-exactly (``_certify``)."""
+    return _certify(w)
 
 
 # ---------------------------------------------------------------------------

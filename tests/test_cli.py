@@ -1,7 +1,9 @@
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -10,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from eadjoint.cli import main
-from eadjoint.invariants import MAX_SIZE, MAX_WORDS, Point
+from eadjoint.invariants import MAX_SIZE, MAX_WORD_LEN, MAX_WORDS, Point, group_action
+from eadjoint.linalg import RationalMatrix
+from eadjoint.sampling import random_invertible
 from eadjoint.verify import MAX_TRIALS
 from oracles import fraction_invariants
 
@@ -139,6 +143,21 @@ class TestInvariants:
             )
             assert code == 1
             assert json.loads(out)["error"] == "out_of_range"
+
+    def test_word_length_cap(self, capsys, monkeypatch):
+        # at r = 1 the words stay few but the output grows with max_len^2,
+        # so the length itself is capped at the largest default 2n - 1
+        assert MAX_WORD_LEN == 2 * MAX_SIZE - 1 == 63
+        point = zero_point_json(MAX_SIZE, 1, 1)
+        code, out = run_cli(capsys, ["invariants", "--max-len", "63"], point, monkeypatch)
+        assert code == 0
+        obj = json.loads(out)
+        assert len(obj["tau"]) == len(obj["gamma"]) - 1 == 63
+        assert out == run_cli(capsys, ["invariants", "--words"], point, monkeypatch)[1]
+        code, out = run_cli(capsys, ["invariants", "--max-len", "64"], point, monkeypatch)
+        assert code == 1
+        err = json.loads(out)
+        assert err["error"] == "out_of_range" and "0..63" in err["detail"]
 
     def test_negative_max_len_is_a_domain_error(self, capsys, monkeypatch):
         code, out = run_cli(
@@ -404,6 +423,65 @@ def test_sample_classify_certify_output_is_byte_identical(capsys, monkeypatch):
                             outs.append(run(["certify", "--k", str(kk)], point))
                         digest.update("".join(outs).encode())
     assert digest.hexdigest() == GOLDEN_PIPELINE_SHA256
+
+
+# SHA-256 of the stdout of classify and certify (every k of the interval) on
+# the first 40 points of ``wide_interval_points(61)`` with d_max > d_min, in
+# that order, recorded from the implementation that grew F with Subspace
+# preimages, intersections and sums
+GOLDEN_WIDE_INTERVAL_SHA256 = (
+    "c743a4574ff10f3c4ed7f04e9375b6a2a2e810d9608cfc66a81dd23da39acd0c"
+)
+
+
+def wide_interval_points(seed):
+    """Sparse U_k points (many zero entries, so often d_max > d_min) as JSON
+    text; every other one moved by a random invertible g."""
+    rng = random.Random(seed)
+    for trial in itertools.count():
+        n = rng.randint(2, 5)
+        p, q, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, n)
+
+        def pick():
+            return rng.choice((0, 0, 0, 1, -1, 2))
+
+        rm = RationalMatrix.from_rows
+        w = Point(
+            rm([[pick() if i < k else 0 for _ in range(p)] for i in range(n)]),
+            rm([[pick() if j >= k else 0 for j in range(n)] for _ in range(q)]),
+            (rm([[pick() if j > i else 0 for j in range(n)] for i in range(n)]),),
+        )
+        if trial % 2:
+            w = group_action(random_invertible(rng, n), w)
+        yield trial % 2, json.dumps(w.to_json_obj())
+
+
+def test_classify_certify_on_wide_intervals_is_byte_identical(capsys, monkeypatch):
+    def run(args, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = main(args)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        return out
+
+    digest = hashlib.sha256()
+    wide = moved = certs = 0
+    for was_moved, point in wide_interval_points(61):
+        interval = run(["classify"], point)
+        iv = json.loads(interval)
+        if iv["d_max"] == iv["d_min"]:
+            continue
+        outs = [interval]
+        for kk in range(iv["d_min"], iv["d_max"] + 1):
+            outs.append(run(["certify", "--k", str(kk)], point))
+            certs += 1
+        digest.update("".join(outs).encode())
+        wide += 1
+        moved += was_moved
+        if wide == 40:
+            break
+    assert moved >= 10 and certs >= 100
+    assert digest.hexdigest() == GOLDEN_WIDE_INTERVAL_SHA256
 
 
 class TestVerifyCommand:

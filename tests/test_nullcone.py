@@ -306,10 +306,6 @@ class TestEnumerateMaximalUnstable:
             with pytest.raises(AssertionError, match="differ in size: no ladder"):
                 enumerate_maximal_unstable(n, 2, 2)
 
-    def test_n6_ladder(self):
-        classes = enumerate_maximal_unstable(6, 2, 2)
-        assert [c.k for c in classes] == list(range(7))
-
 
 class TestMembership:
     def test_origin(self):
@@ -576,17 +572,18 @@ class TestCertificates:
                 )
 
     def test_built_certificate_is_rechecked(self, monkeypatch):
-        # the library re-checks every certificate it builds; a builder
-        # that returns g = 1 is caught there and in the certificates suite
+        # the library re-checks every certificate it builds; a build whose
+        # g comes out as 1 is caught there and in the certificates suite
         from eadjoint.verify import run_suite
 
-        def identity_builder(a, s, big, k):
-            n = a.rows
-            return Certificate(k, RationalMatrix.identity(n), standard_destabilizer(n, k))
+        def identity(rows, cols, ints, num, den):
+            return RationalMatrix.identity(rows)
 
         w = sample_component(3, 2, 2, 1, 5)
-        assert not check_certificate(w, identity_builder(w.A, None, None, 1))
-        monkeypatch.setattr(nullcone, "_build_certificate", identity_builder)
+        g = RationalMatrix.identity(3)
+        assert not check_certificate(w, Certificate(1, g, standard_destabilizer(3, 1)))
+        # nullcone divides out g's denominator only when it builds a certificate
+        monkeypatch.setattr(nullcone, "_divided", identity)
         detail = "constructed certificate failed validation"
         with pytest.raises(AssertionError, match=detail):
             component_certificates(w)
@@ -937,14 +934,21 @@ class TestKalmanSubspaces:
 class TestFlagConstruction:
     @staticmethod
     def matches_kernel_powers(points):
-        """Build every certificate of each point both ways; (certs, wide)."""
+        """Certify each point from the definitions and through both public
+        functions, every k; (certs, wide)."""
         certs = wide = 0
         for w in points:
-            a, hull, core = nullcone._null_point_subspaces(_integer_rescaled_point(w)[0])
+            wi = _integer_rescaled_point(w)[0]
+            hull = invariant_hull_of_image(wi.A, wi.B)
+            core = largest_invariant_in_kernel(wi.A, wi.C)
             wide += core.dim > hull.dim
+            interval, built = component_certificates(w)
+            assert (interval.d_min, interval.d_max) == (hull.dim, core.dim)
+            assert sorted(built) == list(range(hull.dim, core.dim + 1))
             for k in range(hull.dim, core.dim + 1):
-                expected = certificate_by_kernel_powers(a, hull, core, k)
-                assert nullcone._build_certificate(a, hull, core, k) == expected
+                expected = certificate_by_kernel_powers(wi.A, hull, core, k)
+                assert built[k] == expected
+                assert adapted_certificate(w, k) == expected
                 assert check_certificate(w, expected)
                 certs += 1
         return certs, wide
@@ -965,6 +969,52 @@ class TestFlagConstruction:
                 yield group_action(random_invertible(rng, n), w) if trial % 2 else w
 
         assert self.matches_kernel_powers(points())[0] >= 120
+
+
+class TestOneChainPerPoint:
+    def test_growth_steps_without_subspace_set_operations(self, monkeypatch):
+        # F grows once per point, one step per dimension, and neither the
+        # classifier nor the certificates touch the Fraction subspace path
+        cases = []
+        for w in sparse_null_points(67, 80):
+            iv = component_interval(w)
+            if iv.d_max > iv.d_min:
+                wi = _integer_rescaled_point(w)[0]
+                hull = invariant_hull_of_image(wi.A, wi.B)
+                core = largest_invariant_in_kernel(wi.A, wi.C)
+                expected = {
+                    k: certificate_by_kernel_powers(wi.A, hull, core, k)
+                    for k in iv.members()
+                }
+                cases.append((w, iv, expected))
+        assert len(cases) >= 30
+        assert sum(iv.d_max - iv.d_min for _, iv, _ in cases) >= 50
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the certify path used a retired operation")
+
+        for name in ("preimage_under", "intersect", "sum_with", "contains_vector"):
+            monkeypatch.setattr(Subspace, name, forbidden)
+        monkeypatch.setattr(Subspace, "basis", property(forbidden))
+        monkeypatch.setattr(RationalMatrix, "column", forbidden)
+        for name in ("_first_new_basis_column", "largest_invariant_in_kernel",
+                     "kernel_subspace"):
+            monkeypatch.setattr(nullcone, name, forbidden)
+        # nullcone spans integer rows only to add a vector to F
+        steps = []
+        span = nullcone._span
+        monkeypatch.setattr(
+            nullcone, "_span", lambda n, rows: steps.append(1) or span(n, rows)
+        )
+        for w, iv, expected in cases:
+            assert component_interval(w) == iv
+            steps.clear()
+            assert component_certificates(w) == (iv, expected)
+            assert len(steps) == iv.d_max - iv.d_min
+            for k in iv.members():
+                steps.clear()
+                assert adapted_certificate(w, k) == expected[k]
+                assert len(steps) == k - iv.d_min
 
 
 class TestInverseFreeCheck:
