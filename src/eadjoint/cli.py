@@ -15,15 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    DegenerateSpectrumError,
-    EadjointError,
-    FiberConditionError,
-    MultipleCopiesError,
-    NotAMemberError,
-    NotInNullConeError,
-    OutOfRangeError,
-)
+from .errors import EadjointError
 from .invariants import MAX_WORD_LEN, Point, evaluate_invariants, word_invariants
 from .nullcone import (
     adapted_certificate,
@@ -49,16 +41,6 @@ def _read_input(path):
         return json.loads(raw)
     except RecursionError:
         raise ValueError("JSON input nested too deeply") from None
-
-
-_ERROR_CODES = (
-    (DegenerateSpectrumError, "degenerate_spectrum"),
-    (FiberConditionError, "fiber_condition_violated"),
-    (MultipleCopiesError, "multiple_adjoint_copies"),
-    (NotInNullConeError, "not_in_null_cone"),
-    (NotAMemberError, "not_a_member"),
-    (OutOfRangeError, "out_of_range"),
-)
 
 
 def _cmd_invariants(args):
@@ -186,16 +168,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (json.JSONDecodeError, ValueError, OSError) as exc:
-        _emit({"error": "malformed_input", "detail": str(exc)})
-        return 2
-    except EadjointError as exc:
-        for etype, code in _ERROR_CODES:
-            if isinstance(exc, etype):
-                _emit({"error": code, "detail": str(exc)})
-                return 1
-        _emit({"error": "malformed_input", "detail": str(exc)})
-        return 2
+    except (EadjointError, ValueError, OSError) as exc:
+        code = exc.code if isinstance(exc, EadjointError) else "malformed_input"
+        _emit({"error": code, "detail": str(exc)})
+        return 2 if code == "malformed_input" else 1
 
 
 def main_entry():

@@ -95,9 +95,6 @@ class Point:
             )
         return self.A_list[0]
 
-    def dims(self):
-        return (self.n, self.p, self.q, self.r)
-
     def to_json_obj(self):
         return {
             "n": self.n,
@@ -435,35 +432,6 @@ def _jacobian_entries(wi: Point, obs, ctrl):
     return flat
 
 
-def jacobian_matrix(w: Point) -> RationalMatrix:
-    """Matrix of the differential at w.
-
-    Rows: tau_1..tau_n then Gamma entries (k, i, j) in lexicographic order.
-    Columns: the standard basis directions dA (row-major), then dB, then dC.
-    Built by ``_jacobian_entries`` at the cleared point s(w) = (l_B B,
-    l_C C, l_A A), then J(w) = D^-1 J(s w) s (see ``jacobian_rank``), each
-    entry divided once; agreement with the product-rule differential on
-    random directions is covered by tests.
-    """
-    if w.r != 1:
-        raise MultipleCopiesError("Jacobian is defined for r = 1 points")
-    wi, lb, lc, (la,) = _integer_rescaled_point(w)
-    n, p, q = w.n, w.p, w.q
-    nrows, ncols = n + n * q * p, n * n + n * p + q * n
-    flat = _jacobian_entries(
-        wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B))
-    if wi is not w:
-        dens = [la**k for k in range(1, n + 1)]
-        dens += [lc * lb * la**k for k in range(n) for _ in range(q * p)]
-        scales = [la] * (n * n) + [lb] * (n * p) + [lc] * (q * n)
-        flat = [
-            _over(x * s, den)
-            for den, i in zip(dens, range(0, nrows * ncols, ncols))
-            for x, s in zip(flat[i : i + ncols], scales)
-        ]
-    return RationalMatrix(nrows, ncols, flat, validate=False)
-
-
 def _split_bound(wi: Point, obs: RationalMatrix, ctrl: RationalMatrix) -> bool:
     """Whether rank J >= n(p + q) follows from the block split of J, by one
     or two n x n ranks mod ``PRIME`` read off the observability and
@@ -662,11 +630,13 @@ def nonclosed_image_demo(n: int, u: RationalMatrix, eps) -> NonclosedImageDemo:
     """Evaluate the toy family a = (eps, 2 eps, ..., n eps), v_i = u / a_i.
 
     Along this family a_i v_i = u stays fixed while the image point
-    ((power sums of a); (sum a_i^k v_i)_{k=1..n}) approaches
+    ((power sums of a); (sum a_i^k v_i)_{k=1..n}), which is
+    ``psi_map(a, [a_1 v_1, ..., a_n v_n])``, approaches
     (0; (n u, 0, ..., 0)).  That limit is never attained: vanishing power
     sums force a = 0 (see ``limit_point_is_outside_family_image``), and
     a = 0 contradicts a_i v_i = u != 0.  The gap is the maximum absolute
-    coordinate difference, exact on rationals.
+    coordinate difference, exact on rationals.  u must have rank one;
+    ``psi_map`` raises ``FiberConditionError`` on a larger rank.
     """
     eps = Fraction(eps)
     if eps == 0:
@@ -677,27 +647,21 @@ def nonclosed_image_demo(n: int, u: RationalMatrix, eps) -> NonclosedImageDemo:
         raise ValueError("u must be nonzero")
     a = [eps * (i + 1) for i in range(n)]
     vs = [u.scale(Fraction(1, 1) / ai) for ai in a]
-    image_tau = tuple(_canon(sum(ai**k for ai in a)) for k in range(1, n + 1))
-    image_parts = []
-    for k in range(1, n + 1):
-        acc = RationalMatrix.zeros(u.rows, u.cols)
-        for i in range(n):
-            acc = acc + vs[i].scale(a[i] ** k)
-        image_parts.append(acc)
+    image = psi_map(a, [v.scale(ai) for ai, v in zip(a, vs)])
     limit_tau = (0,) * n
     limit_parts = [u.scale(n)] + [
         RationalMatrix.zeros(u.rows, u.cols) for _ in range(n - 1)
     ]
     gap = 0
-    for t1, t2 in zip(image_tau, limit_tau):
+    for t1, t2 in zip(image.tau, limit_tau):
         gap = max(gap, abs(t1 - t2))
-    for m1, m2 in zip(image_parts, limit_parts):
+    for m1, m2 in zip(image.gamma, limit_parts):
         for x, y in zip(m1.entries, m2.entries):
             gap = max(gap, abs(x - y))
     return NonclosedImageDemo(
         eps,
-        image_tau,
-        tuple(image_parts),
+        image.tau,
+        image.gamma,
         limit_tau,
         tuple(limit_parts),
         _canon(gap),

@@ -176,15 +176,6 @@ def _check_hom_equations(a: RationalMatrix, ps, ns, rows) -> None:
 # fiber reconstruction
 
 
-@dataclass(frozen=True)
-class ReconstructionData:
-    """Spectrum, rank <= 1 summands and their chosen factorizations."""
-
-    t: tuple
-    X: tuple
-    factors: tuple  # pairs (c_k: q x 1, b_k: 1 x p) with X_k = c_k @ b_k
-
-
 def rank_one_factor(x: RationalMatrix):
     """Deterministic factorization x = c @ b of a rank <= 1 matrix.
 
@@ -210,39 +201,31 @@ def rank_one_factor(x: RationalMatrix):
     return c, b
 
 
-def fiber_reconstruction_data(t, gamma, strict_rank1=False) -> ReconstructionData:
-    """Solve the Vandermonde system and factor every summand."""
-    xs = vandermonde_solve(t, list(gamma))
-    factors = []
-    for x in xs:
-        c, b = rank_one_factor(x)
-        if strict_rank1 and x.is_zero():
-            raise FiberConditionError(
-                "rank-one condition violated: zero summand under strict mode"
-            )
-        factors.append((c, b))
-    return ReconstructionData(tuple(_canon(v) for v in t), tuple(xs), tuple(factors))
-
-
 def reconstruct_fiber_point(t, gamma, strict_rank1=False) -> Point:
     """Build (B, C, diag(t)) whose invariants are the given (power sums; gamma).
 
     The k-th row of B and the k-th column of C come from factoring the k-th
     Vandermonde solve summand as c_k b_k.  By default a zero summand is
     accepted with factors (0, 0); ``strict_rank1`` restores the literal
-    rank-one requirement.
+    rank-one requirement.  Summands are factored in order, so the first
+    summand that fails decides the error.
     """
-    data = fiber_reconstruction_data(t, gamma, strict_rank1=strict_rank1)
-    n = len(data.t)
-    if n == 0:
+    xs = vandermonde_solve(t, list(gamma))
+    if not xs:
         raise ShapeError("reconstruction needs a nonempty spectrum")
-    q, p = data.X[0].shape
-    b_rows = [data.factors[k][1].row_list(0) for k in range(n)]
-    c_cols = [data.factors[k][0].col_list(0) for k in range(n)]
+    b_rows, c_cols = [], []
+    for x in xs:
+        c, b = rank_one_factor(x)
+        if strict_rank1 and x.is_zero():
+            raise FiberConditionError(
+                "rank-one condition violated: zero summand under strict mode"
+            )
+        b_rows.append(b.row_list(0))
+        c_cols.append(c.col_list(0))
     return Point(
         RationalMatrix.from_rows(b_rows),
-        RationalMatrix.from_rows([[c_cols[k][i] for k in range(n)] for i in range(q)]),
-        (RationalMatrix.diagonal(data.t),),
+        RationalMatrix.from_rows(zip(*c_cols)),
+        (RationalMatrix.diagonal(t),),
     )
 
 

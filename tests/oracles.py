@@ -17,7 +17,6 @@ from eadjoint.invariants import (
     action_equations,
     cyclic_canonical,
     evaluate_invariants,
-    jacobian_matrix,
 )
 from eadjoint.linalg import (
     PolynomialCoeffs,
@@ -273,9 +272,10 @@ def sign_flipped_hom_equations(a: RationalMatrix, ps, ns):
 
 
 def exact_jacobian_rank(w: Point) -> int:
-    """The Jacobian rank by one exact elimination (``rank_int``) of
-    ``jacobian_matrix``, with no certificate."""
-    return jacobian_matrix(w).rank()
+    """The Jacobian rank by one exact elimination of
+    ``differential_jacobian_matrix``, with no certificate and none of the
+    package's Jacobian or Krylov builders."""
+    return differential_jacobian_matrix(w).rank()
 
 
 def differential_jacobian_matrix(w: Point) -> RationalMatrix:

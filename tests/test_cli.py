@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from eadjoint import cli, errors
 from eadjoint.cli import main
 from eadjoint.invariants import MAX_SIZE, MAX_WORD_LEN, MAX_WORDS, Point, group_action
 from eadjoint.linalg import RationalMatrix
@@ -197,6 +198,24 @@ class TestReconstructAndClassify:
         )
         assert code == 1
         assert json.loads(out)["error"] == "fiber_condition_violated"
+
+    def test_reconstruct_errors_follow_the_summand_order(self, capsys, monkeypatch):
+        # X_1 = 0 and X_2 = I_2 for t = (1, 2), the other way round for
+        # t = (2, 1): the first summand that fails decides the error
+        gamma = [[["1", "0"], ["0", "1"]], [["2", "0"], ["0", "2"]]]
+        rank = "matrix has rank >= 2"
+        zero = "rank-one condition violated: zero summand under strict mode"
+        for t, strict, detail in (
+            (["1", "2"], False, rank),
+            (["1", "2"], True, zero),
+            (["2", "1"], False, rank),
+            (["2", "1"], True, rank),
+        ):
+            args = ["reconstruct"] + ["--strict-rank1"] * strict
+            code, out = run_cli(capsys, args, {"t": t, "gamma": gamma}, monkeypatch)
+            assert (code, out) == (1, json.dumps(
+                {"detail": detail, "error": "fiber_condition_violated"},
+                separators=(",", ":")) + "\n")
 
     def test_classify_zero_point(self, capsys, monkeypatch):
         zero = {
@@ -550,6 +569,27 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])
+
+
+@pytest.mark.parametrize("error, code, status", [
+    (errors.ShapeError, "malformed_input", 2),
+    (errors.SingularMatrixError, "malformed_input", 2),
+    (errors.MultipleCopiesError, "multiple_adjoint_copies", 1),
+    (errors.DegenerateSpectrumError, "degenerate_spectrum", 1),
+    (errors.FiberConditionError, "fiber_condition_violated", 1),
+    (errors.NotInNullConeError, "not_in_null_cone", 1),
+    (errors.NotAMemberError, "not_a_member", 1),
+    (errors.OutOfRangeError, "out_of_range", 1),
+    (ValueError, "malformed_input", 2),
+    (FileNotFoundError, "malformed_input", 2),
+])
+def test_every_error_class_reports_its_code(capsys, monkeypatch, error, code, status):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_dims", fail)
+    assert run_cli(capsys, ["dims", "--n", "1", "--p", "1", "--q", "1"]) == (
+        status, json.dumps({"detail": "boom", "error": code}, separators=(",", ":")) + "\n")
 
 
 def test_in_process_requests_answer_like_a_fresh_process(capsys, monkeypatch):

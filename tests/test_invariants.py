@@ -14,7 +14,6 @@ from eadjoint.invariants import (
     cyclic_canonical,
     evaluate_invariants,
     group_action,
-    jacobian_matrix,
     jacobian_rank,
     limit_point_is_outside_family_image,
     nonclosed_image_demo,
@@ -23,7 +22,11 @@ from eadjoint.invariants import (
     word_invariants,
 )
 from eadjoint.linalg import PRIME, RationalMatrix, kernel_subspace, rank_mod_prime
-from eadjoint.nullcone import pinned_row_witness, random_unstable_point
+from eadjoint.nullcone import (
+    pinned_row_witness,
+    random_unstable_point,
+    sample_component,
+)
 from oracles import (
     TangentVector,
     controllability_blocks,
@@ -368,7 +371,7 @@ class TestJacobian:
         for _ in range(10):
             n, p, q = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
             w = random_point(rng, n, p, q, bound=6)
-            jm = jacobian_matrix(w)
+            jm = differential_jacobian_matrix(w)
             dw = TangentVector(
                 random_matrix(rng, n, p, 6),
                 random_matrix(rng, q, n, 6),
@@ -450,7 +453,7 @@ class TestClearedIntegerPath:
         ranks = set()
         for w in cleared_path_points(rng, 1, 40):
             rank = jacobian_rank(w)
-            assert rank == jacobian_matrix(w).rank()
+            assert rank == exact_jacobian_rank(w)
             ranks.add(rank)
         assert len(ranks) > 3
 
@@ -556,14 +559,14 @@ def split_points(rng, per_family=30):
 def split_blocks(w):
     """(K, O, T_A, G) of ``_split_bound`` for w itself: the Krylov matrices
     [b_0, A b_0, ...] and [c_0; c_0 A; ...] by Fraction products, and T_A
-    and G sliced out of ``jacobian_matrix(w)``."""
+    and G sliced out of ``differential_jacobian_matrix(w)``."""
     n, p, q = w.n, w.p, w.q
     powers = matrix_powers(w.A, n - 1)
     b0 = RationalMatrix.column(w.B.col_list(0))
     c0 = RationalMatrix(1, n, w.C.row_list(0))
     k = RationalMatrix.hstack([m @ b0 for m in powers])
     o = RationalMatrix.vstack([c0 @ m for m in powers])
-    rows = jacobian_matrix(w).to_rows()
+    rows = differential_jacobian_matrix(w).to_rows()
     t_a = RM([row[: n * n] for row in rows[:n]])
     picked = [(kk, 0, j) for kk in range(n) for j in range(p)]
     picked += [(kk, i, 0) for kk in range(n) for i in range(1, q)]
@@ -659,7 +662,7 @@ class TestJacobianRankCertificate:
         for n, p, q in ((2, 1, 1), (3, 2, 2), (3, 1, 3), (4, 3, 2)):
             w = random_point(rng, n, p, q)
             big = scaled(w, PRIME)
-            rows = jacobian_matrix(big).to_rows()
+            rows = differential_jacobian_matrix(big).to_rows()
             assert rank_mod_prime(rows, len(rows[0])) == 1
             calls = exact.calls
             assert jacobian_rank(big) == jacobian_rank(w) == n * (p + q)
@@ -689,7 +692,7 @@ class TestJacobianRankCertificate:
         # rank over Q when e_i is outside the column span: only J T = 0 sees
         # it, on the J that _jacobian_entries hands to the tangent check
         w = random_point(random.Random(77), 3, 2, 2)
-        rows = jacobian_matrix(w).to_rows()
+        rows = differential_jacobian_matrix(w).to_rows()
         nrows, ncols = len(rows), len(rows[0])
         rank = _kernels.rank_int(rows, ncols)
         assert rank == 3 * (2 + 2)
@@ -735,14 +738,45 @@ class TestJacobianRankCertificate:
         assert tangent_check.calls == 0
 
     def test_jacobian_matrix_matches_the_differential_exactly(self):
-        # identical entries, int where integral and Fraction otherwise, on
-        # the rational points of the cleared-path tests
+        # the entries that jacobian_rank eliminates, at the cleared integer
+        # point of each rational point of the cleared-path tests, are the
+        # differential's, entry by entry and type by type
         rng = random.Random(78)
         for w in cleared_path_points(rng, 1, 24, max_n=3):
-            jac = jacobian_matrix(w)
-            ref = differential_jacobian_matrix(w)
+            wi = invariants._integer_rescaled_point(w)[0]
+            n, p, q = w.n, w.p, w.q
+            entries = invariants._jacobian_entries(
+                wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B))
+            jac = RationalMatrix(n + n * q * p, n * (n + p + q), entries)
+            ref = differential_jacobian_matrix(wi)
             assert jac == ref
             assert [type(x) for x in jac.entries] == [type(x) for x in ref.entries]
+
+    def test_the_oracle_sees_a_zeroed_column(self, monkeypatch):
+        # C_n points (C = 0 up to the action) outside the split bound go to
+        # the exact elimination, and there the Gamma rows of J live on the
+        # dC columns alone: with the last dC column of _jacobian_entries
+        # zeroed, jacobian_rank answers a wrong rank on some of them.  The
+        # oracle builds J from ``differential`` alone, so it must disagree
+        rng = random.Random(3)
+        points = []
+        while len(points) < 12:
+            n, p, q = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 3)
+            w = sample_component(n, p, q, n, rng.randrange(2**32))
+            wi = invariants._integer_rescaled_point(w)[0]
+            if not invariants._split_bound(
+                    wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B)):
+                points.append(w)
+        assert all(jacobian_rank(w) == exact_jacobian_rank(w) for w in points)
+        entries = invariants._jacobian_entries
+
+        def zeroed(wi, obs, ctrl):
+            ncols = wi.n * (wi.n + wi.p + wi.q)
+            return [0 if t % ncols == ncols - 1 else x
+                    for t, x in enumerate(entries(wi, obs, ctrl))]
+
+        monkeypatch.setattr(invariants, "_jacobian_entries", zeroed)
+        assert any(jacobian_rank(w) != exact_jacobian_rank(w) for w in points)
 
 
 # ---------------------------------------------------------------------------

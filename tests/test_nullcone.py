@@ -750,6 +750,27 @@ class TestWitnesses:
                             assert w.C.entry(0, k) == 1
                         assert stabilizer(w).orbit_dim == n * n - min(k, n - k)
 
+    def test_pinned_witness_lies_in_no_other_component(self):
+        # S = K = V_k, so the interval is exactly [k, k]: C_k lies in no
+        # other C_j.  Zeroing the pins (B's e_(k-1), C's 1 in column k)
+        # at p = q = 1 leaves S = 0 or K > V_k and widens the interval
+        for n in range(1, 9):
+            for k in range(n + 1):
+                for p in range(1, 4):
+                    for q in range(1, 4):
+                        for seed in range(3):
+                            w = pinned_row_witness(n, p, q, k, seed)
+                            iv = component_interval(w)
+                            assert (iv.d_min, iv.d_max) == (k, k), (n, p, q, k, seed)
+                w = pinned_row_witness(n, 1, 1, k)
+                b, c = w.B.to_rows(), w.C.to_rows()
+                if k >= 1:
+                    b[k - 1][0] = 0
+                if k < n:
+                    c[0][k] = 0
+                iv = component_interval(Point(RM(b), RM(c), w.A_list))
+                assert iv.d_min < k or iv.d_max > k
+
     def test_pinned_family_stab_dims(self):
         # Hom_A(V/S, K) = Hom(Q[t]/t^(n-k), Q[t]/t^k) has dimension min(k, n - k)
         rng = random.Random(29)

@@ -12,9 +12,13 @@ from eadjoint.invariants import (
     group_action,
     jacobian_rank,
 )
-from eadjoint.linalg import RationalMatrix, is_regular_semisimple, kernel_subspace
+from eadjoint.linalg import (
+    RationalMatrix,
+    is_regular_semisimple,
+    kernel_subspace,
+    vandermonde_solve,
+)
 from eadjoint.orbits import (
-    fiber_reconstruction_data,
     rank_one_factor,
     reconstruct_fiber_point,
     stabilizer,
@@ -464,10 +468,13 @@ class TestReconstruction:
             for r in range(3):
                 acc = acc + xs[r].scale(t[r] ** k)
             gamma.append(acc)
-        data = fiber_reconstruction_data(t, gamma)
-        assert list(data.X) == xs
-        for x, (c, b) in zip(data.X, data.factors):
+        assert vandermonde_solve(t, gamma) == xs
+        w = reconstruct_fiber_point(t, gamma)
+        for k, x in enumerate(xs):
+            c, b = rank_one_factor(x)
             assert c @ b == x
+            assert w.B.row_list(k) == b.row_list(0)
+            assert w.C.col_list(k) == c.col_list(0)
 
 
 class TestFiberOrbitIdentity:
