@@ -29,7 +29,6 @@ from .linalg import (
     _canon,
     _divided,
     _integer_inverse,
-    _krylov,
     _krylov_left,
     _scaled_to_int,
     elementary_from_power_sums,
@@ -289,10 +288,10 @@ def check_action_equations(w: Point, rows) -> None:
 
 
 def _controllability(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """[b, ab, ..., a^{n-1} b]; its column space is the a-span of im b."""
-    n, p = a.rows, b.cols
-    ctrl = _krylov(a.entries, n, b.entries, p, n)
-    return RationalMatrix(n, n * p, ctrl, validate=False)
+    """[b^T; b^T a^T; ...; b^T (a^T)^{n-1}], row m p + j = (a^m b_j)^T; its
+    row span is the a-span of im b.  Kalman duality: the observability
+    matrix of (a^T, b^T)."""
+    return _observability(a.transpose(), b.transpose())
 
 
 def _observability(a: RationalMatrix, c: RationalMatrix) -> RationalMatrix:
@@ -388,23 +387,21 @@ def _jacobian_entries(wi: Point, obs, ctrl):
     """Row-major integer entries of the Jacobian at an integer r = 1 point.
 
     With L_i = C A^i (block i of obs = ``_observability``) and R_m = A^m B
-    (column block m of ctrl = ``_controllability``), the product rule gives
+    (R_m^T is block m of ctrl = ``_controllability``), the product rule gives
       tau_k row, dA column (a, b):      k (A^{k-1})_ba
       Gamma_k row (i, j), dA column (a, b):
                                         sum_{s<k} (L_s)_ia (R_{k-1-s})_bj
       Gamma_k row (i, j), dB column (b, j): (L_k)_ib
       Gamma_k row (i, j), dC column (i, c): (R_k)_cj
-    The dA block of Gamma_k is one product [L_0 .. L_{k-1}] [R_{k-1}; ..; R_0]
-    with rows (i, a) and columns (b, j), read out by slices.
+    The dA block of Gamma_k is one product
+    [L_0 .. L_{k-1}] [R_{k-1}^T; ..; R_0^T] with rows (i, a) and columns
+    (j, b), read out by slices.
     """
     n, p, q = wi.n, wi.p, wi.q
     a, nn, np_, qn = wi.A.entries, n * n, n * p, q * n
     obs, ctrl = obs.entries, ctrl.entries
     lefts = [obs[s : s + qn] for s in range(0, n * qn, qn)]
-    rights = [
-        [x for r in range(m, n * np_, np_) for x in ctrl[r : r + p]]
-        for m in range(0, np_, p)
-    ]
+    rights = [ctrl[m : m + np_] for m in range(0, n * np_, np_)]
     powers = _krylov_left(RationalMatrix.identity(n).entries, n, a, n, n)
     flat, rest = [], [0] * (np_ + qn)
     for k in range(1, n + 1):
@@ -422,10 +419,10 @@ def _jacobian_entries(wi: Point, obs, ctrl):
             for j in range(p):
                 if k:
                     dA = [x for t in range(i * n, (i + 1) * n)
-                          for x in prod[t * np_ + j : (t + 1) * np_ : p]]
+                          for x in prod[t * np_ + j * n : t * np_ + (j + 1) * n]]
                 db, dc = [0] * np_, [0] * qn
                 db[j::p] = left[i * n : (i + 1) * n]
-                dc[i * n : (i + 1) * n] = right[j::p]
+                dc[i * n : (i + 1) * n] = right[j * n : (j + 1) * n]
                 flat += dA
                 flat += db
                 flat += dc
@@ -442,9 +439,9 @@ def _split_bound(wi: Point, obs: RationalMatrix, ctrl: RationalMatrix) -> bool:
     rows on the dA columns and G the n(p + q - 1) rows (k, 0, j) and
     (k, i, 0), i >= 1, of the Gamma_k on the dB and dC columns.  Hence
     rank J >= rank T_A + rank G = n + n(p + q - 1) when
-    - K = [b_0, A b_0, ..., A^{n-1} b_0], columns 0, p, 2p, ... of ctrl,
-      has rank n: the rows k vec(A^{k-1})^T of T_A span the polynomials
-      in A, of dimension at least rank K (A is cyclic); and
+    - K = [b_0, A b_0, ..., A^{n-1} b_0], whose transpose is rows 0, p,
+      2p, ... of ctrl, has rank n: the rows k vec(A^{k-1})^T of T_A span
+      the polynomials in A, of dimension at least rank K (A is cyclic); and
     - for p >= 2, O = [c_0; c_0 A; ...; c_0 A^{n-1}], rows 0, q, 2q, ... of
       obs, has rank n.
     Then G is block upper triangular with invertible diagonal blocks: the
@@ -455,7 +452,7 @@ def _split_bound(wi: Point, obs: RationalMatrix, ctrl: RationalMatrix) -> bool:
     """
     n, p = wi.n, wi.p
     np_, qn = n * p, wi.q * n
-    krylov_b = [ctrl.entries[c * np_ : (c + 1) * np_ : p] for c in range(n)]
+    krylov_b = [ctrl.entries[s : s + n] for s in range(0, n * np_, np_)]
     krylov_c = [obs.entries[s : s + n] for s in range(0, n * qn, qn)]
     return rank_mod_prime(krylov_b, n) == n and (
         p == 1 or rank_mod_prime(krylov_c, n) == n)
@@ -510,8 +507,8 @@ def jacobian_rank(w: Point) -> int:
     - the row count n + npq = n(p + q) when p = 1 or q = 1 (coregular), so
       n(p + q) is returned at once;
     - for p, q >= 2, cols - n^2 = n(p + q) at a controllable point, which
-      the point is: the Krylov matrix of b_0 has rank n and its columns are
-      columns of ctrl.  There X -> (XB, -CX, [X, A]) is injective (XB = 0
+      the point is: the Krylov matrix of b_0 has rank n and its transpose
+      is rows of ctrl.  There X -> (XB, -CX, [X, A]) is injective (XB = 0
       and [X, A] = 0 give X A^k B = 0 for every k, so X = 0), its
       n^2-dimensional image lies in ker J because the invariants are
       constant on orbits, and ``_check_orbit_tangents`` verifies J T = 0
@@ -534,7 +531,7 @@ def jacobian_rank(w: Point) -> int:
     r = rank_mod_prime(rows, ncols)
     if r == min(nrows, ncols):
         return r
-    if r == full and rank_mod_prime(ctrl.to_rows(), ctrl.cols) == n:
+    if r == full and rank_mod_prime(ctrl.to_rows(), n) == n:
         _check_orbit_tangents(wi, e, ncols)
         return r
     return _k.rank_int(rows, ncols)
@@ -549,8 +546,8 @@ def psi_map(t, xs) -> InvariantVector:
 
     Sends (t_1..t_n; X_1..X_n) to the power sums of t and the combinations
     Gamma_k = sum_r t_r^k X_r for k = 0..n-1.  Every X_r must have rank at
-    most one; the map is invariant under simultaneously permuting the t and
-    X coordinates.
+    most one (ranked once per distinct matrix); the map is invariant under
+    simultaneously permuting the t and X coordinates.
     """
     t = [_canon(x) for x in t]
     n = len(t)
@@ -558,12 +555,13 @@ def psi_map(t, xs) -> InvariantVector:
         raise ShapeError("need exactly one matrix per spectrum entry")
     if n == 0:
         return InvariantVector((), ())
-    shape = xs[0].shape
+    shape, ranked = xs[0].shape, set()
     for x in xs:
         if x.shape != shape:
             raise ShapeError("matrices differ in shape")
-        if x.rank() > 1:
+        if x not in ranked and x.rank() > 1:
             raise FiberConditionError("matrix of rank >= 2 is outside the image")
+        ranked.add(x)
     tau = tuple(_canon(sum(ti**k for ti in t)) for k in range(1, n + 1))
     gamma = []
     for k in range(n):
@@ -603,7 +601,8 @@ def sl_relation_check(u: RationalMatrix, v: RationalMatrix, a: RationalMatrix) -
     rows = _krylov_left(v.entries, 1, a.entries, n, 2 * n - 1)  # v A^m
     moments = _k.mat_mul(rows, 2 * n - 1, n, u.entries, 1)
     d1 = RationalMatrix(n, n, rows[: n * n]).det()
-    d2 = RationalMatrix(n, n, _krylov(a.entries, n, u.entries, 1, n)).det()
+    cols = _krylov_left(u.entries, 1, a.transpose().entries, n, n)  # (A^m u)^T
+    d2 = RationalMatrix(n, n, cols).det()
     hankel = RationalMatrix(
         n, n, [moments[i + j] for i in range(n) for j in range(n)]
     ).det()

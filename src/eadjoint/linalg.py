@@ -239,12 +239,9 @@ class RationalMatrix:
         return RationalMatrix(self.rows, other.cols, out, validate=False)
 
     def transpose(self) -> "RationalMatrix":
-        r, c, e = self.rows, self.cols, self.entries
-        out = [0] * (r * c)
-        for i in range(r):
-            for j in range(c):
-                out[j * r + i] = e[i * c + j]
-        return RationalMatrix(c, r, out, validate=False)
+        c, e = self.cols, self.entries
+        out = [x for j in range(c) for x in e[j::c]]
+        return RationalMatrix(c, self.rows, out, validate=False)
 
     @property
     def T(self):
@@ -380,20 +377,6 @@ def _divided(rows, cols, ints, num, den) -> RationalMatrix:
         x *= num
         out.append(x // den if x % den == 0 else Fraction(x, den))
     return RationalMatrix(rows, cols, out, validate=False)
-
-
-def _krylov(a, n, x, cols, count):
-    """[x, a x, ..., a^(count-1) x], flat row-major n x (count cols), for
-    flat row-major blocks a (n x n) and x (n x cols); one ``mat_mul`` per
-    power."""
-    blocks, block = [], x
-    for k in range(count):
-        if k:
-            block = _k.mat_mul(a, n, n, block, cols)
-        blocks.append(block)
-    return [
-        v for i in range(0, n * cols, cols) for blk in blocks for v in blk[i : i + cols]
-    ]
 
 
 def _krylov_left(x, rows, a, n, count):

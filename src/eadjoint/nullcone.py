@@ -14,13 +14,14 @@ map admits invariant subspaces of every dimension between dim S and dim K.
 This criterion is validated against the component sampler by the
 verification suites before anything downstream relies on it.
 
-Both subspaces are classical Kalman subspaces (Kalman 1963): S is the column
-space of the controllability matrix ctrl = [B, AB, ..., A^{n-1}B] and K is
-the kernel of the observability matrix [C; CA; ...; CA^{n-1}].  So the
-interval is [rank ctrl, n - rank obs], two integer ranks, and S and K are
-one elimination each; no fixed-point iteration is needed.  The same ctrl
-decides membership: the invariants tau_k = tr(A^k) all vanish exactly when
-A is nilpotent, and the Gamma_k = C A^k B exactly when C ctrl = 0.
+Both subspaces are classical Kalman subspaces (Kalman 1963): S is the row
+span of the controllability matrix ctrl = [B, AB, ..., A^{n-1}B]^T, by
+Kalman duality the observability matrix of (A^T, B^T), and K is the kernel
+of the observability matrix obs = [C; CA; ...; CA^{n-1}].  So the interval
+is [rank ctrl, n - rank obs], two integer ranks, and S and K are one
+elimination each; no fixed-point iteration is needed.  The same ctrl decides
+membership: the invariants tau_k = tr(A^k) all vanish exactly when A is
+nilpotent, and the Gamma_k = C A^k B exactly when ctrl C^T = 0.
 
 The components come from the maximal unstable weight sets, which form the
 ladder X_0..X_n up to relabelling the coordinates (Hilbert-Mumford).  The
@@ -66,7 +67,6 @@ from .linalg import (
     _integer_inverse,
     _kernel_span,
     _span,
-    column_space,
     kernel_subspace,
 )
 from .sampling import (
@@ -282,12 +282,12 @@ def enumerate_maximal_unstable(n, p, q):
 
 
 def _null_controllability(wi: Point) -> RationalMatrix | None:
-    """ctrl = [B, AB, ..., A^{n-1}B] of an integer point in the null cone,
-    else None.
+    """ctrl, the rows (A^m B)^T for m < n, of an integer point in the null
+    cone, else None.
 
     Every invariant vanishes exactly when A is nilpotent (all tau_k = 0)
     and C A^k B = 0 for k < n, so the point is null exactly when
-    A^(2^m) = 0 for the least 2^m >= n and C ctrl = 0.
+    A^(2^m) = 0 for the least 2^m >= n and ctrl C^T = 0.
     """
     n = wi.n
     power, reach = wi.A.entries, 1
@@ -296,7 +296,7 @@ def _null_controllability(wi: Point) -> RationalMatrix | None:
     if any(power):
         return None
     ctrl = _controllability(wi.A, wi.B)
-    if any(_k.mat_mul(wi.C.entries, wi.q, n, ctrl.entries, ctrl.cols)):
+    if any(_k.mat_mul(ctrl.entries, ctrl.rows, n, wi.C.transpose().entries, wi.q)):
         return None
     return ctrl
 
@@ -335,7 +335,7 @@ class ComponentInterval:
 
 def invariant_hull_of_image(a: RationalMatrix, b: RationalMatrix) -> Subspace:
     """Smallest a-invariant subspace containing the column space of b."""
-    return column_space(_controllability(a, b))
+    return _span(a.rows, _controllability(a, b)._int_rows())
 
 
 def largest_invariant_in_kernel(a: RationalMatrix, c: RationalMatrix) -> Subspace:
@@ -468,7 +468,7 @@ def _certify(w: Point, only=None):
     interval or for k = ``only`` alone; raises outside the cone or, for
     ``only``, outside the interval.
 
-    F starts at S, the column space of ctrl, and K enters only through its
+    F starts at S, the row span of ctrl, and K enters only through its
     annihilator, the reduced rows of obs.  Each growth step adds the first
     new row of A^-1 F inside K.  The flag of F_k climbs by ``_layer`` from
     0, each layer the preimage of the last under A: cut by ann(F) below F,
@@ -478,8 +478,8 @@ def _certify(w: Point, only=None):
     ctrl = _null_controllability(wi)
     if ctrl is None:
         raise NotInNullConeError("certificates exist only for null points")
-    n, a, f = wi.n, wi.A, column_space(ctrl)
-    rank, _, red = _k.rre_int(_observability(a, wi.C)._int_rows(), n)
+    n, a, f = wi.n, wi.A, _span(wi.n, ctrl.to_rows())
+    rank, _, red = _k.rre_int(_observability(a, wi.C).to_rows(), n)
     interval = ComponentInterval(f.dim, n - rank, True)
     if only is not None and only not in interval:
         raise NotAMemberError(

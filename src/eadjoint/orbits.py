@@ -65,10 +65,10 @@ def stabilizer(w: Point) -> StabilizerReport:
     orbit_dim = n^2 - stab_dim.
 
     XB = 0 and XA = AX give X A^k B = A^k X B = 0, so X kills S, the
-    column space of ctrl = [B, AB, ..., A^{n-1}B]; CX = 0 gives
-    C A^k X = 0, so im X lies in K = ker [C; CA; ...; CA^{n-1}].  Hence
+    row span of ctrl, the rows (A^k B)^T; CX = 0 gives C A^k X = 0, so
+    im X lies in K = ker [C; CA; ...; CA^{n-1}].  Hence
     X = P Y N = sum_ab y_ab p_a n_b^T, where the columns p_a of P are a
-    basis of K and the rows n_b of N span the left kernel of ctrl, and
+    basis of K and the rows n_b of N span the kernel of ctrl, and
     XB = 0, CX = 0 hold for every Y: the stabilizer is Hom_A(V/S, K).  It
     is zero when rank ctrl = n mod a prime (no exact elimination at all),
     or when N or P is empty (S = V, K = 0).  Otherwise the dim K (n - dim S)
@@ -86,9 +86,10 @@ def stabilizer(w: Point) -> StabilizerReport:
     n = w.n
     zero = StabilizerReport(0, n * n, Subspace.zero(n * n))
     ctrl = _controllability(wi.A, wi.B)
-    if rank_mod_prime(ctrl.to_rows(), ctrl.cols) == n:
+    # ranked wide, the n columns of ctrl: faster mod p than its np rows
+    if rank_mod_prime([ctrl.entries[i::n] for i in range(n)], ctrl.rows) == n:
         return zero
-    ns = _kernel_vectors(ctrl.transpose().to_rows(), n)
+    ns = _kernel_vectors(ctrl.to_rows(), n)
     if not ns:
         return zero
     ps = _kernel_vectors(_observability(wi.A, wi.C).to_rows(), n)

@@ -13,7 +13,6 @@ from eadjoint.errors import MultipleCopiesError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     InvariantVector,
     Point,
-    _controllability,
     action_equations,
     cyclic_canonical,
     evaluate_invariants,
@@ -52,7 +51,7 @@ def controllable(wi: Point) -> bool:
     """Whether rank [B, AB, ..., A^{n-1}B] = n mod ``PRIME`` at an integer
     point: True proves rank n; False means rank below n or a rank that
     only drops mod the prime."""
-    ctrl = _controllability(wi.A, wi.B)
+    ctrl = controllability_blocks(wi.A, wi.B)
     return rank_mod_prime(ctrl.to_rows(), ctrl.cols) == wi.n
 
 

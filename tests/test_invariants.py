@@ -630,6 +630,20 @@ class TestJacobianRankCertificate:
             "split", "split, tangents", "fallback", "fallback, tangents",
             "fallback, exact")), branches
 
+    @pytest.mark.parametrize("b, c", [
+        ([[1, 0], [0, 1]], [[1, 1], [1, 0]]),  # b_0 an eigenvector of A
+        ([[1, 1], [1, 0]], [[1, 0], [0, 1]]),  # c_0 an eigenvector of A
+    ], ids=["b0-eigenvector", "c0-eigenvector"])
+    def test_split_bound_reads_the_krylov_matrices_of_b0_and_c0(self, b, c):
+        # ctrl and obs have rank 2 on both points, but the Krylov matrix of
+        # b_0 (of c_0) is singular, so a bound read off other rows than
+        # theirs would claim the split where it does not hold
+        w = Point(RM(b), RM(c), (RationalMatrix.diagonal([1, 2]),))
+        obs, ctrl = _observability(w.A, w.C), _controllability(w.A, w.B)
+        assert obs.rank() == ctrl.rank() == 2
+        assert not invariants._split_bound(w, obs, ctrl)
+        assert jacobian_rank(w) == exact_jacobian_rank(w) == 8
+
     def test_split_bound_holds_on_the_blocks_of_the_jacobian(self):
         # the bound holds when K and, for p >= 2, O have rank n, which mod
         # PRIME is their rank over Q on these small points and fails on the
@@ -812,9 +826,28 @@ class TestPsiMap:
         with pytest.raises(FiberConditionError):
             psi_map([1, 2], [RationalMatrix.identity(2), RationalMatrix.zeros(2, 2)])
 
+    def test_matrices_checked_in_order(self):
+        # the first bad matrix decides the error, repeated ones included
+        one, two = RM([[1, 0], [0, 0]]), RationalMatrix.identity(2)
+        with pytest.raises(ShapeError):
+            psi_map([1, 2, 3], [one, RationalMatrix.zeros(2, 3), two])
+        with pytest.raises(FiberConditionError):
+            psi_map([1, 2, 3], [one, two, RationalMatrix.zeros(2, 3)])
+        with pytest.raises(FiberConditionError):
+            psi_map([1, 2, 3], [one, one, two])
+
+    def test_each_distinct_summand_ranked_once(self, monkeypatch):
+        ranked, rank = [], RationalMatrix.rank
+        monkeypatch.setattr(
+            RationalMatrix, "rank", lambda m: ranked.append(m) or rank(m))
+        nonclosed_image_demo(4, RM([[1, 2], [3, 6]]), Fraction(1, 10))
+        assert len(ranked) == 1
+        psi_map([1, 2, 3], [RM([[1, 0]]), RM([[0, 1]]), RM([[1, 0]])])
+        assert ranked[1:] == [RM([[1, 0]]), RM([[0, 1]])]
+
 
 # ---------------------------------------------------------------------------
-# Kalman matrices from the integer Krylov builders
+# Kalman matrices from the integer Krylov builder
 
 
 class TestKalmanMatrices:
@@ -829,9 +862,9 @@ class TestKalmanMatrices:
             b = random_matrix(rng, n, p, 6).scale(Fraction(1, dens[1]))
             c = random_matrix(rng, q, n, 6).scale(Fraction(1, dens[2]))
             ctrl, obs = _controllability(a, b), _observability(a, c)
-            assert ctrl == controllability_blocks(a, b)
+            assert ctrl == controllability_blocks(a, b).T
             assert obs == observability_blocks(a, c)
-            assert (ctrl.shape, obs.shape) == ((n, n * p), (n * q, n))
+            assert (ctrl.shape, obs.shape) == ((n * p, n), (n * q, n))
 
 
 # ---------------------------------------------------------------------------

@@ -960,8 +960,8 @@ class TestFlagConstruction:
         certs = wide = 0
         for w in points:
             wi = _integer_rescaled_point(w)[0]
-            hull = invariant_hull_of_image(wi.A, wi.B)
-            core = largest_invariant_in_kernel(wi.A, wi.C)
+            hull = hull_fixed_point(wi.A, wi.B)
+            core = core_fixed_point(wi.A, wi.C)
             wide += core.dim > hull.dim
             interval, built = component_certificates(w)
             assert (interval.d_min, interval.d_max) == (hull.dim, core.dim)
@@ -1001,8 +1001,8 @@ class TestOneChainPerPoint:
             iv = component_interval(w)
             if iv.d_max > iv.d_min:
                 wi = _integer_rescaled_point(w)[0]
-                hull = invariant_hull_of_image(wi.A, wi.B)
-                core = largest_invariant_in_kernel(wi.A, wi.C)
+                hull = hull_fixed_point(wi.A, wi.B)
+                core = core_fixed_point(wi.A, wi.C)
                 expected = {
                     k: certificate_by_kernel_powers(wi.A, hull, core, k)
                     for k in iv.members()
@@ -1018,10 +1018,10 @@ class TestOneChainPerPoint:
             monkeypatch.setattr(Subspace, name, forbidden)
         monkeypatch.setattr(Subspace, "basis", property(forbidden))
         monkeypatch.setattr(RationalMatrix, "column", forbidden)
-        for name in ("_first_new_basis_column", "largest_invariant_in_kernel",
-                     "kernel_subspace"):
+        for name in ("_first_new_basis_column", "invariant_hull_of_image",
+                     "largest_invariant_in_kernel", "kernel_subspace"):
             monkeypatch.setattr(nullcone, name, forbidden)
-        # nullcone spans integer rows only to add a vector to F
+        # nullcone spans integer rows only for S and to add a vector to F
         steps = []
         span = nullcone._span
         monkeypatch.setattr(
@@ -1031,11 +1031,11 @@ class TestOneChainPerPoint:
             assert component_interval(w) == iv
             steps.clear()
             assert component_certificates(w) == (iv, expected)
-            assert len(steps) == iv.d_max - iv.d_min
+            assert len(steps) == iv.d_max - iv.d_min + 1
             for k in iv.members():
                 steps.clear()
                 assert adapted_certificate(w, k) == expected[k]
-                assert len(steps) == k - iv.d_min
+                assert len(steps) == k - iv.d_min + 1
 
 
 class TestInverseFreeCheck:
