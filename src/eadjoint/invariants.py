@@ -30,6 +30,7 @@ from .linalg import (
     _divided,
     _integer_inverse,
     _krylov_left,
+    _power_traces,
     _scaled_to_int,
     elementary_from_power_sums,
     integer_rescaled,
@@ -182,21 +183,17 @@ def evaluate_invariants(w: Point) -> InvariantVector:
     """The quotient-map value of an r = 1 point, exactly.
 
     Integer products on the cleared point (l_B B, l_C C, l_A A):
-    tau_k = trace(A_int^k) / l_A^k from the left Krylov matrix
-    [A; A^2; ...; A^n], and Gamma_k = C_int A_int^k B_int / (l_C l_B l_A^k),
-    block k of the observability matrix [C; CA; ...; CA^(n-1)] times B, one
-    division per entry.
+    tau_k = trace(A_int^k) / l_A^k from ``_power_traces``, which forms the
+    powers only up to A^ceil(n/2), and Gamma_k = C_int A_int^k B_int /
+    (l_C l_B l_A^k), block k of the observability matrix
+    [C; CA; ...; CA^(n-1)] times B, one division per entry.
     """
     if w.r != 1:
         raise MultipleCopiesError("invariant vector is defined for r = 1 points")
     wi, lb, lc, (la,) = _integer_rescaled_point(w)
     n, p, q = w.n, w.p, w.q
-    a, nn, qp = wi.A.entries, n * n, q * p
-    powers = _krylov_left(a, n, a, n, n)
-    tau = [
-        _over(sum(powers[k * nn : (k + 1) * nn : n + 1]), la ** (k + 1))
-        for k in range(n)
-    ]
+    a, qp = wi.A.entries, q * p
+    tau = [_over(t, la**k) for k, t in enumerate(_power_traces(a, n, n), start=1)]
     obs = _krylov_left(wi.C.entries, q, a, n, n)
     moments = _k.mat_mul(obs, n * q, n, wi.B.entries, p)
     gamma = [
@@ -462,33 +459,27 @@ def _check_orbit_tangents(wi: Point, e, ncols) -> None:
     """Raise ``AssertionError`` unless J T = 0 exactly at an integer point,
     J given by its row-major entries e and its column count.
 
-    Column X of T is the orbit tangent (XB, -CX, [X, A]), read off the
-    rows of ``action_equations`` (checked by ``check_action_equations``).
-    Each column of J is packed into one integer, entry i in the field at
-    bit f*i; column X of J T is then one sum of multiples of packed
-    columns.  Its entries are below 2^(f-1) in absolute value, so the sum is
-    zero exactly when they all are.
+    Column j of T is the orbit tangent ([X_j, A], X_j B, -C X_j) of the unit
+    matrix X_j, in J's column order.  T is linear in X, so the one tangent at
+    the packed X with entry j = 2^(f j) holds column j of T at bit f j, and
+    row r of J times it holds (J T)_rj there.  Each |(J T)_rj| <= ncols max|J|
+    max(|B|, |C|, 2|A|) < 2^(f-1), so a row is zero exactly when its fields
+    are, and the lowest nonzero field names the X_j the row fails on.
     """
-    n = wi.n
-    eqs = action_equations(wi)
-    check_action_equations(wi, eqs)
-    top = max(map(abs, e)) * max(max(map(abs, row)) for row in eqs)
+    n, p, q = wi.n, wi.p, wi.q
+    b, c, a = wi.B.entries, wi.C.entries, wi.A.entries
+    top = max(map(abs, e)) * max(max(map(abs, b + c)), 2 * max(map(abs, a)))
     f = (top * ncols).bit_length() + 1
-    packed = []
-    for col in range(ncols):
-        v = 0
-        for x in reversed(e[col::ncols]):
-            v = (v << f) + x
-        packed.append(v)
-    # the equations order the coordinates B, C, A and the Jacobian columns
-    # A, B, C; the tangent is -CX where the equations have CX
-    nn, nb = n * n, n * wi.p
-    by_row = packed[nn : nn + nb] + [-v for v in packed[nn + nb :]] + packed[:nn]
-    for x, tangent in enumerate(zip(*eqs)):
-        if sum(y * v for y, v in zip(tangent, by_row) if y):
-            raise AssertionError(
-                f"Jacobian does not annihilate the orbit tangent of X_{divmod(x, n)}"
-            )
+    x = [1 << (f * j) for j in range(n * n)]
+    xa, ax = _k.mat_mul(x, n, n, a, n), _k.mat_mul(a, n, n, x, n)
+    tangent = [u - v for u, v in zip(xa, ax)] + _k.mat_mul(x, n, n, b, p)
+    tangent += [-v for v in _k.mat_mul(c, q, n, x, n)]
+    fields = [((v & -v).bit_length() - 1) // f
+              for r in range(0, len(e), ncols)
+              if (v := sum(map(mul, e[r : r + ncols], tangent)))]
+    if fields:
+        x = divmod(min(fields), n)  # the first X_(i, t) that J fails on
+        raise AssertionError(f"Jacobian does not annihilate the orbit tangent of X_{x}")
 
 
 def jacobian_rank(w: Point) -> int:
@@ -512,7 +503,7 @@ def jacobian_rank(w: Point) -> int:
       and [X, A] = 0 give X A^k B = 0 for every k, so X = 0), its
       n^2-dimensional image lies in ker J because the invariants are
       constant on orbits, and ``_check_orbit_tangents`` verifies J T = 0
-      exactly on the full integer J, so rank J <= cols - n^2.
+      exactly on the full integer J (one packed X), so rank J <= cols - n^2.
     Otherwise J is built and its rank r mod ``PRIME`` is the lower bound:
     r is returned when r = min(rows, cols), or when r = cols - n^2, ctrl
     has rank n mod ``PRIME`` and J T = 0 as above.  Any other r falls back

@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import _kernels as _k
 from .errors import DegenerateSpectrumError, ShapeError, SingularMatrixError
@@ -391,6 +392,17 @@ def _krylov_left(x, rows, a, n, count):
     return out
 
 
+def _power_traces(a, n, m):
+    """[tr A, ..., tr A^m] for a flat row-major n x n matrix a, from the
+    powers up to A^h, h = ceil(m / 2): for k > h, tr A^k = tr(A^(k-h) A^h)
+    is the sum of the entries of A^(k-h) times those of (A^h)^T."""
+    h, nn = (m + 1) // 2, n * n
+    powers = _krylov_left(a, n, a, n, h)
+    top_t = [x for j in range(n) for x in powers[(h - 1) * nn + j : h * nn : n]]
+    return [sum(powers[k : k + nn : n + 1]) for k in range(0, h * nn, nn)] + [
+        sum(map(mul, powers[k : k + nn], top_t)) for k in range(0, (m - h) * nn, nn)]
+
+
 def integer_rescaled(m: RationalMatrix):
     """(l, l m) for the least integer l > 0 clearing every denominator of m;
     (1, m) itself when m is integral.
@@ -687,10 +699,6 @@ def _kernel_of_reduced(rank, pivots, red, n):
     return out
 
 
-def column_space(m: RationalMatrix) -> Subspace:
-    return Subspace.from_spanning_columns(m)
-
-
 def kernel_subspace(m: RationalMatrix) -> Subspace:
     """Null space {x : m @ x = 0} with canonical basis."""
     return _kernel_span(m._int_rows(), m.cols)
@@ -755,16 +763,14 @@ def is_regular_semisimple(a: RationalMatrix) -> bool:
     The power-sum Hankel matrix H_ij = tr(A^(i+j)), 0 <= i, j < n, is
     V D V^T for the Vandermonde matrix V of the distinct eigenvalues and
     D their multiplicities (Hermite), so its rank is the number of distinct
-    eigenvalues and det H is the discriminant.  It is taken on A cleared to
-    integers, which scales the eigenvalues by one positive factor.
+    eigenvalues and det H is the discriminant.  ``_power_traces`` reads H off
+    A cleared to integers, which scales the eigenvalues by one positive factor.
     """
     if not a.is_square:
         raise ShapeError("regular semisimplicity is a square-matrix property")
     n = a.rows
     ai = _scaled_to_int(a.entries)[1]
-    powers = _krylov_left(ai, n, ai, n, 2 * n - 2)  # A, A^2, ..., A^(2n-2)
-    nn = n * n
-    sums = [n] + [sum(powers[k * nn : (k + 1) * nn : n + 1]) for k in range(2 * n - 2)]
+    sums = [n] + _power_traces(ai, n, 2 * n - 2)
     return _k.rank_int([sums[i : i + n] for i in range(n)], n) == n
 
 

@@ -294,6 +294,23 @@ def differential_jacobian_matrix(w: Point) -> RationalMatrix:
     return RationalMatrix.from_rows([list(row) for row in zip(*cols)])
 
 
+def first_unannihilated_tangent(w: Point, e, ncols):
+    """The first unit matrix X = E_it, in row-major order, for which J
+    (row-major entries e, ncols columns) times the orbit tangent
+    ([X, A], XB, -CX) is nonzero, as (i, t), or None: one product J T_X
+    per X by Fraction sums, with no packing."""
+    n, p, q = w.n, w.p, w.q
+    a, b, c = (list(map(Fraction, m.entries)) for m in (w.A, w.B, w.C))
+    for j in range(n * n):
+        x = [Fraction(int(t == j)) for t in range(n * n)]
+        xa, ax = naive_mat_mul(x, n, n, a, n), naive_mat_mul(a, n, n, x, n)
+        tangent = [u - v for u, v in zip(xa, ax)] + naive_mat_mul(x, n, n, b, p)
+        tangent += [-v for v in naive_mat_mul(c, q, n, x, n)]
+        if any(naive_mat_mul(e, len(e) // ncols, ncols, tangent, 1)):
+            return divmod(j, n)
+    return None
+
+
 def positive_pairing_set(lam, candidates) -> frozenset:
     """The candidate weights that pair strictly positively with lam, each
     pairing a full dot product: the reference for the ladder search."""

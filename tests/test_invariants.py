@@ -33,6 +33,7 @@ from oracles import (
     differential,
     differential_jacobian_matrix,
     exact_jacobian_rank,
+    first_unannihilated_tangent,
     fraction_group_action,
     fraction_invariants,
     fraction_word_invariants,
@@ -791,6 +792,61 @@ class TestJacobianRankCertificate:
 
         monkeypatch.setattr(invariants, "_jacobian_entries", zeroed)
         assert any(jacobian_rank(w) != exact_jacobian_rank(w) for w in points)
+
+    def test_field_width_covers_the_sum_over_the_columns(self):
+        # with B and C all ones and A = 0, row r of J times the tangent of
+        # E_it is -(sum of J_r over the dC columns (k, t)), so this J gives
+        # the fields (1024, -1, 1024, -1): a width of bitlen(max|J|) + 1 =
+        # 10 bits without the column count would let them cancel to zero
+        n, p, q = 2, 1, 4
+        w = Point(RM([[1]] * n), RM([[1] * n] * q), (RationalMatrix.zeros(n, n),))
+        ncols = n * (n + p + q)
+        dc = n * n + n * p
+        row = [0] * ncols
+        for k in range(q):
+            row[dc + k * n] = -256
+        row[dc + 1] = 1
+        assert first_unannihilated_tangent(w, row, ncols) == (0, 0)
+        with pytest.raises(AssertionError, match=r"annihilate .*X_\(0, 0\)"):
+            invariants._check_orbit_tangents(w, row, ncols)
+
+    def test_packed_check_names_the_first_x_the_oracle_finds(self):
+        # 0-3 faults of +-1, +-7 or +-2^k (k <= 200) in J at random integer
+        # points: the packed check raises exactly when some J T_X is
+        # nonzero, and names the first such X
+        rng = random.Random(81)
+        raised = 0
+        for _ in range(300):
+            n, p, q = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
+            wi = random_point(rng, n, p, q, bound=rng.choice((1, 10, 1000)))
+            ncols = n * (n + p + q)
+            e = invariants._jacobian_entries(
+                wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B))
+            for _ in range(rng.randint(0, 3)):
+                fault = rng.choice((1, 7, 1 << rng.randint(0, 200)))
+                e[rng.randrange(len(e))] += rng.choice((fault, -fault))
+            x = first_unannihilated_tangent(wi, e, ncols)
+            if x is None:
+                invariants._check_orbit_tangents(wi, e, ncols)
+                continue
+            with pytest.raises(AssertionError,
+                               match=rf"annihilate .*X_\({x[0]}, {x[1]}\)$"):
+                invariants._check_orbit_tangents(wi, e, ncols)
+            raised += 1
+        assert 100 <= raised <= 280, raised
+
+    def test_jacobian_path_builds_no_action_equations(self, monkeypatch):
+        equations = Spy(invariants.action_equations)
+        checked = Spy(invariants.check_action_equations)
+        tangents = Spy(invariants._check_orbit_tangents)
+        monkeypatch.setattr(invariants, "action_equations", equations)
+        monkeypatch.setattr(invariants, "check_action_equations", checked)
+        monkeypatch.setattr(invariants, "_check_orbit_tangents", tangents)
+        for _, w in itertools.chain(certificate_points(random.Random(82)),
+                                    split_points(random.Random(83), per_family=6)):
+            jacobian_rank(w)
+        assert tangents.calls >= 20
+        assert equations.calls == checked.calls == 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from eadjoint.linalg import (
     _kernel_span,
     _kernel_vectors,
     _krylov_left,
+    _power_traces,
     _span,
-    column_space,
     kernel_subspace,
     rank_mod_prime,
     rational_from_str,
@@ -237,31 +237,31 @@ class TestMatrixBasics:
 
 
 # ---------------------------------------------------------------------------
-# column_space / kernel_subspace
+# Subspace.from_spanning_columns / kernel_subspace
 
 
 class TestRrefDecompose:
     def test_zero_matrix(self):
         m = RationalMatrix.zeros(3, 2)
-        assert column_space(m) == Subspace.zero(3)
+        assert Subspace.from_spanning_columns(m) == Subspace.zero(3)
         assert kernel_subspace(m) == Subspace.full(2)
 
     def test_identity(self):
         m = RationalMatrix.identity(3)
-        assert column_space(m) == Subspace.full(3)
+        assert Subspace.from_spanning_columns(m) == Subspace.full(3)
         assert kernel_subspace(m) == Subspace.zero(3)
 
     def test_rank_one_example(self):
         # hand row reduction: second row is twice the first
         m = RM([[1, 2, 3], [2, 4, 6]])
-        assert column_space(m).dim == 1
+        assert Subspace.from_spanning_columns(m).dim == 1
         assert kernel_subspace(m).dim == 2
 
     def test_kernel_annihilates(self):
         rng = random.Random(7)
         for _ in range(40):
             m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 6)
-            col, ker = column_space(m), kernel_subspace(m)
+            col, ker = Subspace.from_spanning_columns(m), kernel_subspace(m)
             assert col.dim + ker.dim == m.cols
             if ker.dim:
                 assert (m @ ker.basis).is_zero()
@@ -272,7 +272,7 @@ class TestRrefDecompose:
     @given(matrices())
     @settings(deadline=None, max_examples=60)
     def test_rank_nullity(self, m):
-        assert column_space(m).dim + kernel_subspace(m).dim == m.cols
+        assert Subspace.from_spanning_columns(m).dim + kernel_subspace(m).dim == m.cols
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +383,19 @@ class TestVandermonde:
 class TestSubspaces:
     def test_zero_subspace_comparisons(self):
         z = Subspace.zero(3)
-        t = column_space(RM([[1], [0], [2]]))
+        t = Subspace.from_spanning_columns(RM([[1], [0], [2]]))
         assert contains(t, z) and not contains(z, t)
         assert z == Subspace.zero(3) and contains(z, Subspace.zero(3))
 
     def test_full_space_equal(self):
-        s = column_space(RM([[1, 1], [0, 1]]))
+        s = Subspace.from_spanning_columns(RM([[1, 1], [0, 1]]))
         assert s == Subspace.full(2)
         assert contains(s, Subspace.full(2)) and contains(Subspace.full(2), s)
 
     def test_incomparable_axes(self):
         # stacked basis has rank 2, so neither contains the other
-        e1 = column_space(RM([[1], [0]]))
-        e2 = column_space(RM([[0], [1]]))
+        e1 = Subspace.from_spanning_columns(RM([[1], [0]]))
+        e2 = Subspace.from_spanning_columns(RM([[0], [1]]))
         assert not contains(e1, e2) and not contains(e2, e1)
 
     def test_ambient_mismatch(self):
@@ -429,9 +429,9 @@ class TestSubspaces:
                 assert s1.basis == s2.basis
 
     def test_sum_and_intersection(self):
-        e1 = column_space(RM([[1], [0], [0]]))
-        e12 = column_space(RM([[1, 0], [0, 1], [0, 0]]))
-        e23 = column_space(RM([[0, 0], [1, 0], [0, 1]]))
+        e1 = Subspace.from_spanning_columns(RM([[1], [0], [0]]))
+        e12 = Subspace.from_spanning_columns(RM([[1, 0], [0, 1], [0, 0]]))
+        e23 = Subspace.from_spanning_columns(RM([[0, 0], [1, 0], [0, 1]]))
         assert e12.sum_with(e23) == Subspace.full(3)
         inter = e12.intersect(e23)
         assert inter.dim == 1
@@ -440,7 +440,7 @@ class TestSubspaces:
 
     def test_preimage(self):
         a = RM([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        f = column_space(RM([[1], [0], [0]]))
+        f = Subspace.from_spanning_columns(RM([[1], [0], [0]]))
         pre = f.preimage_under(a)
         # x with a @ x in span(e1): second coordinate free, third zero
         assert pre.dim == 2
@@ -481,7 +481,7 @@ class TestSubspaces:
         assert min(shapes.values()) >= 100, shapes
 
     def test_annihilator(self):
-        s = column_space(RM([[1, 0], [0, 1], [1, 1]]))
+        s = Subspace.from_spanning_columns(RM([[1, 0], [0, 1], [1, 1]]))
         ann = RM(s._annihilator())
         assert ann.rows == 1
         assert (ann @ s.basis).is_zero()
@@ -491,8 +491,8 @@ class TestSubspaces:
     def test_dimension_formula(self, pair):
         # dim(S + T) + dim(S ∩ T) = dim S + dim T, exactly
         a, b = pair
-        s = column_space(a)
-        t = column_space(b)
+        s = Subspace.from_spanning_columns(a)
+        t = Subspace.from_spanning_columns(b)
         total = s.sum_with(t)
         meet = s.intersect(t)
         assert total.dim + meet.dim == s.dim + t.dim
@@ -519,6 +519,17 @@ class TestKrylov:
                 )
             else:
                 assert left == []
+
+    def test_power_traces_are_traces_of_the_powers(self):
+        # m = 0 (no power formed) through m = 2n, odd and even
+        rng = random.Random(38)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            a = random_matrix(rng, n, n, 6)
+            pows = matrix_powers(a, 2 * n)
+            for m in range(2 * n + 1):
+                assert _power_traces(list(a.entries), n, m) == [
+                    trace(pows[k]) for k in range(1, m + 1)]
 
 
 class TestTraceProduct:

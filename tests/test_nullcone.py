@@ -23,7 +23,6 @@ from eadjoint.linalg import (
     RationalMatrix,
     Subspace,
     char_poly,
-    column_space,
     kernel_subspace,
 )
 from eadjoint.nullcone import (
@@ -824,7 +823,7 @@ def _canonical_under_permutations(weight_set, n):
 
 def hull_fixed_point(a, b):
     """Smallest a-invariant subspace containing im b, grown one step at a time."""
-    s = column_space(b)
+    s = Subspace.from_spanning_columns(b)
     while True:
         grown = s.sum_with(s.image_under(a))
         if grown.dim == s.dim:
@@ -863,7 +862,7 @@ def certificate_by_kernel_powers(a, s, big, k):
     f = s
     while f.dim < k:
         col = nullcone._first_new_basis_column(f.preimage_under(a).intersect(big), f)
-        f = f.sum_with(column_space(RationalMatrix.column(col)))
+        f = f.sum_with(Subspace.from_spanning_columns(RationalMatrix.column(col)))
     layers = []
     power = RationalMatrix.identity(n)
     while not layers or layers[-1].dim < k:
@@ -878,7 +877,8 @@ def certificate_by_kernel_powers(a, s, big, k):
         while current.dim < layer.dim:
             col = nullcone._first_new_basis_column(layer, current)
             vectors.append(col)
-            current = current.sum_with(column_space(RationalMatrix.column(col)))
+            current = current.sum_with(
+                Subspace.from_spanning_columns(RationalMatrix.column(col)))
     basis = RationalMatrix.from_rows([[v[i] for v in vectors] for i in range(n)])
     return Certificate(k, basis.inverse(), standard_destabilizer(n, k))
 
