@@ -342,6 +342,18 @@ def word_invariants(w: Point, max_len: int) -> WordInvariants:
     ``OutOfRangeError``, raised before any product is formed.  At r = 1 the
     word count stays small while the output grows with max_len^2, and words
     longer than n add nothing new (Cayley-Hamilton).
+
+    The words meet in the middle.  On the cleared point, every half-word u
+    with |u| <= h = ceil(max_len / 2) gets its integer product A_u of the
+    letters, its scale s_u (the product of l_i over its letters) and C A_u;
+    a right half, |v| <= floor(max_len / 2), also gets A_v B and A_v^T.  A
+    word of length L splits as u v with |u| = ceil(L/2), |v| = floor(L/2),
+    and Gamma_uv = (C A_u)(A_v B) / (l_C l_B s_u s_v), one q x n x p
+    product, and tau_uv = sum_ij (A_u)_ij (A_v)_ji / (s_u s_v).  So only
+    r^2 + ... + r^h products of two n x n matrices are formed, and every
+    numerator and denominator is the integer the word's own product gives.
+    Words are visited by length, then lexicographically; the first word of
+    a rotation class in that order is its least rotation, the class's key.
     """
     if not 0 <= max_len <= MAX_WORD_LEN:
         raise OutOfRangeError(f"max_len must lie in 0..{MAX_WORD_LEN}, got {max_len}")
@@ -357,26 +369,28 @@ def word_invariants(w: Point, max_len: int) -> WordInvariants:
     wi, lb, lc, las = _integer_rescaled_point(w)
     n, p, q = w.n, w.p, w.q
     b, c = wi.B.entries, wi.C.entries
-    letters = [(a.entries, la) for a, la in zip(wi.A_list, las)]
-    tau: dict = {}
-    gamma: dict = {(): _divided(q, p, _k.mat_mul(c, q, n, b, p), 1, lc * lb)}
-    # word -> (A_int product, its scale: the product of l_i over the letters)
-    frontier = {(): (RationalMatrix.identity(n).entries, 1)}
-    for _ in range(max_len):
-        nxt = {}
-        for word, (prod, scale) in frontier.items():
-            for letter, (a, la) in enumerate(letters, start=1):
-                nw = word + (letter,)
-                np_, ns = _k.mat_mul(prod, n, n, a, n), scale * la
-                nxt[nw] = (np_, ns)
-                gamma[nw] = _divided(
-                    q, p, _k.mat_mul(c, q, n, _k.mat_mul(np_, n, n, b, p), p),
-                    1, lc * lb * ns,
-                )
-                canon = cyclic_canonical(nw)
-                if canon not in tau:
-                    tau[canon] = _over(sum(np_[:: n + 1]), ns)
-        frontier = nxt
+    ident = [0] * (n * n)
+    ident[:: n + 1] = (1,) * n
+    letters = [((i,), a.entries, la) for i, (a, la) in enumerate(zip(wi.A_list, las), 1)]
+    # by length k, lexicographically: (u, A_u, C A_u, s_u) for k <= ceil(max_len/2)
+    # and (v, A_v^T, A_v B, s_v) for k <= floor(max_len/2)
+    lefts, rights, halves = [[((), ident, c, 1)]], [[((), ident, b, 1)]], letters
+    for k in range(1, (max_len + 1) // 2 + 1):
+        if k > 1:
+            halves = [(u + letter, _k.mat_mul(x, n, n, a, n), s * la)
+                      for u, x, s in halves for letter, a, la in letters]
+        lefts.append([(u, x, _k.mat_mul(c, q, n, x, n), s) for u, x, s in halves])
+        if 2 * k <= max_len:
+            rights.append([(v, [y for j in range(n) for y in x[j::n]],
+                            _k.mat_mul(x, n, n, b, p), s) for v, x, s in halves])
+    tau, gamma, den = {}, {}, lc * lb
+    for length in range(max_len + 1):
+        for u, x, cx, su in lefts[(length + 1) // 2]:
+            for v, xt, xb, sv in rights[length // 2]:
+                word, s = u + v, su * sv
+                gamma[word] = _divided(q, p, _k.mat_mul(cx, q, n, xb, p), 1, den * s)
+                if length and cyclic_canonical(word) == word:
+                    tau[word] = _over(sum(map(mul, x, xt)), s)
     return WordInvariants(max_len, tau, gamma)
 
 

@@ -125,9 +125,16 @@ def _cell_invariance(rng, trial, n, p, q, r):
     w = random_point(rng, n, p, q, r)
     g = random_invertible(rng, n)
     moved = group_action(g, w)
-    if r == 1 and evaluate_invariants(moved) != evaluate_invariants(w):
-        return "plain invariants changed under the action"
     a = word_invariants(w, n)
+    if r == 1:
+        # a wrong word formula can still be invariant; at r = 1 the words
+        # must also specialise to tau_k = tr A^k and Gamma_k = C A^k B
+        iv = evaluate_invariants(w)
+        if evaluate_invariants(moved) != iv:
+            return "plain invariants changed under the action"
+        if (tuple(a.tau[(1,) * k] for k in range(1, n + 1)) != iv.tau
+                or tuple(a.gamma[(1,) * k] for k in range(n)) != iv.gamma):
+            return "word invariants differ from the plain invariants at r = 1"
     b = word_invariants(moved, n)
     if a.tau != b.tau or a.gamma != b.gamma:
         return "word invariants changed under the action"

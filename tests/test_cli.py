@@ -35,6 +35,35 @@ R2_POINT_JSON = dict(
     DIAG_POINT_JSON, r=2, A=[DIAG_POINT_JSON["A"][0], [["0", "1"], ["0", "0"]]]
 )
 
+R2_WORDS_OUT = (
+    '{"gamma":{"":[["2"]],"1":[["3"]],"1,1":[["5"]],"1,1,1":[["9"]],"1,1,2":[["1"]],'
+    '"1,2":[["1"]],"1,2,1":[["2"]],"1,2,2":[["0"]],"2":[["1"]],"2,1":[["2"]],'
+    '"2,1,1":[["4"]],"2,1,2":[["0"]],"2,2":[["0"]],"2,2,1":[["0"]],"2,2,2":[["0"]]},'
+    '"max_len":3,"tau":{"1":"3","1,1":"5","1,1,1":"9","1,1,2":"0","1,2":"0",'
+    '"1,2,2":"0","2":"0","2,2":"0","2,2,2":"0"}}\n'
+)
+R2_RATIONAL_POINT_JSON = {
+    "n": 2,
+    "p": 1,
+    "q": 2,
+    "r": 2,
+    "A": [[["1/2", "3"], ["-2", "5/3"]], [["0", "1/4"], ["7", "-1"]]],
+    "B": [["1/3"], ["2"]],
+    "C": [["3/5", "-1"], ["1", "1/2"]],
+}
+R2_RATIONAL_WORDS_OUT = (
+    '{"gamma":{"":[["-9/5"],["4/3"]],"1":[["31/30"],["15/2"]],'
+    '"1,1":[["2617/180"],["257/36"]],"1,1,1":[["5279/216"],["-7729/216"]],'
+    '"1,1,2":[["3041/1080"],["-503/216"]],"1,2":[["43/36"],["37/36"]],'
+    '"1,2,1":[["104/15"],["1859/12"]],"1,2,2":[["221/360"],["871/72"]],'
+    '"2":[["-1/30"],["2/3"]],"2,1":[["-401/10"],["251/12"]],'
+    '"2,1,1":[["-7799/90"],["2935/72"]],"2,1,2":[["-1667/180"],["323/72"]],'
+    '"2,2":[["-187/60"],["5/3"]],"2,2,1":[["5029/120"],["-187/24"]],'
+    '"2,2,2":[["367/120"],["-1/2"]]},"max_len":3,"tau":{"1":"13/6",'
+    '"1,1":"-323/36","1,1,1":"-7397/216","1,1,2":"1715/36","1,2":"113/6",'
+    '"1,2,2":"-361/24","2":"-1","2,2":"9/2","2,2,2":"-25/4"}}\n'
+)
+
 
 def run_cli(capsys, args, stdin_obj=None, monkeypatch=None):
     if stdin_obj is not None:
@@ -84,12 +113,15 @@ class TestInvariants:
         assert obj["gamma"][""] == [["2"]]
 
     def test_r2_auto_words(self, capsys, monkeypatch):
-        point = dict(DIAG_POINT_JSON)
-        point["r"] = 2
-        point["A"] = [DIAG_POINT_JSON["A"][0], [["0", "1"], ["0", "0"]]]
-        code, out = run_cli(capsys, ["invariants"], point, monkeypatch)
-        assert code == 0
-        assert "tau" in json.loads(out)
+        # stdout at the default max-len 2n - 1 = 3, recorded from the
+        # implementation that formed the full product of every word
+        for point, expected in (
+            (R2_POINT_JSON, R2_WORDS_OUT),
+            (R2_RATIONAL_POINT_JSON, R2_RATIONAL_WORDS_OUT),
+        ):
+            code, out = run_cli(capsys, ["invariants"], point, monkeypatch)
+            assert code == 0
+            assert out == expected
 
     def test_malformed_json(self, capsys, monkeypatch):
         import io

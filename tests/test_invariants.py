@@ -223,6 +223,55 @@ class TestWordInvariants:
         assert cyclic_canonical(()) == ()
 
 
+def counting_square_products(monkeypatch, n):
+    """A list that grows by one for every ``mat_mul`` call of n x n x n shape."""
+    real, calls = _kernels.mat_mul, []
+
+    def counted(a, m, k, b, p):
+        if m == k == p == n:
+            calls.append(1)
+        return real(a, m, k, b, p)
+
+    monkeypatch.setattr(_kernels, "mat_mul", counted)
+    return calls
+
+
+class TestHalfWordWork:
+    """Only the half-words |u| <= ceil(max_len / 2) get a product of two n x n
+    matrices; p, q < n, so no other product has that shape."""
+
+    def test_square_products_stop_at_half_length(self, monkeypatch):
+        rng = random.Random(74)
+        for r, max_len in ((1, 7), (2, 4), (2, 5), (3, 3), (3, 4)):
+            w = random_point(rng, 3, 2, 2, r)
+            calls = counting_square_products(monkeypatch, 3)
+            word_invariants(w, max_len)
+            assert len(calls) <= sum(r**k for k in range(1, (max_len + 1) // 2 + 1))
+
+    def test_limit_request(self, monkeypatch):
+        # n = 32 and r = 2 at max_len 12: 8,190 words from at most
+        # 2 + 4 + ... + 2^6 = 126 products of two 32 x 32 matrices
+        rng = random.Random(75)
+        w = random_point(rng, 32, 3, 3, r=2)
+
+        def over(m, d):
+            return RationalMatrix(m.rows, m.cols, [Fraction(x, d) for x in m.entries])
+
+        a1, a2 = w.A_list
+        w = Point(over(w.B, 3), over(w.C, 5), (over(a1, 2), a2))
+        calls = counting_square_products(monkeypatch, 32)
+        words = word_invariants(w, 12)
+        assert len(calls) <= 126
+        assert len(words.gamma) == 2**13 - 1
+        monkeypatch.undo()
+        for word in ((1,) * 12, (2,) * 12, (1, 2) * 6):
+            prod = RationalMatrix.identity(32)
+            for letter in word:
+                prod = prod @ w.A_list[letter - 1]
+            assert words.tau[word] == trace(prod)
+            assert words.gamma[word] == w.C @ prod @ w.B
+
+
 # ---------------------------------------------------------------------------
 # differential: formal-epsilon oracle
 
@@ -439,7 +488,11 @@ class TestClearedIntegerPath:
 
     def test_word_invariants_match_fraction_reference(self):
         rng = random.Random(72)
-        for r, max_len, max_n in ((1, 7, 4), (2, 3, 3), (3, 2, 3)):
+        # (2, 4, 3) splits into equal halves, (2, 5, 3) into unequal ones and
+        # (3, 3, 2) into two nonempty halves in three letters
+        for r, max_len, max_n in (
+            (1, 7, 4), (2, 3, 3), (3, 2, 3), (2, 4, 3), (2, 5, 3), (3, 3, 2),
+        ):
             for w in cleared_path_points(rng, r, 24, max_n):
                 words = word_invariants(w, max_len)
                 tau, gamma = fraction_word_invariants(w, max_len)

@@ -4,6 +4,7 @@ import pytest
 
 from eadjoint import verify
 from eadjoint.errors import OutOfRangeError
+from eadjoint.linalg import RationalMatrix
 from eadjoint.verify import MAX_TRIALS, SUITE_NAMES, run_suite, suite_cells
 
 
@@ -175,6 +176,37 @@ class TestJacobianCells:
             assert detail == (
                 f"rank {n * (p + q) + 1} exceeds the quotient dimension {n * (p + q)}"
             )
+
+
+class TestInvarianceCells:
+    def test_invariant_but_wrong_words_fail_the_r1_cells(self, monkeypatch):
+        # C A^(2 ceil(L/2)) B for Gamma_(1^L), the right half taken with the
+        # left half's length, is still invariant; only the specialisation to
+        # the plain invariants sees it, and at n = 1 it sees no word with L > 0
+        real = verify.word_invariants
+
+        def doubled(w, max_len):
+            words = real(w, max_len)
+            gamma = dict(words.gamma)
+            for length in range(1, max_len + 1):
+                power = RationalMatrix.identity(w.n)
+                for _ in range(2 * ((length + 1) // 2)):
+                    power = power @ w.A_list[0]
+                gamma[(1,) * length] = w.C @ power @ w.B
+            return dataclasses.replace(words, gamma=gamma)
+
+        monkeypatch.setattr(verify, "word_invariants", doubled)
+        cells = suite_cells("invariance", trials=2)
+        assert len(cells) == 72
+        outcomes = (
+            verify._run_task((runner, label, i, params))
+            for i, (runner, label, params) in enumerate(cells)
+        )
+        detail = "word invariants differ from the plain invariants at r = 1"
+        assert {o.label: o.detail for o in outcomes if not o.ok} == {
+            f"n={n} p={p} q={q} r=1": detail
+            for n in range(2, 5) for p in (1, 2, 3) for q in (1, 2, 3)
+        }
 
 
 class TestStabilizerCells:
