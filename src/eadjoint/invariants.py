@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import mul
 
 from . import _kernels as _k
@@ -32,6 +31,7 @@ from .linalg import (
     _krylov_left,
     _power_traces,
     _scaled_to_int,
+    _signed_fields,
     elementary_from_power_sums,
     integer_rescaled,
     rank_mod_prime,
@@ -231,59 +231,6 @@ def group_action(g: RationalMatrix, w: Point) -> Point:
     )
 
 
-def action_equations(w: Point):
-    """Rows of the orbit-map differential X -> (XB, CX, XA - AX), r = 1.
-
-    Row c is coordinate c of vec(B), vec(C), vec(A) (row-major); column
-    i*n + t is the entry X_it.  The kernel is the stabilizer Lie algebra.
-    The column span is the orbit tangent space with its C block negated
-    (the action gives -CX), which changes no rank and no sum with a
-    coordinate subspace.
-    """
-    n = w.n
-    b, c, a = w.B, w.C, w.A
-    rows = []
-    for i in range(n):  # (XB)_ij: X_it has coefficient B_tj
-        for j in range(w.p):
-            row = [0] * (n * n)
-            row[i * n : (i + 1) * n] = b.col_list(j)
-            rows.append(row)
-    for i in range(w.q):  # (CX)_ij: X_tj has coefficient C_it
-        for j in range(n):
-            row = [0] * (n * n)
-            row[j::n] = c.row_list(i)
-            rows.append(row)
-    for i in range(n):  # (XA - AX)_ij: X_it gains A_tj, X_tj loses A_it
-        for j in range(n):
-            row = [0] * (n * n)
-            row[i * n : (i + 1) * n] = a.col_list(j)
-            for t, x in enumerate(a.row_list(i)):
-                row[t * n + j] -= x
-            rows.append(row)
-    return rows
-
-
-def check_action_equations(w: Point, rows) -> None:
-    """Raise ``AssertionError`` unless ``rows`` are the action equations of w.
-
-    The rows evaluated at the fixed X with X_it = 7^(i n + t + 1) must
-    equal vec(XB), vec(CX), vec(XA - AX), computed by matrix products.  Any
-    single wrong coefficient changes that value, so this also catches a
-    fault that only shrinks the kernel, which re-substituting the kernel
-    cannot see.  Each row is evaluated over its nonzero entries only.
-    """
-    n = w.n
-    b, c, a = w.B, w.C, w.A
-    xs = [7 ** (j + 1) for j in range(n * n)]
-    x = RationalMatrix(n, n, xs, validate=False)
-    expected = (x @ b).entries + (c @ x).entries + (x @ a - a @ x).entries
-    values = tuple(
-        sum(map(mul, compress(row, row), compress(xs, row))) for row in rows
-    )
-    if values != expected:
-        raise AssertionError("action equations failed re-substitution at the fixed X")
-
-
 def _controllability(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """[b^T; b^T a^T; ...; b^T (a^T)^{n-1}], row m p + j = (a^m b_j)^T; its
     row span is the a-span of im b.  Kalman duality: the observability
@@ -469,25 +416,41 @@ def _split_bound(wi: Point, obs: RationalMatrix, ctrl: RationalMatrix) -> bool:
         p == 1 or rank_mod_prime(krylov_c, n) == n)
 
 
+def _orbit_tangent(wi: Point, x):
+    """The orbit tangent ([X, A], XB, -CX) at an integer r = 1 point, flat
+    and in J's column order (dA, dB, dC), for the row-major n x n X."""
+    n, p, q = wi.n, wi.p, wi.q
+    b, c, a = wi.B.entries, wi.C.entries, wi.A.entries
+    xa, ax = _k.mat_mul(x, n, n, a, n), _k.mat_mul(a, n, n, x, n)
+    tangent = [u - v for u, v in zip(xa, ax)] + _k.mat_mul(x, n, n, b, p)
+    return tangent + [-v for v in _k.mat_mul(c, q, n, x, n)]
+
+
+def _orbit_tangent_rows(wi: Point):
+    """The rows of T, the matrix of ``_orbit_tangent`` in the entries X_it
+    (column i n + t).  T is linear in X, so the tangent at the packed X with
+    entry j = 2^(f j) holds column j of T at bit f j; every coefficient is
+    an entry of B or -C, or A_tj - A_it, at most max(|B|, |C|, 2|A|) <
+    2^(f-1) in size."""
+    n, b, c, a = wi.n, wi.B.entries, wi.C.entries, wi.A.entries
+    f = max(max(map(abs, b + c)), 2 * max(map(abs, a))).bit_length() + 1
+    tangent = _orbit_tangent(wi, [1 << (f * j) for j in range(n * n)])
+    return [_signed_fields(v, f, n * n) for v in tangent]
+
+
 def _check_orbit_tangents(wi: Point, e, ncols) -> None:
     """Raise ``AssertionError`` unless J T = 0 exactly at an integer point,
     J given by its row-major entries e and its column count.
 
-    Column j of T is the orbit tangent ([X_j, A], X_j B, -C X_j) of the unit
-    matrix X_j, in J's column order.  T is linear in X, so the one tangent at
-    the packed X with entry j = 2^(f j) holds column j of T at bit f j, and
-    row r of J times it holds (J T)_rj there.  Each |(J T)_rj| <= ncols max|J|
+    At a packed X as in ``_orbit_tangent_rows``, row r of J times the
+    tangent holds (J T)_rj at bit f j.  Each |(J T)_rj| <= ncols max|J|
     max(|B|, |C|, 2|A|) < 2^(f-1), so a row is zero exactly when its fields
     are, and the lowest nonzero field names the X_j the row fails on.
     """
-    n, p, q = wi.n, wi.p, wi.q
-    b, c, a = wi.B.entries, wi.C.entries, wi.A.entries
+    n, b, c, a = wi.n, wi.B.entries, wi.C.entries, wi.A.entries
     top = max(map(abs, e)) * max(max(map(abs, b + c)), 2 * max(map(abs, a)))
     f = (top * ncols).bit_length() + 1
-    x = [1 << (f * j) for j in range(n * n)]
-    xa, ax = _k.mat_mul(x, n, n, a, n), _k.mat_mul(a, n, n, x, n)
-    tangent = [u - v for u, v in zip(xa, ax)] + _k.mat_mul(x, n, n, b, p)
-    tangent += [-v for v in _k.mat_mul(c, q, n, x, n)]
+    tangent = _orbit_tangent(wi, [1 << (f * j) for j in range(n * n)])
     fields = [((v & -v).bit_length() - 1) // f
               for r in range(0, len(e), ncols)
               if (v := sum(map(mul, e[r : r + ncols], tangent)))]

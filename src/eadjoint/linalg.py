@@ -493,6 +493,14 @@ def _residues(v, masks):
     return v - ones
 
 
+def _signed_fields(v, f, m):
+    """[d_0, ..., d_(m-1)] with v = sum_j d_j 2^(f j), every |d_j| < 2^(f-1):
+    with 2^(f-1) added to each, the fields are nonnegative and carry-free."""
+    half, mask = 1 << (f - 1), (1 << f) - 1
+    v += half * (((1 << (f * m)) - 1) // mask)  # 2^(f-1) in every field
+    return [((v >> (f * j)) & mask) - half for j in range(m)]
+
+
 def trace_product(a: RationalMatrix, b: RationalMatrix) -> Rational:
     """trace(a @ b) without forming the product."""
     if a.cols != b.rows or a.rows != b.cols:

@@ -55,8 +55,7 @@ from .invariants import (
     _controllability,
     _integer_rescaled_point,
     _observability,
-    action_equations,
-    check_action_equations,
+    _orbit_tangent_rows,
     check_sizes,
     group_action,
 )
@@ -571,22 +570,24 @@ def sample_component(n, p, q, k, seed) -> Point:
 def component_tangent_dim(n, p, q, k, seed) -> int:
     """dim(g.u + U_k) at a random U_k point u with principal adjoint part.
 
-    The infinitesimal action X -> (XB, -CX, [X, A]) together with U_k
+    The infinitesimal action X -> ([X, A], XB, -CX) together with U_k
     spans the image of the differential of the sweep map, whose generic
     dimension is the component dimension (n^2 - n) + pk + q(n - k).  U_k
     is spanned by coordinates, so that dimension is |U_k| plus the rank of
-    the rows of ``action_equations`` at the coordinates outside U_k.  The
-    full system is checked by ``check_action_equations`` first.
+    the rows of ``_orbit_tangent_rows`` at the coordinates outside U_k,
+    read off one tangent at a packed X.  n, p and q outside
+    1..``MAX_SIZE``, or k outside 0..n, are an ``OutOfRangeError``.
     """
+    check_sizes(n, p, q)
+    if not (0 <= k <= n):
+        raise OutOfRangeError(f"k must lie in 0..{n}, got {k}")
     u = random_unstable_point(as_rng(seed), n, p, q, k)
     coords = unstable_subspace(standard_destabilizer(n, k), n, p, q)
-    c0, a0 = n * p, n * p + q * n  # offsets of vec(C) and vec(A)
-    inside = {i * p + j for i in coords.b_rows for j in range(p)}
+    b0, c0 = n * n, n * n + n * p  # offsets of dB and dC
+    inside = {i * n + j for i, j in coords.a_entries}
+    inside.update(b0 + i * p + j for i in coords.b_rows for j in range(p))
     inside.update(c0 + i * n + j for i in range(q) for j in coords.c_cols)
-    inside.update(a0 + i * n + j for i, j in coords.a_entries)
-    rows = action_equations(u)
-    check_action_equations(u, rows)
-    rows = [row for c, row in enumerate(rows) if c not in inside]
+    rows = [row for c, row in enumerate(_orbit_tangent_rows(u)) if c not in inside]
     return len(inside) + _k.rank_int(rows, n * n)
 
 

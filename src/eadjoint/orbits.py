@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import mul
 
 from . import _kernels as _k
 from .errors import FiberConditionError, ShapeError
@@ -31,6 +29,7 @@ from .linalg import (
     Subspace,
     _canon,
     _kernel_vectors,
+    _signed_fields,
     _span,
     rank_mod_prime,
     rational_from_str,
@@ -75,12 +74,10 @@ def stabilizer(w: Point) -> StabilizerReport:
     unknowns y_ab solve ``_hom_equations``, and each solution is mapped
     back to vec(P Y N) and spanned canonically.
 
-    Three checks guard that answer: ``_check_hom_equations`` on the rows
-    before they are solved (a wrong coefficient could shrink the kernel
-    unseen), the rank of the mapped-back matrices against the number of
-    solutions, and the re-substitution of every kernel basis element (as
-    its primitive integer multiple) into the defining equations by matrix
-    products.
+    Two checks guard that answer: the rank of the mapped-back matrices
+    against the number of solutions, and the re-substitution of every
+    kernel basis element (as its primitive integer multiple) into the
+    defining equations by matrix products.
     """
     wi = _integer_rescaled_point(w)[0]
     n = w.n
@@ -95,9 +92,7 @@ def stabilizer(w: Point) -> StabilizerReport:
     ps = _kernel_vectors(_observability(wi.A, wi.C).to_rows(), n)
     if not ps:
         return zero
-    rows = _hom_equations(wi.A, ps, ns)
-    _check_hom_equations(wi.A, ps, ns, rows)
-    ys = _kernel_vectors(rows, len(ps) * len(ns))
+    ys = _kernel_vectors(_hom_equations(wi.A, ps, ns), len(ps) * len(ns))
     ker = _span(n * n, [_hom_matrix(ps, ns, y) for y in ys])
     if ker.dim != len(ys):
         raise AssertionError("stabilizer solutions lost rank when mapped back")
@@ -122,16 +117,21 @@ def _hom_equations(a: RationalMatrix, ps, ns):
     S), so these dim K (n - dim S) equations hold exactly when all n^2 do.
     Row (i, j) lists, in column a*len(ns) + b, the coefficient of y_ab,
     p_a[i] (n_b A)[j] - (A p_a)[i] n_b[j].
+
+    The rows are linear in Y: at the packed Y with y_ab = 2^(f (a len(ns) + b)),
+    entry (i, j) of X A - A X = P Y (N A) - (A P) Y N, two ``_hom_matrix``
+    products, holds that coefficient at bit f (a len(ns) + b), and each is
+    at most 2 n max|P| max|N| max|A| < 2^(f-1) in size.
     """
-    n, ae = a.rows, a.entries
-    aps = [_k.mat_mul(ae, n, n, p, 1) for p in ps]
-    nas = [_k.mat_mul(v, 1, n, ae, n) for v in ns]
+    n, ae, m = a.rows, a.entries, len(ps) * len(ns)
+    top = 2 * n * max(map(abs, ae)) * max(abs(x) for v in ps for x in v)
+    f = (top * max(abs(x) for v in ns for x in v)).bit_length() + 1
+    y = [1 << (f * j) for j in range(m)]
+    xa = _hom_matrix(ps, [_k.mat_mul(v, 1, n, ae, n) for v in ns], y)
+    ax = _hom_matrix([_k.mat_mul(ae, n, n, p, 1) for p in ps], ns, y)
     free_j = _free_entries(ns)
-    return [
-        [p[i] * na[j] - ap[i] * v[j] for p, ap in zip(ps, aps) for v, na in zip(ns, nas)]
-        for i in _free_entries(ps)
-        for j in free_j
-    ]
+    return [_signed_fields(xa[i * n + j] - ax[i * n + j], f, m)
+            for i in _free_entries(ps) for j in free_j]
 
 
 def _free_entries(vs):
@@ -146,31 +146,6 @@ def _hom_matrix(ps, ns, y):
     pm = [p[i] for i in range(n) for p in ps]
     nm = [x for v in ns for x in v]
     return _k.mat_mul(_k.mat_mul(pm, n, kappa, y, m), n, m, nm, n)
-
-
-def _check_hom_equations(a: RationalMatrix, ps, ns, rows) -> None:
-    """Raise ``AssertionError`` unless ``rows`` are ``_hom_equations``.
-
-    The rows evaluated at the fixed Y with y_j = 7^(j + 1) must equal the
-    entries (i, j), i and j free columns, of X A - A X for X = P Y N,
-    computed by matrix products.  Any single wrong coefficient changes
-    that value, so this also catches a fault that only shrinks the kernel,
-    which re-substituting the kernel cannot see.  Each row is evaluated
-    over its nonzero entries only.
-    """
-    n, ae = a.rows, a.entries
-    ys = [7 ** (j + 1) for j in range(len(ps) * len(ns))]
-    x = _hom_matrix(ps, ns, ys)
-    xa, ax = _k.mat_mul(x, n, n, ae, n), _k.mat_mul(ae, n, n, x, n)
-    free_j = _free_entries(ns)
-    expected = tuple(
-        xa[i * n + j] - ax[i * n + j] for i in _free_entries(ps) for j in free_j
-    )
-    values = tuple(
-        sum(map(mul, compress(row, row), compress(ys, row))) for row in rows
-    )
-    if values != expected:
-        raise AssertionError("reduced equations failed re-substitution at the fixed Y")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .invariants import (
     sl_relation_check,
     word_invariants,
 )
-from .linalg import RationalMatrix, char_poly
+from .linalg import RationalMatrix, char_poly, elementary_from_power_sums
 from .nullcone import (
     adapted_certificate,
     component_certificates,
@@ -128,12 +128,18 @@ def _cell_invariance(rng, trial, n, p, q, r):
     a = word_invariants(w, n)
     if r == 1:
         # a wrong word formula can still be invariant; at r = 1 the words
-        # must also specialise to tau_k = tr A^k and Gamma_k = C A^k B
+        # must also specialise to tau_k = tr A^k and Gamma_k = C A^k B, and
+        # the top word to C A^n B = sum_i (-1)^(i+1) e_i Gamma_(n-i)
+        # (Cayley-Hamilton), e the elementary symmetric values of the tau
         iv = evaluate_invariants(w)
         if evaluate_invariants(moved) != iv:
             return "plain invariants changed under the action"
+        e = elementary_from_power_sums(iv.tau)
+        top = sum((gk.scale(-x if i % 2 else x) for i, (x, gk) in
+                   enumerate(zip(e, reversed(iv.gamma)))), RationalMatrix.zeros(q, p))
         if (tuple(a.tau[(1,) * k] for k in range(1, n + 1)) != iv.tau
-                or tuple(a.gamma[(1,) * k] for k in range(n)) != iv.gamma):
+                or tuple(a.gamma[(1,) * k] for k in range(n)) != iv.gamma
+                or a.gamma[(1,) * n] != top):
             return "word invariants differ from the plain invariants at r = 1"
     b = word_invariants(moved, n)
     if a.tau != b.tau or a.gamma != b.gamma:

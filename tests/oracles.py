@@ -13,7 +13,6 @@ from eadjoint.errors import MultipleCopiesError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     InvariantVector,
     Point,
-    action_equations,
     cyclic_canonical,
     evaluate_invariants,
 )
@@ -242,32 +241,56 @@ def fraction_word_invariants(w: Point, max_len):
     return tau, gamma
 
 
-def sign_flipped_action_equations(w: Point):
-    """``action_equations`` with the first entry of the first adjoint-block
-    row that has two nonzero entries negated: its kernel then holds
-    matrices that do not commute with A."""
-    rows = action_equations(w)
-    start = w.n * w.p + w.q * w.n
-    for row in rows[start:]:
-        nonzero = [t for t, x in enumerate(row) if x]
-        if len(nonzero) >= 2:
-            row[nonzero[0]] = -row[nonzero[0]]
-            return rows
-    raise AssertionError("no adjoint-block row with two entries")
+def action_equations(w: Point):
+    """Rows of the orbit-map differential X -> (XB, CX, XA - AX), r = 1.
+
+    Row c is coordinate c of vec(B), vec(C), vec(A) (row-major); column
+    i*n + t is the entry X_it.  The kernel is the stabilizer Lie algebra.
+    The column span is the orbit tangent space with its C block negated
+    (the action gives -CX), which changes no rank and no sum with a
+    coordinate subspace.
+    """
+    n = w.n
+    b, c, a = w.B, w.C, w.A
+    rows = []
+    for i in range(n):  # (XB)_ij: X_it has coefficient B_tj
+        for j in range(w.p):
+            row = [0] * (n * n)
+            row[i * n : (i + 1) * n] = b.col_list(j)
+            rows.append(row)
+    for i in range(w.q):  # (CX)_ij: X_tj has coefficient C_it
+        for j in range(n):
+            row = [0] * (n * n)
+            row[j::n] = c.row_list(i)
+            rows.append(row)
+    for i in range(n):  # (XA - AX)_ij: X_it gains A_tj, X_tj loses A_it
+        for j in range(n):
+            row = [0] * (n * n)
+            row[i * n : (i + 1) * n] = a.col_list(j)
+            for t, x in enumerate(a.row_list(i)):
+                row[t * n + j] -= x
+            rows.append(row)
+    return rows
 
 
-def sign_flipped_hom_equations(a: RationalMatrix, ps, ns):
-    """``orbits._hom_equations`` with the sign of its A p_a term flipped:
-    all n^2 rows of X A + A X = 0 in the unknowns y_ab of
-    X = sum_ab y_ab p_a n_b^T, by Fraction products.  For A the regular
-    nilpotent block its kernel holds matrices that do not commute with A."""
+def hom_equations(a: RationalMatrix, ps, ns, sign=-1):
+    """All n^2 rows of X A + sign A X = 0 in the unknowns y_ab of
+    X = sum_ab y_ab p_a n_b^T, by Fraction products: row i n + j, column
+    a len(ns) + b.  The default sign gives [X, A] = 0."""
     n = a.rows
     cols = []
     for p in ps:
         for v in ns:
             x = RationalMatrix(n, 1, p) @ RationalMatrix(1, n, v)
-            cols.append((x @ a + a @ x).entries)
+            cols.append((x @ a + (a @ x).scale(sign)).entries)
     return [[col[r] for col in cols] for r in range(n * n)]
+
+
+def sign_flipped_hom_equations(a: RationalMatrix, ps, ns):
+    """``hom_equations`` with the sign of its A X term flipped: X A + A X = 0.
+    For A the regular nilpotent block its kernel holds matrices that do not
+    commute with A."""
+    return hom_equations(a, ps, ns, sign=1)
 
 
 def exact_jacobian_rank(w: Point) -> int:

@@ -29,6 +29,7 @@ from eadjoint.nullcone import (
 )
 from oracles import (
     TangentVector,
+    action_equations,
     controllability_blocks,
     differential,
     differential_jacobian_matrix,
@@ -786,7 +787,7 @@ class TestJacobianRankCertificate:
         n, p, q = 2, 2, 2
         w = Point(RationalMatrix.zeros(n, p), RationalMatrix.zeros(q, n),
                   (RM([[1, 2], [3, 4]]),))
-        eqs = invariants.action_equations(w)
+        eqs = action_equations(w)
         nb, nc = n * p, n * p + q * n
         # T in the Jacobian's column order dA, dB, dC, the C block negated
         tangents = eqs[nc:] + eqs[:nb] + [[-x for x in row] for row in eqs[nb:nc]]
@@ -888,18 +889,24 @@ class TestJacobianRankCertificate:
             raised += 1
         assert 100 <= raised <= 280, raised
 
-    def test_jacobian_path_builds_no_action_equations(self, monkeypatch):
-        equations = Spy(invariants.action_equations)
-        checked = Spy(invariants.check_action_equations)
-        tangents = Spy(invariants._check_orbit_tangents)
-        monkeypatch.setattr(invariants, "action_equations", equations)
-        monkeypatch.setattr(invariants, "check_action_equations", checked)
-        monkeypatch.setattr(invariants, "_check_orbit_tangents", tangents)
-        for _, w in itertools.chain(certificate_points(random.Random(82)),
-                                    split_points(random.Random(83), per_family=6)):
-            jacobian_rank(w)
-        assert tangents.calls >= 20
-        assert equations.calls == checked.calls == 0
+    def test_tangent_rows_are_the_action_equations(self):
+        # the decoded rows of T are the oracle's rows in J's order, dA, dB,
+        # dC, with the C block negated; at B = C = 0, A = diag(1, -1), the
+        # row of [X, A]_10 is [0, 0, 2, 0], which a width of
+        # bitlen(max(|B|, |C|, |A|)) + 1 would decode as [0, 0, -2, 1]
+        rng = random.Random(84)
+        points = [Point(RationalMatrix.zeros(2, 1), RationalMatrix.zeros(1, 2),
+                        (RationalMatrix.diagonal([1, -1]),))]
+        for _ in range(120):
+            n, p, q = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
+            points.append(random_point(rng, n, p, q,
+                                       bound=rng.choice((1, 10, 2**100, 2**200))))
+        for wi in points:
+            eqs = action_equations(wi)
+            nb, nc = wi.n * wi.p, wi.n * (wi.p + wi.q)
+            tangents = eqs[nc:] + eqs[:nb] + [[-x for x in row] for row in eqs[nb:nc]]
+            assert invariants._orbit_tangent_rows(wi) == tangents
+        assert invariants._orbit_tangent_rows(points[0])[2] == [0, 0, 2, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ from oracles import (
     order_type_maximal_unstable,
     point_in_unstable_subspace,
     positive_pairing_set,
-    sign_flipped_action_equations,
     zero_point,
 )
 
@@ -672,12 +671,17 @@ class TestDimensions:
                                 n, p, q, k, seed
                             ) == dense_tangent_dim(n, p, q, k, seed)
 
-    def test_tangent_dim_checks_its_action_equations(self, monkeypatch):
-        monkeypatch.setattr(nullcone, "action_equations", sign_flipped_action_equations)
-        for n in (2, 3, 4):
-            for k in range(n + 1):
-                with pytest.raises(AssertionError, match="fixed X"):
-                    component_tangent_dim(n, 1, 1, k, seed=n)
+    def test_tangent_dim_rejects_sizes_and_k_out_of_range(self, monkeypatch):
+        # n = 33 used to run, k = 3 at n = 2 raised IndexError and k = -1 a
+        # ShapeError; all are now refused before any point is sampled
+        def sampled(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(nullcone, "random_unstable_point", sampled)
+        for args in ((33, 1, 1, 0), (2, 0, 1, 0), (2, 1, 33, 1),
+                     (2, 1, 1, 3), (2, 1, 1, -1)):
+            with pytest.raises(OutOfRangeError):
+                component_tangent_dim(*args, seed=0)
 
     def test_summary_211(self):
         s = nullcone_summary(2, 1, 1)

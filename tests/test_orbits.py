@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +9,6 @@ from eadjoint import _kernels, orbits
 from eadjoint.errors import DegenerateSpectrumError, FiberConditionError, ShapeError
 from eadjoint.invariants import (
     Point,
-    action_equations,
     evaluate_invariants,
     group_action,
     jacobian_rank,
@@ -31,8 +32,9 @@ from eadjoint.sampling import (
     random_rank_one_factors,
 )
 from oracles import (
-    contains,
+    action_equations,
     controllable,
+    hom_equations,
     resultant_discriminant_is_nonzero,
     sign_flipped_hom_equations,
     sylvester_resultant,
@@ -169,9 +171,9 @@ class TestKalmanCertificate:
         # C_k points at n = 8 and 10 against the full (n^2 + 2n + 2n) x n^2 system
         points += [sample_component(n, 2, 2, k, seed=n) for n, k in ((8, 3), (10, 5))]
         built = []
-        hom_equations = orbits._hom_equations
+        real = orbits._hom_equations
         monkeypatch.setattr(orbits, "_hom_equations",
-                            lambda *args: built.append(1) or hom_equations(*args))
+                            lambda *args: built.append(1) or real(*args))
         paths = {"controllable": 0, "observable": 0, "reduced": 0, "proper": 0}
         for w in points:
             wi = _integer_rescaled_point(w)[0]
@@ -283,52 +285,61 @@ class TestActionEquations:
 
     def test_sign_flip_in_the_adjoint_block_is_caught(self, monkeypatch):
         # the kernel of X A + A X = 0 holds matrices that do not commute
-        # with A: the fixed-Y check raises first, and without it the
-        # re-substitution of the kernel basis must raise
+        # with A: the re-substitution of the kernel basis must raise
         monkeypatch.setattr(orbits, "_hom_equations", sign_flipped_hom_equations)
-        points = [
-            Point(RationalMatrix.zeros(n, 1), RationalMatrix.zeros(1, n),
-                  (principal_nilpotent(n),))
-            for n in (2, 3, 4)
-        ]
-        for w in points:
-            with pytest.raises(AssertionError, match="re-substitution"):
-                stabilizer(w)
-        monkeypatch.setattr(orbits, "_check_hom_equations", lambda *args: None)
-        for w in points:
-            with pytest.raises(AssertionError, match="kernel failed re-substitution"):
-                stabilizer(w)
-
-    def test_fault_that_shrinks_the_kernel_is_caught(self, monkeypatch):
-        # B = C = 0 and A the regular nilpotent block: P and N are the unit
-        # vectors, so y = vec(X), and one row of [X, A] = 0 is empty.  A
-        # spurious y_00 there adds the equation X_00 = 0: the kernel shrinks
-        # inside the true stabilizer, so every kernel element still
-        # re-substitutes cleanly and only the fixed-Y evaluation of the rows
-        # can see the fault
-        hom_equations = orbits._hom_equations
-        seen = []
-
-        def extra_equation(a, ps, ns):
-            seen.append((ps, ns))
-            rows = hom_equations(a, ps, ns)
-            next(row for row in rows if not any(row))[0] += 1
-            return rows
-
-        points = []
         for n in (2, 3, 4):
             w = Point(RationalMatrix.zeros(n, 1), RationalMatrix.zeros(1, n),
                       (principal_nilpotent(n),))
-            units = [[int(i == j) for j in range(n)] for i in range(n)]
-            true = stabilizer(w).kernel_basis
-            shrunk = kernel_subspace(RM(extra_equation(w.A, units, units)))
-            assert shrunk.dim == true.dim - 1 and contains(true, shrunk)
-            points.append((w, units))
-        monkeypatch.setattr(orbits, "_hom_equations", extra_equation)
-        for w, units in points:
-            with pytest.raises(AssertionError, match="fixed Y"):
+            with pytest.raises(AssertionError, match="kernel failed re-substitution"):
                 stabilizer(w)
-            assert seen[-1] == (units, units)
+
+    def test_hom_rows_are_the_fraction_rows_at_the_free_entries(self):
+        # random A, P and N with entries up to 2^200, and A = all -1,
+        # P = [1, 1], N = [-1, 1], whose one coefficient 2 a width without
+        # the factor 2n would decode as -2
+        rng = random.Random(46)
+
+        def vectors(n, bound):
+            out = []
+            for _ in range(rng.randint(1, n)):
+                v = [rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+                     for _ in range(n)]
+                v[rng.randrange(n)] = rng.choice((-1, 1)) * rng.randint(1, bound)
+                out.append(v)
+            return out
+
+        cases = [(RM([[-1, -1], [-1, -1]]), [[1, 1]], [[-1, 1]])]
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            bound = rng.choice((1, 10, 2**100, 2**200))
+            a = RationalMatrix(n, n, [rng.randint(-bound, bound) for _ in range(n * n)])
+            cases.append((a, vectors(n, bound), vectors(n, bound)))
+        for a, ps, ns in cases:
+            rows, n = hom_equations(a, ps, ns), a.rows
+            assert orbits._hom_equations(a, ps, ns) == [
+                rows[i * n + j]
+                for i in orbits._free_entries(ps) for j in orbits._free_entries(ns)
+            ]
+        assert orbits._hom_equations(*cases[0]) == [[2]]
+
+    def test_stabilizer_output_is_pinned(self):
+        # sha256 of every report over pinned witnesses and C_k points,
+        # n <= 8, p, q <= 3: 792 points, 504 with a nonzero stabilizer
+        from eadjoint.nullcone import pinned_row_witness, sample_component
+
+        reports = []
+        for n in range(1, 9):
+            for k in range(n + 1):
+                for p in (1, 2, 3):
+                    for q in (1, 2, 3):
+                        seed = 100 * n + 10 * k + 3 * p + q
+                        for w in (pinned_row_witness(n, p, q, k, seed=seed),
+                                  sample_component(n, p, q, k, seed=seed)):
+                            reports.append(stabilizer(w).to_json_obj())
+        assert sum(rep["stab_dim"] > 0 for rep in reports) == 504
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "c9e9844a316440063eabb8f941136a3d8bccf58c5bb05009c64cc7f85ebda85c")
 
 
 class TestRegularSemisimple:

@@ -178,11 +178,31 @@ class TestJacobianCells:
             )
 
 
+def failing_invariance_cells(monkeypatch, words):
+    """label -> failure detail of the invariance suite at 2 trials, with
+    ``words`` in place of ``word_invariants``."""
+    monkeypatch.setattr(verify, "word_invariants", words)
+    cells = suite_cells("invariance", trials=2)
+    assert len(cells) == 72
+    outcomes = (
+        verify._run_task((runner, label, i, params))
+        for i, (runner, label, params) in enumerate(cells)
+    )
+    return {o.label: o.detail for o in outcomes if not o.ok}
+
+
+R1_WORDS_DIFFER = {
+    f"n={n} p={p} q={q} r=1": "word invariants differ from the plain invariants at r = 1"
+    for n in range(1, 5) for p in (1, 2, 3) for q in (1, 2, 3)
+}
+
+
 class TestInvarianceCells:
     def test_invariant_but_wrong_words_fail_the_r1_cells(self, monkeypatch):
         # C A^(2 ceil(L/2)) B for Gamma_(1^L), the right half taken with the
         # left half's length, is still invariant; only the specialisation to
-        # the plain invariants sees it, and at n = 1 it sees no word with L > 0
+        # the plain invariants sees it, and at n = 1 only through the top
+        # word Gamma_(1), checked by Cayley-Hamilton
         real = verify.word_invariants
 
         def doubled(w, max_len):
@@ -195,18 +215,20 @@ class TestInvarianceCells:
                 gamma[(1,) * length] = w.C @ power @ w.B
             return dataclasses.replace(words, gamma=gamma)
 
-        monkeypatch.setattr(verify, "word_invariants", doubled)
-        cells = suite_cells("invariance", trials=2)
-        assert len(cells) == 72
-        outcomes = (
-            verify._run_task((runner, label, i, params))
-            for i, (runner, label, params) in enumerate(cells)
-        )
-        detail = "word invariants differ from the plain invariants at r = 1"
-        assert {o.label: o.detail for o in outcomes if not o.ok} == {
-            f"n={n} p={p} q={q} r=1": detail
-            for n in range(2, 5) for p in (1, 2, 3) for q in (1, 2, 3)
-        }
+        assert failing_invariance_cells(monkeypatch, doubled) == R1_WORDS_DIFFER
+
+    def test_a_wrong_top_word_fails_every_r1_cell(self, monkeypatch):
+        # 2 Gamma_(1^max_len) is invariant, and no Gamma_k of the plain
+        # invariants is that word: only Cayley-Hamilton sees it
+        real = verify.word_invariants
+
+        def doubled_top(w, max_len):
+            words = real(w, max_len)
+            gamma = dict(words.gamma)
+            gamma[(1,) * max_len] = gamma[(1,) * max_len].scale(2)
+            return dataclasses.replace(words, gamma=gamma)
+
+        assert failing_invariance_cells(monkeypatch, doubled_top) == R1_WORDS_DIFFER
 
 
 class TestStabilizerCells:
