@@ -35,6 +35,7 @@ from .linalg import (
     elementary_from_power_sums,
     integer_rescaled,
     rank_mod_prime,
+    rank_one_pivot,
     rational_to_str,
 )
 
@@ -514,8 +515,8 @@ def psi_map(t, xs) -> InvariantVector:
 
     Sends (t_1..t_n; X_1..X_n) to the power sums of t and the combinations
     Gamma_k = sum_r t_r^k X_r for k = 0..n-1.  Every X_r must have rank at
-    most one (ranked once per distinct matrix); the map is invariant under
-    simultaneously permuting the t and X coordinates.
+    most one (decided by ``rank_one_pivot`` once per distinct matrix); the
+    map is invariant under simultaneously permuting the t and X coordinates.
     """
     t = [_canon(x) for x in t]
     n = len(t)
@@ -527,7 +528,7 @@ def psi_map(t, xs) -> InvariantVector:
     for x in xs:
         if x.shape != shape:
             raise ShapeError("matrices differ in shape")
-        if x not in ranked and x.rank() > 1:
+        if x not in ranked and rank_one_pivot(x) is None:
             raise FiberConditionError("matrix of rank >= 2 is outside the image")
         ranked.add(x)
     tau = tuple(_canon(sum(ti**k for ti in t)) for k in range(1, n + 1))

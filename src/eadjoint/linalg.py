@@ -416,6 +416,34 @@ def integer_rescaled(m: RationalMatrix):
     return l, RationalMatrix(m.rows, m.cols, ints, validate=False)
 
 
+def rank_one_pivot(x: RationalMatrix):
+    """(e, i0, j0) when x has rank at most one, None when its rank is two or
+    more.
+
+    e is x cleared to integers (``_scaled_to_int``), flat and row-major;
+    j0 is its first nonzero column and i0 the first nonzero row in that
+    column, (-1, -1) for the zero matrix.  With v = e_{i0 j0} != 0, x has
+    rank <= 1 exactly when e_ij v = e_{i j0} e_{i0 j} for every i and j:
+    these are v times the entries of c b - e, with c column j0 of e and b
+    row i0 over v, so they vanish exactly when e = c b.
+    """
+    p = x.cols
+    e = _scaled_to_int(x.entries)[1]
+    for j0 in range(p):
+        col = e[j0::p]
+        if any(col):
+            break
+    else:
+        return e, -1, -1
+    i0 = next(i for i, u in enumerate(col) if u)
+    v, row = col[i0], e[i0 * p : (i0 + 1) * p]
+    for i, u in enumerate(col):
+        for a, b in zip(e[i * p : (i + 1) * p], row):
+            if a * v != u * b:
+                return None
+    return e, i0, j0
+
+
 PRIME = 2**31 - 1  # a Mersenne prime: 2^31 = 1 mod PRIME
 
 
@@ -790,12 +818,16 @@ def vandermonde_solve(t, rhs):
     """Solve sum_r t_r^k X_r = rhs_k (k = 0..n-1) for matrices X_1..X_n.
 
     The t values must be pairwise distinct; the right-hand sides are n
-    equally shaped matrices.  Solved by exact elimination on the n x n
-    Vandermonde system with a block right-hand side.
+    equally shaped matrices.  Solved by one ``rre_int`` of the n x (n + qp)
+    system whose row i is [t_j^i | vec rhs_i], cleared to integers.  With
+    t_j = s_j / d over the least common denominator d, and l_i clearing
+    rhs_i, row i times m_i = lcm(d^i, l_i) is
+    [s_j^i m_i / d^i | (l_i rhs_i) m_i / l_i].  Reduced row r is its pivot
+    times [e_r | vec X_r], so only the returned entries become Fractions.
     """
     t = [_canon(x) for x in t]
     n = len(t)
-    if len(set(map(Fraction, t))) != n:
+    if len(set(t)) != n:
         raise DegenerateSpectrumError("degenerate spectrum: repeated t values")
     if len(rhs) != n:
         raise ShapeError(f"expected {n} right-hand blocks, got {len(rhs)}")
@@ -805,19 +837,15 @@ def vandermonde_solve(t, rhs):
     for blk in rhs:
         if blk.shape != (q, p):
             raise ShapeError("right-hand blocks differ in shape")
-    # Vandermonde rows (t_j^i)_{i=0..n-1}, flattened block RHS alongside
-    width = q * p
-    aug_rows = []
+    d, s = _scaled_to_int(t)
+    aug = []
     for i in range(n):
-        row = [t[j] ** i for j in range(n)]
-        row.extend(rhs[i].entries)
-        aug_rows.append(row)
-    aug = RationalMatrix.from_rows(aug_rows)
-    rank, pivots, rows = aug.rref()
+        l, g = _scaled_to_int(rhs[i].entries)
+        di = d**i
+        u = l // gcd(di, l)  # lcm(d^i, l) / d^i
+        v = di // gcd(di, l)  # lcm(d^i, l) / l
+        aug.append([x**i * u for x in s] + [x * v for x in g])
+    rank, pivots, red = _k.rre_int(aug, n + q * p)
     if rank != n or any(pc >= n for pc in pivots):
         raise DegenerateSpectrumError("Vandermonde system is singular")
-    out = []
-    for r in range(n):
-        out.append(RationalMatrix(q, p, rows[r][n : n + width]))
-    return out
-
+    return [_divided(q, p, red[r][n:], 1, red[r][r]) for r in range(n)]

@@ -7,13 +7,14 @@ the exact kernel of [X, A] = 0 on X = P Y N, with P a basis of K and N the
 rows annihilating S, or read off as zero when S = V or K = 0; the orbit
 dimension is its codimension.  Over a regular semisimple spectrum the
 fiber of the quotient map is reconstructed from its invariant data by a
-Vandermonde solve followed by rank-one factorization.
+Vandermonde solve followed by rank-one factorization, both on integers:
+one ``rre_int`` gives the summands, and the 2 x 2 minors through one pivot
+of each cleared summand decide its rank <= 1 and give its factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _kernels as _k
 from .errors import FiberConditionError, ShapeError
@@ -27,11 +28,12 @@ from .invariants import (
 from .linalg import (
     RationalMatrix,
     Subspace,
-    _canon,
+    _divided,
     _kernel_vectors,
     _signed_fields,
     _span,
     rank_mod_prime,
+    rank_one_pivot,
     rational_from_str,
     vandermonde_solve,
 )
@@ -119,19 +121,21 @@ def _hom_equations(a: RationalMatrix, ps, ns):
     p_a[i] (n_b A)[j] - (A p_a)[i] n_b[j].
 
     The rows are linear in Y: at the packed Y with y_ab = 2^(f (a len(ns) + b)),
-    entry (i, j) of X A - A X = P Y (N A) - (A P) Y N, two ``_hom_matrix``
-    products, holds that coefficient at bit f (a len(ns) + b), and each is
-    at most 2 n max|P| max|N| max|A| < 2^(f-1) in size.
+    (X A - A X)[I, J] = P[I, :] Y (N A)[:, J] - (A P)[I, :] Y N[:, J], two
+    ``_hom_matrix`` products of the vectors restricted to I and J, holds
+    that coefficient at bit f (a len(ns) + b), and each is at most
+    2 n max|P| max|N| max|A| < 2^(f-1) in size.
     """
     n, ae, m = a.rows, a.entries, len(ps) * len(ns)
     top = 2 * n * max(map(abs, ae)) * max(abs(x) for v in ps for x in v)
     f = (top * max(abs(x) for v in ns for x in v)).bit_length() + 1
     y = [1 << (f * j) for j in range(m)]
-    xa = _hom_matrix(ps, [_k.mat_mul(v, 1, n, ae, n) for v in ns], y)
-    ax = _hom_matrix([_k.mat_mul(ae, n, n, p, 1) for p in ps], ns, y)
-    free_j = _free_entries(ns)
-    return [_signed_fields(xa[i * n + j] - ax[i * n + j], f, m)
-            for i in _free_entries(ps) for j in free_j]
+    rows, cols = _free_entries(ps), _free_entries(ns)
+    aps = [_k.mat_mul(ae, n, n, p, 1) for p in ps]
+    nas = [_k.mat_mul(v, 1, n, ae, n) for v in ns]
+    xa = _hom_matrix(_restricted(ps, rows), _restricted(nas, cols), y)
+    ax = _hom_matrix(_restricted(aps, rows), _restricted(ns, cols), y)
+    return [_signed_fields(u - v, f, m) for u, v in zip(xa, ax)]
 
 
 def _free_entries(vs):
@@ -140,12 +144,18 @@ def _free_entries(vs):
     return [max(i for i, x in enumerate(v) if x) for v in vs]
 
 
+def _restricted(vs, idx):
+    """Each vector of vs at the indices idx only."""
+    return [[v[i] for i in idx] for v in vs]
+
+
 def _hom_matrix(ps, ns, y):
-    """vec(P Y N), row-major, for the row-major len(ps) x len(ns) matrix y."""
-    n, kappa, m = len(ns[0]), len(ps), len(ns)
-    pm = [p[i] for i in range(n) for p in ps]
+    """vec(P Y N), row-major, for P with columns ps, N with rows ns and the
+    row-major len(ps) x len(ns) matrix y."""
+    rows, cols, kappa, m = len(ps[0]), len(ns[0]), len(ps), len(ns)
+    pm = [p[i] for i in range(rows) for p in ps]
     nm = [x for v in ns for x in v]
-    return _k.mat_mul(_k.mat_mul(pm, n, kappa, y, m), n, m, nm, n)
+    return _k.mat_mul(_k.mat_mul(pm, rows, kappa, y, m), rows, m, nm, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -155,26 +165,20 @@ def _hom_matrix(ps, ns, y):
 def rank_one_factor(x: RationalMatrix):
     """Deterministic factorization x = c @ b of a rank <= 1 matrix.
 
-    c is the first nonzero column of x, b is scaled to match; the zero
-    matrix factors as (0, 0).  Raises if x has rank two or more.
+    c is the first nonzero column of x, b the row of x through the first
+    nonzero entry of that column, divided by that entry; the zero matrix
+    factors as (0, 0).  Rank <= 1 is decided on x cleared to integers by
+    ``rank_one_pivot``; raises if x has rank two or more.
     """
-    q, p = x.rows, x.cols
-    pivot_col = -1
-    for j in range(p):
-        if any(x.entry(i, j) for i in range(q)):
-            pivot_col = j
-            break
-    if pivot_col < 0:
-        return RationalMatrix.zeros(q, 1), RationalMatrix.zeros(1, p)
-    c = RationalMatrix.column(x.col_list(pivot_col))
-    pivot_row = next(i for i in range(q) if x.entry(i, pivot_col))
-    pv = x.entry(pivot_row, pivot_col)
-    b = RationalMatrix.row(
-        [_canon(Fraction(x.entry(pivot_row, j)) / pv) for j in range(p)]
-    )
-    if c @ b != x:
+    found = rank_one_pivot(x)
+    if found is None:
         raise FiberConditionError("matrix has rank >= 2")
-    return c, b
+    e, i0, j0 = found
+    q, p = x.rows, x.cols
+    if j0 < 0:
+        return RationalMatrix.zeros(q, 1), RationalMatrix.zeros(1, p)
+    c = RationalMatrix(q, 1, x.entries[j0::p])
+    return c, _divided(1, p, e[i0 * p : (i0 + 1) * p], 1, e[i0 * p + j0])
 
 
 def reconstruct_fiber_point(t, gamma, strict_rank1=False) -> Point:
@@ -189,18 +193,19 @@ def reconstruct_fiber_point(t, gamma, strict_rank1=False) -> Point:
     xs = vandermonde_solve(t, list(gamma))
     if not xs:
         raise ShapeError("reconstruction needs a nonempty spectrum")
-    b_rows, c_cols = [], []
+    b_flat, c_cols = [], []
     for x in xs:
         c, b = rank_one_factor(x)
         if strict_rank1 and x.is_zero():
             raise FiberConditionError(
                 "rank-one condition violated: zero summand under strict mode"
             )
-        b_rows.append(b.row_list(0))
-        c_cols.append(c.col_list(0))
+        b_flat += b.entries
+        c_cols.append(c.entries)
+    n, (q, p) = len(xs), xs[0].shape
     return Point(
-        RationalMatrix.from_rows(b_rows),
-        RationalMatrix.from_rows(zip(*c_cols)),
+        RationalMatrix(n, p, b_flat, validate=False),
+        RationalMatrix(q, n, [c[i] for i in range(q) for c in c_cols], validate=False),
         (RationalMatrix.diagonal(t),),
     )
 

@@ -9,7 +9,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from eadjoint import nullcone
-from eadjoint.errors import MultipleCopiesError, ShapeError, SingularMatrixError
+from eadjoint.errors import (
+    DegenerateSpectrumError,
+    FiberConditionError,
+    MultipleCopiesError,
+    ShapeError,
+    SingularMatrixError,
+)
 from eadjoint.invariants import (
     InvariantVector,
     Point,
@@ -458,3 +464,56 @@ def fraction_rref(rows, ncols):
 def fraction_rank(rows, ncols) -> int:
     """The rank as the number of pivots of ``fraction_rref``."""
     return len(fraction_rref(rows, ncols)[0])
+
+
+def fraction_vandermonde_solve(t, rhs):
+    """Solve sum_r t_r^k X_r = rhs_k (k = 0..n-1) by ``RationalMatrix.rref``
+    of the Fraction-validated n x (n + q p) system [t_j^i | vec rhs_i]."""
+    t = [_canon(x) for x in t]
+    n = len(t)
+    if len(set(map(Fraction, t))) != n:
+        raise DegenerateSpectrumError("degenerate spectrum: repeated t values")
+    if len(rhs) != n:
+        raise ShapeError(f"expected {n} right-hand blocks, got {len(rhs)}")
+    if n == 0:
+        return []
+    q, p = rhs[0].rows, rhs[0].cols
+    for blk in rhs:
+        if blk.shape != (q, p):
+            raise ShapeError("right-hand blocks differ in shape")
+    width = q * p
+    aug_rows = []
+    for i in range(n):
+        row = [t[j] ** i for j in range(n)]
+        row.extend(rhs[i].entries)
+        aug_rows.append(row)
+    aug = RationalMatrix.from_rows(aug_rows)
+    rank, pivots, rows = aug.rref()
+    if rank != n or any(pc >= n for pc in pivots):
+        raise DegenerateSpectrumError("Vandermonde system is singular")
+    out = []
+    for r in range(n):
+        out.append(RationalMatrix(q, p, rows[r][n : n + width]))
+    return out
+
+
+def fraction_rank_one_factor(x: RationalMatrix):
+    """x = c @ b with c the first nonzero column of x and b scaled to match,
+    by Fraction division; rank <= 1 decided by the product c @ b == x."""
+    q, p = x.rows, x.cols
+    pivot_col = -1
+    for j in range(p):
+        if any(x.entry(i, j) for i in range(q)):
+            pivot_col = j
+            break
+    if pivot_col < 0:
+        return RationalMatrix.zeros(q, 1), RationalMatrix.zeros(1, p)
+    c = RationalMatrix.column(x.col_list(pivot_col))
+    pivot_row = next(i for i in range(q) if x.entry(i, pivot_col))
+    pv = x.entry(pivot_row, pivot_col)
+    b = RationalMatrix.row(
+        [_canon(Fraction(x.entry(pivot_row, j)) / pv) for j in range(p)]
+    )
+    if c @ b != x:
+        raise FiberConditionError("matrix has rank >= 2")
+    return c, b

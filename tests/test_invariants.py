@@ -939,7 +939,8 @@ class TestPsiMap:
                 assert psi_map([t[i] for i in perm], [xs[i] for i in perm]) == base
 
     def test_rank_two_rejected(self):
-        with pytest.raises(FiberConditionError):
+        with pytest.raises(FiberConditionError,
+                           match="matrix of rank >= 2 is outside the image"):
             psi_map([1, 2], [RationalMatrix.identity(2), RationalMatrix.zeros(2, 2)])
 
     def test_matrices_checked_in_order(self):
@@ -953,9 +954,9 @@ class TestPsiMap:
             psi_map([1, 2, 3], [one, one, two])
 
     def test_each_distinct_summand_ranked_once(self, monkeypatch):
-        ranked, rank = [], RationalMatrix.rank
+        ranked, rank = [], invariants.rank_one_pivot
         monkeypatch.setattr(
-            RationalMatrix, "rank", lambda m: ranked.append(m) or rank(m))
+            invariants, "rank_one_pivot", lambda m: ranked.append(m) or rank(m))
         nonclosed_image_demo(4, RM([[1, 2], [3, 6]]), Fraction(1, 10))
         assert len(ranked) == 1
         psi_map([1, 2, 3], [RM([[1, 0]]), RM([[0, 1]]), RM([[1, 0]])])

@@ -22,6 +22,7 @@ from eadjoint.linalg import (
     _span,
     kernel_subspace,
     rank_mod_prime,
+    rank_one_pivot,
     rational_from_str,
     rational_to_str,
     trace_product,
@@ -31,6 +32,7 @@ from oracles import (
     charpoly_from_power_sums,
     contains,
     evaluate_polynomial,
+    fraction_rank,
     matrix_powers,
     polynomial_derivative,
     rref_inverse,
@@ -374,6 +376,32 @@ class TestVandermonde:
                 for r in range(n):
                     total = total + xs[r].scale(ts[r] ** k)
                 assert total == rhs[k]
+
+
+class TestRankOnePivot:
+    def test_decides_rank_at_most_one(self):
+        # against the Fraction rank on sums of 0..3 rank-one matrices with
+        # mixed denominators, every shape up to 4 x 4: the pivot is the first
+        # nonzero entry of the first nonzero column of the cleared matrix
+        rng = random.Random(19)
+        ranks = set()
+        for _ in range(300):
+            q, p = rng.randint(1, 4), rng.randint(1, 4)
+            x = RationalMatrix.zeros(q, p)
+            for _ in range(rng.randint(0, 3)):
+                c, b = random_matrix(rng, q, 1, 3), random_matrix(rng, 1, p, 3)
+                x = x + (c @ b).scale(Fraction(1, rng.randint(1, 4)))
+            rank = fraction_rank(x.to_rows(), p)
+            ranks.add(rank)
+            found = rank_one_pivot(x)
+            assert (found is None) == (rank > 1), x
+            if found is not None:
+                e, i0, j0 = found
+                l = next(e_k / v for e_k, v in zip(e, x.entries) if v) if rank else 1
+                assert e == [l * v for v in x.entries]
+                nonzero = [(j, i) for i in range(q) for j in range(p) if e[i * p + j]]
+                assert (j0, i0) == (min(nonzero) if nonzero else (-1, -1))
+        assert ranks == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from eadjoint import _kernels, orbits
-from eadjoint.errors import DegenerateSpectrumError, FiberConditionError, ShapeError
+from eadjoint.errors import (
+    DegenerateSpectrumError,
+    EadjointError,
+    FiberConditionError,
+    ShapeError,
+)
 from eadjoint.invariants import (
     Point,
     evaluate_invariants,
@@ -34,6 +39,8 @@ from eadjoint.sampling import (
 from oracles import (
     action_equations,
     controllable,
+    fraction_rank_one_factor,
+    fraction_vandermonde_solve,
     hom_equations,
     resultant_discriminant_is_nonzero,
     sign_flipped_hom_equations,
@@ -400,8 +407,137 @@ class TestRankOneFactor:
         assert c @ b == x
 
     def test_rank_two_rejected(self):
-        with pytest.raises(FiberConditionError):
+        with pytest.raises(FiberConditionError, match="matrix has rank >= 2"):
             rank_one_factor(RationalMatrix.identity(2))
+
+    def test_rank_two_away_from_the_pivot_row_and_column(self):
+        # ranks 3, 2 and 2 that show only in entries off the pivot's row and
+        # column, the last with a zero first column
+        for x in (RM([[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
+                  RM([[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+                  RM([[0, 1, 0], [0, 0, 1]])):
+            with pytest.raises(FiberConditionError, match="matrix has rank >= 2"):
+                rank_one_factor(x)
+
+    def test_hand_cases(self):
+        # (x, c, b): a negative pivot, a pivot below row 0, a zero first
+        # column, 1 x p and q x 1 shapes, mixed denominators
+        f = Fraction
+        cases = [
+            (RM([[-2, 4, 6], [1, -2, -3]]), RM([[-2], [1]]), RM([[1, -2, -3]])),
+            (RM([[0, 0], [3, 5], [-6, -10]]), RM([[0], [3], [-6]]),
+             RM([[1, f(5, 3)]])),
+            (RM([[0, 0, 0], [0, 4, -2]]), RM([[0], [4]]), RM([[0, 1, f(-1, 2)]])),
+            (RM([[0, f(3, 2), -3, 0]]), RM([[f(3, 2)]]), RM([[0, 1, -2, 0]])),
+            (RM([[0], [f(-2, 3)], [4]]), RM([[0], [f(-2, 3)], [4]]), RM([[1]])),
+            (RM([[f(1, 2), f(1, 3)], [f(3, 4), f(1, 2)]]),
+             RM([[f(1, 2)], [f(3, 4)]]), RM([[1, f(2, 3)]])),
+        ]
+        for x, c, b in cases:
+            got = rank_one_factor(x)
+            assert got == (c, b), x
+            assert got[0] @ got[1] == x
+            assert [type(v) for m in got for v in m.entries] == [
+                type(v) for m in (c, b) for v in m.entries]
+
+    def test_matches_the_fraction_oracle(self):
+        # rank <= 1 and rank-two matrices with mixed denominators, every
+        # shape up to 4 x 4, with a zeroed first column now and then
+        rng = random.Random(61)
+        ranks = set()
+        for _ in range(400):
+            q, p = rng.randint(1, 4), rng.randint(1, 4)
+            x = RationalMatrix.zeros(q, p)
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                c, b = random_rank_one_factors(rng, q, p)
+                x = x + (c @ b).scale(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+            if rng.random() < 0.3:
+                e = list(x.entries)
+                for i in range(q):
+                    e[i * p] = 0
+                x = RationalMatrix(q, p, e)
+            ranks.add(x.rank())
+            assert outcome(rank_one_factor, x) == outcome(fraction_rank_one_factor, x)
+        assert ranks == {0, 1, 2}
+
+
+def outcome(fn, *args):
+    """fn(*args) as its entries with their types, or its error's class and
+    message."""
+    try:
+        out = fn(*args)
+    except (EadjointError, TypeError) as exc:
+        return type(exc), str(exc)
+    mats = (out.B, out.C, *out.A_list) if isinstance(out, Point) else out
+    return [(m.shape, m.entries, [type(x) for x in m.entries]) for m in mats]
+
+
+def fraction_reconstruct_fiber_point(t, gamma, strict_rank1=False):
+    """``reconstruct_fiber_point`` on the Fraction oracles."""
+    xs = fraction_vandermonde_solve(t, list(gamma))
+    if not xs:
+        raise ShapeError("reconstruction needs a nonempty spectrum")
+    b_rows, c_cols = [], []
+    for x in xs:
+        c, b = fraction_rank_one_factor(x)
+        if strict_rank1 and x.is_zero():
+            raise FiberConditionError(
+                "rank-one condition violated: zero summand under strict mode"
+            )
+        b_rows.append(b.row_list(0))
+        c_cols.append(c.col_list(0))
+    return Point(
+        RationalMatrix.from_rows(b_rows),
+        RationalMatrix.from_rows(zip(*c_cols)),
+        (RationalMatrix.diagonal(t),),
+    )
+
+
+def fiber_gamma(t, xs):
+    """Gamma_k = sum_r t_r^k X_r, k = 0..n-1."""
+    gamma = []
+    for k in range(len(t)):
+        acc = RationalMatrix.zeros(*xs[0].shape)
+        for r in range(len(t)):
+            acc = acc + xs[r].scale(t[r] ** k)
+        gamma.append(acc)
+    return gamma
+
+
+def random_fibers(seed, count):
+    """Fixed error cases, then count random fibers (t, gamma).
+
+    n <= 6, p, q <= 3; t from ``random_distinct_rationals`` (denominators
+    1..3, negative values) with bound 3 or 10; summands from
+    ``random_rank_one_factors`` (15% zero) scaled by 1/1..1/4.  Every fifth
+    fiber has a rank-one matrix added to one summand (rank two when both
+    are nonzero and p, q >= 2), every seventh repeats t_0.
+    """
+    fibers = [
+        ([], []),
+        ([1, 2], [RM([[1]])]),
+        ([1, 2], [RM([[1]]), RM([[1, 2]])]),
+        ([1, 1], [RM([[1]])]),
+        ([1.5, 1.5], [RM([[1]])] * 2),
+        ([1, 2], [RM([[1, 0], [0, 1]]), RM([[2, 0], [0, 2]])]),
+        ([2, 1], [RM([[1, 0], [0, 1]]), RM([[2, 0], [0, 2]])]),
+    ]
+    rng = random.Random(seed)
+    for trial in range(count):
+        n, p, q = rng.randint(1, 6), rng.randint(1, 3), rng.randint(1, 3)
+        t = random_distinct_rationals(rng, n, rng.choice((3, 10)))
+        xs = []
+        for _ in range(n):
+            c, b = random_rank_one_factors(rng, q, p)
+            xs.append((c @ b).scale(Fraction(1, rng.randint(1, 4))))
+        if trial % 5 == 4:
+            c, b = random_rank_one_factors(rng, q, p)
+            r = rng.randrange(n)
+            xs[r] = xs[r] + c @ b
+        if trial % 7 == 6 and n > 1:
+            t[rng.randrange(1, n)] = t[0]
+        fibers.append((t, fiber_gamma(t, xs)))
+    return fibers
 
 
 class TestReconstruction:
@@ -465,6 +601,57 @@ class TestReconstruction:
             iv = evaluate_invariants(w)
             assert iv.gamma == tuple(gamma)
             assert iv.tau == tuple(sum(v**k for v in t) for k in range(1, n + 1))
+
+    def test_matches_the_fraction_oracle(self):
+        # 600 random fibers and the fixed error cases, strict mode off and
+        # on: equal entries of equal types, or the same error and message
+        kinds = set()
+        for t, gamma in random_fibers(62, 600):
+            for strict in (False, True):
+                got = outcome(reconstruct_fiber_point, t, gamma, strict)
+                assert got == outcome(
+                    fraction_reconstruct_fiber_point, t, gamma, strict), (t, gamma)
+                kinds.add(got[0] if isinstance(got, tuple) else "point")
+        assert kinds == {"point", ShapeError, TypeError, DegenerateSpectrumError,
+                         FiberConditionError}
+
+    def test_output_is_pinned(self):
+        # sha256 of every point or error text over the fibers above,
+        # recorded before the integer path replaced the Fraction one
+        out = []
+        for t, gamma in random_fibers(63, 300):
+            for strict in (False, True):
+                try:
+                    out.append(reconstruct_fiber_point(t, gamma, strict).to_json_obj())
+                except (EadjointError, TypeError) as exc:
+                    out.append(f"{type(exc).__name__}: {exc}")
+        digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "fa7d2b6509716e30051bffccb1c204c8dfe3ef9751cf5f0e48b2430e30134fe8")
+
+    def test_work_is_one_integer_elimination(self, monkeypatch):
+        # one n = 5, p = q = 3 reconstruction: one rre_int, no mat_mul and
+        # no RationalMatrix.rref
+        rng = random.Random(64)
+        t = random_distinct_rationals(rng, 5)
+        xs = [(c @ b).scale(Fraction(1, 3)) for c, b in (
+            random_rank_one_factors(rng, 3, 3) for _ in range(5))]
+        gamma = fiber_gamma(t, xs)
+        calls = {"rre_int": 0, "mat_mul": 0, "rref": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(_kernels, "rre_int", counted("rre_int", _kernels.rre_int))
+        monkeypatch.setattr(_kernels, "mat_mul", counted("mat_mul", _kernels.mat_mul))
+        monkeypatch.setattr(RationalMatrix, "rref",
+                            counted("rref", RationalMatrix.rref))
+        w = reconstruct_fiber_point(t, gamma)
+        assert calls == {"rre_int": 1, "mat_mul": 0, "rref": 0}
+        assert evaluate_invariants(w).gamma == tuple(gamma)
 
     def test_factors_multiply_back(self):
         rng = random.Random(8)
