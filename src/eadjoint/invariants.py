@@ -343,7 +343,9 @@ def word_invariants(w: Point, max_len: int) -> WordInvariants:
 
 
 def _jacobian_entries(wi: Point, obs, ctrl):
-    """Row-major integer entries of the Jacobian at an integer r = 1 point.
+    """Row-major integer entries of the Jacobian at an integer r = 1 point,
+    for the rank on the fallback of ``jacobian_rank`` (the J T = 0 check
+    reads obs and ctrl instead, ``_jacobian_product``).
 
     With L_i = C A^i (block i of obs = ``_observability``) and R_m = A^m B
     (R_m^T is block m of ctrl = ``_controllability``), the product rule gives
@@ -439,22 +441,71 @@ def _orbit_tangent_rows(wi: Point):
     return [_signed_fields(v, f, n * n) for v in tangent]
 
 
-def _check_orbit_tangents(wi: Point, e, ncols) -> None:
-    """Raise ``AssertionError`` unless J T = 0 exactly at an integer point,
-    J given by its row-major entries e and its column count.
+def _jacobian_product(wi: Point, obs, ctrl, powers, t):
+    """J t in J's row order (tau_1..tau_n, then Gamma_k row (i, j)) for a
+    flat tangent t = (dA, dB, dC), with no entry of J formed.
 
-    At a packed X as in ``_orbit_tangent_rows``, row r of J times the
-    tangent holds (J T)_rj at bit f j.  Each |(J T)_rj| <= ncols max|J|
-    max(|B|, |C|, 2|A|) < 2^(f-1), so a row is zero exactly when its fields
-    are, and the lowest nonzero field names the X_j the row fails on.
+    J is the Jacobian that ``_jacobian_entries`` builds from the same
+    entries: L_k is block k of obs, R_m^T block m of ctrl and A^m block m
+    of powers = [I; A; ...; A^{n-1}].  Forward-mode differentiation of the
+    Krylov blocks (the product rule) gives
+      d tau_k   = k tr(A^{k-1} dA),
+      d Gamma_k = L_k dB + dC R_k + sum_{s<k} (L_s dA) R_{k-1-s}.
+    With N_0 = dC and N_{s+1} = L_s dA (one product gives them all), row
+    (k, i) of d Gamma is row i of [L_k, N_k, ..., N_0, 0] times
+    [dB; R_0; ...; R_{n-1}], so all of d Gamma is one product with a
+    zero-padded, Toeplitz-like left factor.
     """
-    n, b, c, a = wi.n, wi.B.entries, wi.C.entries, wi.A.entries
-    top = max(map(abs, e)) * max(max(map(abs, b + c)), 2 * max(map(abs, a)))
-    f = (top * ncols).bit_length() + 1
+    n, p, q = wi.n, wi.p, wi.q
+    nn, np_, qn = n * n, n * p, q * n
+    da, db, dc = t[:nn], t[nn : nn + np_], t[nn + np_ :]
+    da_t = [x for j in range(n) for x in da[j::n]]
+    out = [k * sum(map(mul, powers[(k - 1) * nn : k * nn], da_t))
+           for k in range(1, n + 1)]
+    obs, ctrl = obs.entries, ctrl.entries
+    ns = dc + _k.mat_mul(obs, (n - 1) * q, n, da, n)  # N_0, ..., N_{n-1}
+    u, pad = [], [0] * nn
+    for k in range(n):
+        for i in range(0, qn, n):
+            u += obs[k * qn + i : k * qn + i + n]
+            for s in range(k * qn + i, -1, -qn):
+                u += ns[s : s + n]
+            u += pad[(k + 1) * n :]
+    v = db + [x for m in range(0, n * np_, np_) for b in range(n)
+              for x in ctrl[m + b : m + np_ : n]]  # R_m, n x p, row-major
+    return out + _k.mat_mul(u, n * q, (n + 1) * n, v, p)
+
+
+def _check_orbit_tangents(wi: Point, obs, ctrl) -> None:
+    """Raise ``AssertionError`` unless J T = 0 exactly at an integer r = 1
+    point, for the J that ``_jacobian_entries(wi, obs, ctrl)`` would build;
+    J itself is never built.
+
+    At a packed X as in ``_orbit_tangent_rows``, ``_jacobian_product`` of
+    the tangent holds (J T)_rj at bit f j of entry r.  The width f covers
+    every field:
+    - |J| <= max(n max|A^m|, (n - 1) max|obs| max|ctrl|, max|obs|,
+      max|ctrl|), m < n: a tau_k entry is k (A^{k-1})_ba with k <= n; a dA
+      entry of Gamma_k is a sum of k <= n - 1 products of an entry of obs
+      and one of ctrl; a dB (dC) entry is an entry of obs (ctrl);
+    - |T| <= max(|B|, |C|, 2|A|) (``_orbit_tangent_rows``);
+    - so |(J T)_rj| <= ncols max|J| max|T| < 2^(f-1), a sum over the ncols
+      columns of J.
+    Hence an entry is zero exactly when its fields are, and the lowest
+    nonzero field names the X_j the row fails on.
+    """
+    n, p, q = wi.n, wi.p, wi.q
+    b, c, a = wi.B.entries, wi.C.entries, wi.A.entries
+    ident = [0] * (n * n)
+    ident[:: n + 1] = (1,) * n
+    powers = ident + _krylov_left(a, n, a, n, n - 1)
+    lo, ro = max(map(abs, obs.entries)), max(map(abs, ctrl.entries))
+    top = max(n * max(map(abs, powers)), (n - 1) * lo * ro, lo, ro)
+    top *= max(max(map(abs, b + c)), 2 * max(map(abs, a)))
+    f = (n * (n + p + q) * top).bit_length() + 1
     tangent = _orbit_tangent(wi, [1 << (f * j) for j in range(n * n)])
     fields = [((v & -v).bit_length() - 1) // f
-              for r in range(0, len(e), ncols)
-              if (v := sum(map(mul, e[r : r + ncols], tangent)))]
+              for v in _jacobian_product(wi, obs, ctrl, powers, tangent) if v]
     if fields:
         x = divmod(min(fields), n)  # the first X_(i, t) that J fails on
         raise AssertionError(f"Jacobian does not annihilate the orbit tangent of X_{x}")
@@ -481,11 +532,13 @@ def jacobian_rank(w: Point) -> int:
       and [X, A] = 0 give X A^k B = 0 for every k, so X = 0), its
       n^2-dimensional image lies in ker J because the invariants are
       constant on orbits, and ``_check_orbit_tangents`` verifies J T = 0
-      exactly on the full integer J (one packed X), so rank J <= cols - n^2.
-    Otherwise J is built and its rank r mod ``PRIME`` is the lower bound:
-    r is returned when r = min(rows, cols), or when r = cols - n^2, ctrl
-    has rank n mod ``PRIME`` and J T = 0 as above.  Any other r falls back
-    to ``rank_int``.
+      exactly (one packed X, differentiated forward through obs and ctrl,
+      J never built), so rank J <= cols - n^2.
+    Otherwise ``_jacobian_entries`` builds J, the only place it is built,
+    and its rank r mod ``PRIME`` is the lower bound: r is returned when
+    r = min(rows, cols), or when r = cols - n^2, ctrl has rank n mod
+    ``PRIME`` and the same J T = 0 check passes.  Any other r falls back to
+    ``rank_int``.
     """
     wi = _integer_rescaled_point(w)[0]
     n, p, q = w.n, w.p, w.q
@@ -493,7 +546,7 @@ def jacobian_rank(w: Point) -> int:
     obs, ctrl = _observability(wi.A, wi.C), _controllability(wi.A, wi.B)
     if _split_bound(wi, obs, ctrl):
         if p > 1 and q > 1:
-            _check_orbit_tangents(wi, _jacobian_entries(wi, obs, ctrl), ncols)
+            _check_orbit_tangents(wi, obs, ctrl)
         return full
     e = _jacobian_entries(wi, obs, ctrl)
     rows = [e[i : i + ncols] for i in range(0, nrows * ncols, ncols)]
@@ -501,7 +554,7 @@ def jacobian_rank(w: Point) -> int:
     if r == min(nrows, ncols):
         return r
     if r == full and rank_mod_prime(ctrl.to_rows(), n) == n:
-        _check_orbit_tangents(wi, e, ncols)
+        _check_orbit_tangents(wi, obs, ctrl)
         return r
     return _k.rank_int(rows, ncols)
 

@@ -119,6 +119,14 @@ class RationalMatrix:
         return cls(nrows, ncols, flat)
 
     @classmethod
+    def _computed(cls, rows, cols, values) -> "RationalMatrix":
+        """The matrix of computed exact values, row-major, with every
+        integral Fraction stored as int; the shape is not checked."""
+        if not set(map(type, values)) <= {int}:
+            values = [_canon(x) for x in values]
+        return cls(rows, cols, values, validate=False)
+
+    @classmethod
     def zeros(cls, rows, cols) -> "RationalMatrix":
         return cls(rows, cols, [0] * (rows * cols), validate=False)
 
@@ -195,20 +203,14 @@ class RationalMatrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return RationalMatrix(
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-            validate=False,
+        return RationalMatrix._computed(
+            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other):
         self._same_shape(other)
-        return RationalMatrix(
-            self.rows,
-            self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-            validate=False,
+        return RationalMatrix._computed(
+            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
         )
 
     def __neg__(self):
@@ -218,9 +220,7 @@ class RationalMatrix:
 
     def scale(self, s) -> "RationalMatrix":
         s = _canon(s)
-        return RationalMatrix(
-            self.rows, self.cols, [s * a for a in self.entries], validate=False
-        )
+        return RationalMatrix._computed(self.rows, self.cols, [s * a for a in self.entries])
 
     def __mul__(self, s):
         if isinstance(s, (int, Fraction)):
@@ -237,7 +237,7 @@ class RationalMatrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         out = _k.mat_mul(self.entries, self.rows, self.cols, other.entries, other.cols)
-        return RationalMatrix(self.rows, other.cols, out, validate=False)
+        return RationalMatrix._computed(self.rows, other.cols, out)
 
     def transpose(self) -> "RationalMatrix":
         c, e = self.cols, self.entries

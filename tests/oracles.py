@@ -466,6 +466,45 @@ def fraction_rank(rows, ncols) -> int:
     return len(fraction_rref(rows, ncols)[0])
 
 
+def image_dims_on_kernel(a: RationalMatrix, rows):
+    """[dim a^m K for m = 0..n], K = ker of the rows (n columns each):
+    K meets ker a^m in the kernel of the rows stacked on a^m, so
+    dim a^m K = rank [rows; a^m] - rank rows, two ``fraction_rank`` calls."""
+    n = a.rows
+    base = fraction_rank(rows, n)
+    return [fraction_rank(rows + m.to_rows(), n) - base for m in matrix_powers(a, n)]
+
+
+def image_dims_on_quotient(a: RationalMatrix, rows):
+    """[dim a^m (V/S) for m = 0..n], S = the span of the rows (n entries
+    each): a^m (V/S) = (a^m V + S) / S, and a^m V is spanned by the rows
+    of (a^m)^T, so dim a^m (V/S) = rank [(a^m)^T; rows] - rank rows."""
+    n = a.rows
+    base = fraction_rank(rows, n)
+    return [fraction_rank(m.T.to_rows() + rows, n) - base for m in matrix_powers(a, n)]
+
+
+def closed_form_stab_dim(w: Point) -> int:
+    """dim Stab(w) at a null-cone point, from ranks of powers of A only.
+
+    The stabilizer is Hom_A(V/S, K) (``orbits.stabilizer``), and A is
+    nilpotent on V/S and on K.  As Q[t]-modules, t acting as A,
+    dim Hom(Q[t]/t^a, Q[t]/t^b) = min(a, b) = sum_m [a >= m][b >= m], so
+    dim Stab(w) = sum_{m=1..n} c_m(V/S) c_m(K), where
+    c_m(M) = dim A^(m-1) M - dim A^m M counts the Jordan blocks of A on M of
+    size at least m.  The dimensions come from ``image_dims_on_quotient``
+    (S spanned by the columns of ``controllability_blocks``) and
+    ``image_dims_on_kernel`` (K the kernel of ``observability_blocks``): no
+    Hom system is built and no elimination of the package runs.
+    """
+    n = w.n
+    if not matrix_powers(w.A, n)[n].is_zero():
+        raise ValueError("the closed form needs a nilpotent A (a null-cone point)")
+    on_q = image_dims_on_quotient(w.A, controllability_blocks(w.A, w.B).T.to_rows())
+    on_k = image_dims_on_kernel(w.A, observability_blocks(w.A, w.C).to_rows())
+    return sum((on_q[m - 1] - on_q[m]) * (on_k[m - 1] - on_k[m]) for m in range(1, n + 1))
+
+
 def fraction_vandermonde_solve(t, rhs):
     """Solve sum_r t_r^k X_r = rhs_k (k = 0..n-1) by ``RationalMatrix.rref``
     of the Fraction-validated n x (n + q p) system [t_j^i | vec rhs_i]."""

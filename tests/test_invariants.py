@@ -654,7 +654,8 @@ class TestJacobianRankCertificate:
 
     def test_split_bound_on_the_degenerate_families(self, monkeypatch):
         # the rank is exact on every family; the split bound certifies it
-        # alone (coregular), with J T = 0 (p, q >= 2), or J is eliminated
+        # alone (coregular) or with J T = 0 (p, q >= 2), and J is never
+        # built there; otherwise J is eliminated
         bound = Spy(invariants._split_bound)
         entries = Spy(invariants._jacobian_entries)
         tangents = Spy(invariants._check_orbit_tangents)
@@ -671,7 +672,7 @@ class TestJacobianRankCertificate:
                 x.calls - y for x, y in zip((entries, tangents, exact), before))
             if bound.result:
                 branch = "split, tangents" if checked else "split"
-                assert built == checked == (w.p > 1 and w.q > 1)
+                assert built == 0 and checked == (w.p > 1 and w.q > 1)
             else:
                 branch = ("fallback, exact" if eliminated else
                           "fallback, tangents" if checked else "fallback")
@@ -738,45 +739,57 @@ class TestJacobianRankCertificate:
             assert exact.calls == calls + 1
 
     def test_sign_flip_in_the_dB_block_is_caught(self, monkeypatch):
-        # negating the dB columns of the J that J T = 0 is checked on keeps
-        # the split bound (built from obs and ctrl, not from J), so the
-        # tangent check is reached, and it fails on the dB part of every
-        # tangent
-        entries = invariants._jacobian_entries
+        # negating dB in the forward-mode product flips its L_k dB term,
+        # as negating the dB columns of J would; the split bound (read off
+        # obs and ctrl) still holds, so the tangent check is reached, and
+        # it fails on the dB part of every tangent
+        product = invariants._jacobian_product
 
-        def flipped(wi, obs, ctrl):
-            n, ncols = wi.n, wi.n * (wi.n + wi.p + wi.q)
-            dB = range(n * n, n * n + n * wi.p)
-            return [-x if t % ncols in dB else x
-                    for t, x in enumerate(entries(wi, obs, ctrl))]
+        def flipped(wi, obs, ctrl, powers, t):
+            nn, np_ = wi.n * wi.n, wi.n * wi.p
+            return product(wi, obs, ctrl, powers,
+                           t[:nn] + [-x for x in t[nn : nn + np_]] + t[nn + np_ :])
 
-        monkeypatch.setattr(invariants, "_jacobian_entries", flipped)
+        monkeypatch.setattr(invariants, "_jacobian_product", flipped)
         rng = random.Random(76)
         for n, p, q in ((2, 2, 2), (3, 2, 3), (4, 3, 2)):
             with pytest.raises(AssertionError, match="annihilate"):
                 jacobian_rank(random_point(rng, n, p, q))
 
-    def test_multiple_of_the_prime_outside_the_span_is_caught(self, monkeypatch):
-        # adding p e_i to a dB column leaves J unchanged mod p but raises its
-        # rank over Q when e_i is outside the column span: only J T = 0 sees
-        # it, on the J that _jacobian_entries hands to the tangent check
-        w = random_point(random.Random(77), 3, 2, 2)
-        rows = differential_jacobian_matrix(w).to_rows()
-        nrows, ncols = len(rows), len(rows[0])
-        rank = _kernels.rank_int(rows, ncols)
-        assert rank == 3 * (2 + 2)
-        i = next(
-            i for i in range(nrows)
-            if _kernels.rank_int([r + [int(i == t)] for t, r in enumerate(rows)],
-                                 ncols + 1) > rank
-        )
-        rows[i][9] += PRIME  # column 9 is the first dB column
-        assert rank_mod_prime(rows, ncols) == rank
-        assert _kernels.rank_int(rows, ncols) == rank + 1
-        bad = [x for row in rows for x in row]
-        monkeypatch.setattr(invariants, "_jacobian_entries", lambda *args: bad)
-        with pytest.raises(AssertionError, match="annihilate"):
-            jacobian_rank(w)
+    def test_prime_multiple_fault_in_j_changes_no_answer(self, monkeypatch):
+        # adding p to an entry of a dB column of J leaves J unchanged mod p
+        # but can raise its rank over Q.  The split path never builds J,
+        # and the fallback only ranks it mod p and certifies the upper
+        # bound from obs and ctrl, so the faulted J changes no answer: a
+        # J T check or an exact elimination run on it would
+        rng = random.Random(77)
+        generic, base = random_point(rng, 3, 2, 2), random_point(rng, 3, 2, 2)
+        b0_zero = Point(RM([[0, x] for x in base.B.col_list(1)]), base.C, base.A_list)
+        faulted = {}
+        for w in (generic, b0_zero):
+            rows = differential_jacobian_matrix(w).to_rows()
+            ncols = len(rows[0])
+            rank = exact_jacobian_rank(w)
+            assert rank == 3 * (2 + 2)
+            for i, col in itertools.product(range(len(rows)), range(9, 15)):  # dB
+                rows[i][col] += PRIME
+                if _kernels.rank_int(rows, ncols) > rank:
+                    break
+                rows[i][col] -= PRIME
+            assert rank_mod_prime(rows, ncols) == rank
+            assert _kernels.rank_int(rows, ncols) == rank + 1
+            faulted[w] = [x for row in rows for x in row]
+        entries = Spy(lambda wi, obs, ctrl: faulted[wi])
+        tangents = Spy(invariants._check_orbit_tangents)
+        exact = Spy(_kernels.rank_int)
+        monkeypatch.setattr(invariants, "_jacobian_entries", entries)
+        monkeypatch.setattr(invariants, "_check_orbit_tangents", tangents)
+        monkeypatch.setattr(_kernels, "rank_int", exact)
+        for w, built in ((generic, 0), (b0_zero, 1)):
+            before = entries.calls, tangents.calls
+            assert jacobian_rank(w) == 3 * (2 + 2)
+            assert (entries.calls - before[0], tangents.calls - before[1]) == (built, 1)
+        assert exact.calls == 0
 
     def test_tangent_check_is_not_trusted_at_a_non_controllable_point(
             self, monkeypatch):
@@ -848,46 +861,95 @@ class TestJacobianRankCertificate:
         assert any(jacobian_rank(w) != exact_jacobian_rank(w) for w in points)
 
     def test_field_width_covers_the_sum_over_the_columns(self):
-        # with B and C all ones and A = 0, row r of J times the tangent of
-        # E_it is -(sum of J_r over the dC columns (k, t)), so this J gives
-        # the fields (1024, -1, 1024, -1): a width of bitlen(max|J|) + 1 =
-        # 10 bits without the column count would let them cancel to zero
-        n, p, q = 2, 1, 4
-        w = Point(RM([[1]] * n), RM([[1] * n] * q), (RationalMatrix.zeros(n, n),))
-        ncols = n * (n + p + q)
-        dc = n * n + n * p
-        row = [0] * ncols
-        for k in range(q):
-            row[dc + k * n] = -256
-        row[dc + 1] = 1
-        assert first_unannihilated_tangent(w, row, ncols) == (0, 0)
+        # with these obs and ctrl, J T_X for X = E_00 is zero on every row
+        # but Gamma_3, where it is -64, a sum over the columns of J.  A
+        # width without the column count, bitlen(max|J| max|T|) + 1 = 6
+        # bits (also for the bound 15 on |J| that the check uses, from
+        # (n - 1) max|obs| max|ctrl|), would carry -2^6 into the field of
+        # X_(0, 1) and name that X
+        n = 4
+        a = RM([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+        w = Point(RM([[-2], [0], [0], [0]]), RM([[-2, 0, 0, 0]]), (a,))
+        obs = RM([[-1, -1, -1, -1], [-1, 1, 1, 1], [-1, -1, -1, -1], [-1, 0, 0, 0]])
+        ctrl = RM([[-1, 5, 4, 0], [5, 1, 0, 0], [-5, 5, 5, 3], [-5, 0, 0, 0]])
+        ncols = n * (n + 2)  # p = q = 1
+        e = invariants._jacobian_entries(w, obs, ctrl)
+        assert max(map(abs, e)) == 12
+        t = [row[0] for row in invariants._orbit_tangent_rows(w)]  # T of E_00
+        assert max(map(abs, t)) == 2
+        assert [sum(x * y for x, y in zip(e[r : r + ncols], t))
+                for r in range(0, len(e), ncols)] == [0] * 7 + [-(2**6)]
+        assert first_unannihilated_tangent(w, e, ncols) == (0, 0)
         with pytest.raises(AssertionError, match=r"annihilate .*X_\(0, 0\)"):
-            invariants._check_orbit_tangents(w, row, ncols)
+            invariants._check_orbit_tangents(w, obs, ctrl)
 
     def test_packed_check_names_the_first_x_the_oracle_finds(self):
-        # 0-3 faults of +-1, +-7 or +-2^k (k <= 200) in J at random integer
-        # points: the packed check raises exactly when some J T_X is
-        # nonzero, and names the first such X
+        # 0-3 faults of +-1, +-7 or +-2^k (k <= 200) in the obs and ctrl
+        # entries the check reads, at random integer points: the packed
+        # check raises exactly when J T_X is nonzero for some X, J built
+        # by _jacobian_entries from the faulted entries, and names the
+        # first such X
         rng = random.Random(81)
         raised = 0
         for _ in range(300):
             n, p, q = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
             wi = random_point(rng, n, p, q, bound=rng.choice((1, 10, 1000)))
             ncols = n * (n + p + q)
-            e = invariants._jacobian_entries(
-                wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B))
+            blocks = [list(_observability(wi.A, wi.C).entries),
+                      list(_controllability(wi.A, wi.B).entries)]
             for _ in range(rng.randint(0, 3)):
                 fault = rng.choice((1, 7, 1 << rng.randint(0, 200)))
-                e[rng.randrange(len(e))] += rng.choice((fault, -fault))
-            x = first_unannihilated_tangent(wi, e, ncols)
+                block = rng.choice(blocks)
+                block[rng.randrange(len(block))] += rng.choice((fault, -fault))
+            obs = RationalMatrix(n * q, n, blocks[0])
+            ctrl = RationalMatrix(n * p, n, blocks[1])
+            x = first_unannihilated_tangent(
+                wi, invariants._jacobian_entries(wi, obs, ctrl), ncols)
             if x is None:
-                invariants._check_orbit_tangents(wi, e, ncols)
+                invariants._check_orbit_tangents(wi, obs, ctrl)
                 continue
             with pytest.raises(AssertionError,
                                match=rf"annihilate .*X_\({x[0]}, {x[1]}\)$"):
-                invariants._check_orbit_tangents(wi, e, ncols)
+                invariants._check_orbit_tangents(wi, obs, ctrl)
             raised += 1
         assert 100 <= raised <= 280, raised
+
+    def test_forward_mode_product_matches_the_oracles(self):
+        # the forward-mode values equal the oracle differential along the
+        # orbit tangent ([X, A], XB, -CX) of a random integer X, formed by
+        # Fraction products (all zero: the invariants are constant on
+        # orbits), and J t for a random integer t, J from
+        # _jacobian_entries, which is the differential along t; on every
+        # split family and on cleared rational points
+        rng = random.Random(85)
+        points = [w for _, w in split_points(rng, per_family=5)]
+        points += list(cleared_path_points(rng, 1, 60, max_n=5))
+        for w in points:
+            wi = invariants._integer_rescaled_point(w)[0]
+            n, p, q = wi.n, wi.p, wi.q
+            nn, np_, ncols = n * n, n * p, n * (n + p + q)
+            obs, ctrl = _observability(wi.A, wi.C), _controllability(wi.A, wi.B)
+            powers = [v for m in matrix_powers(wi.A, n - 1) for v in m.entries]
+
+            def product(t):
+                return invariants._jacobian_product(wi, obs, ctrl, powers, t)
+
+            def flat(iv):
+                return list(iv.tau) + [v for g in iv.gamma for v in g.entries]
+
+            x = RationalMatrix(n, n, [rng.randint(-9, 9) for _ in range(nn)])
+            orbit = TangentVector(x @ wi.B, -(wi.C @ x), x @ wi.A - wi.A @ x)
+            t = list(orbit.dA.entries + orbit.dB.entries + orbit.dC.entries)
+            assert product(t) == flat(differential(wi, orbit)) == [0] * (n + n * q * p)
+            e = invariants._jacobian_entries(wi, obs, ctrl)
+            t = [rng.randint(-50, 50) for _ in range(ncols)]
+            jt = [sum(u * v for u, v in zip(e[r : r + ncols], t))
+                  for r in range(0, len(e), ncols)]
+            assert product(t) == jt
+            along = TangentVector(RationalMatrix(n, p, t[nn : nn + np_]),
+                                  RationalMatrix(q, n, t[nn + np_ :]),
+                                  RationalMatrix(n, n, t[:nn]))
+            assert jt == flat(differential(wi, along))
 
     def test_tangent_rows_are_the_action_equations(self):
         # the decoded rows of T are the oracle's rows in J's order, dA, dB,

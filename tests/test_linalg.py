@@ -94,6 +94,24 @@ class TestMatrixBasics:
         assert m.entries == (2, Fraction(1, 3), 7)
         assert isinstance(m.entries[0], int)
 
+    def test_arithmetic_stores_integral_values_as_int(self):
+        # scale, +, - and @ build their results unvalidated; an integral
+        # value must still be stored as int, a proper fraction as Fraction
+        c, b = RM([[2], [4]]), RM([[3, Fraction(1, 3)]])
+        half = RM([[Fraction(1, 2), Fraction(1, 3)]])
+        cases = [
+            ((c @ b).scale(Fraction(3, 2)), [9, 1, 18, 2]),
+            (half + half, [1, Fraction(2, 3)]),
+            (half - RM([[Fraction(-1, 2), 0]]), [1, Fraction(1, 3)]),
+            (half @ RM([[2], [3]]), [2]),
+            (c @ b, [6, Fraction(2, 3), 12, Fraction(4, 3)]),
+            (half.scale(2) * 3, [3, 2]),
+        ]
+        for m, want in cases:
+            assert list(m.entries) == want
+            assert [type(x) for x in m.entries] == [
+                int if Fraction(x).denominator == 1 else Fraction for x in want]
+
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             RationalMatrix(2, 2, [1, 2, 3])

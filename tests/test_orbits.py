@@ -38,10 +38,14 @@ from eadjoint.sampling import (
 )
 from oracles import (
     action_equations,
+    closed_form_stab_dim,
     controllable,
     fraction_rank_one_factor,
     fraction_vandermonde_solve,
     hom_equations,
+    image_dims_on_kernel,
+    image_dims_on_quotient,
+    observability_blocks,
     resultant_discriminant_is_nonzero,
     sign_flipped_hom_equations,
     sylvester_resultant,
@@ -225,6 +229,35 @@ class TestKalmanCertificate:
                 w = pinned_row_witness(n, 2, 2, k, seed=n * k)
                 assert not controllable(w)
                 assert stabilizer(w).stab_dim == n - k
+
+
+class TestClosedFormStabilizer:
+    def test_stabilizer_matches_the_jordan_type_formula(self):
+        # dim Stab = sum_m c_m(V/S) c_m(K), Jordan counts read off ranks of
+        # powers of A, against stabilizer() on g-moved C_k samples and on
+        # pinned witnesses, every (n <= 6, p, q <= 3) with one random k; the
+        # same sum with the Jordan type of A on V in place of V/S is wrong
+        # on some of them
+        from eadjoint.nullcone import pinned_row_witness, sample_component
+
+        rng = random.Random(86)
+        nonzero = on_v_wrong = 0
+        for n in range(1, 7):
+            for p in range(1, 4):
+                for q in range(1, 4):
+                    k = rng.randint(0, n)
+                    for w in (sample_component(n, p, q, k, rng.randrange(2**32)),
+                              pinned_row_witness(n, p, q, k, seed=rng.randrange(100))):
+                        dim = stabilizer(w).stab_dim
+                        assert closed_form_stab_dim(w) == dim, (n, p, q, k, w)
+                        nonzero += dim > 0
+                        on_v = image_dims_on_quotient(w.A, [])
+                        on_k = image_dims_on_kernel(w.A, observability_blocks(
+                            w.A, w.C).to_rows())
+                        on_v_wrong += dim != sum(
+                            (on_v[m - 1] - on_v[m]) * (on_k[m - 1] - on_k[m])
+                            for m in range(1, n + 1))
+        assert nonzero >= 30 and on_v_wrong >= 30, (nonzero, on_v_wrong)
 
 
 def kronecker_system(w):
