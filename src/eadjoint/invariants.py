@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import lshift, mul
 
 from . import _kernels as _k
 from .errors import (
@@ -30,7 +30,6 @@ from .linalg import (
     _integer_inverse,
     _krylov_left,
     _power_traces,
-    _scaled_to_int,
     _signed_fields,
     elementary_from_power_sums,
     integer_rescaled,
@@ -207,27 +206,36 @@ def evaluate_invariants(w: Point) -> InvariantVector:
 def group_action(g: RationalMatrix, w: Point) -> Point:
     """Apply g: (B, C, (A_i)) -> (gB, C g^-1, (g A_i g^-1)).
 
-    Fraction-free: with G = l g and H = d G^-1 integral (one elimination)
-    and B, C, A_i cleared by ``_integer_rescaled_point``, the three
-    products are integer products, and each entry is divided once at the
-    end.
+    Fraction-free: G = l g and H = d G^-1 are integral (one elimination,
+    ``_integer_inverse``), B, C and the A_i are cleared by
+    ``_integer_rescaled_point``, and ``_act_on_cleared`` forms the moved
+    point from integer products.
     """
-    n = w.n
-    if g.shape != (n, n):
+    if g.shape != (w.n, w.n):
         raise ShapeError("group element has wrong size")
     try:
-        l, h, d = _integer_inverse(g)
+        l, gi, h, d = _integer_inverse(g)
     except SingularMatrixError:
         raise SingularMatrixError("group element must be invertible") from None
-    gi = _scaled_to_int(g.entries)[1]
-    wi, lb, lc, las = _integer_rescaled_point(w)
+    return _act_on_cleared(gi, h, d, l, *_integer_rescaled_point(w))
+
+
+def _act_on_cleared(gi, h, d, l, wi, lb, lc, las) -> Point:
+    """g.w from the flat integer G = l g and H = d G^-1 and the cleared
+    point (wi, l_B, l_C, (l_i)) of ``_integer_rescaled_point``.
+
+    With g = G / l and g^-1 = l H / d, the moved point is
+    (G B / (l l_B), l C H / (l_C d), (G A_i H / (l_i d))): integer
+    products, each entry divided once at the end.
+    """
+    n, p, q = wi.n, wi.p, wi.q
     moved = []
     for la, a in zip(las, wi.A_list):
         gah = _k.mat_mul(_k.mat_mul(gi, n, n, a.entries, n), n, n, h, n)
         moved.append(_divided(n, n, gah, 1, la * d))
     return Point(
-        _divided(n, w.p, _k.mat_mul(gi, n, n, wi.B.entries, w.p), 1, l * lb),
-        _divided(w.q, n, _k.mat_mul(wi.C.entries, w.q, n, h, n), l, lc * d),
+        _divided(n, p, _k.mat_mul(gi, n, n, wi.B.entries, p), 1, l * lb),
+        _divided(q, n, _k.mat_mul(wi.C.entries, q, n, h, n), l, lc * d),
         tuple(moved),
     )
 
@@ -419,14 +427,27 @@ def _split_bound(wi: Point, obs: RationalMatrix, ctrl: RationalMatrix) -> bool:
         p == 1 or rank_mod_prime(krylov_c, n) == n)
 
 
-def _orbit_tangent(wi: Point, x):
+def _orbit_tangent(wi: Point, f):
     """The orbit tangent ([X, A], XB, -CX) at an integer r = 1 point, flat
-    and in J's column order (dA, dB, dC), for the row-major n x n X."""
+    and in J's column order (dA, dB, dC), at the packed X whose entry X_it
+    is 2^(f (n i + t)).
+
+    That entry is alpha_i beta_t, alpha_i = 2^(f n i) and beta_t = 2^(f t),
+    so (XA)_ij = (beta^T A)_j 2^(f n i), (AX)_ij = (A alpha)_i 2^(f j),
+    (XB)_ij = (beta^T B)_j 2^(f n i) and (CX)_ij = (C alpha)_i 2^(f j):
+    each column of A and B and each row of A and C is packed once and then
+    shifted, with no matrix product.
+    """
     n, p, q = wi.n, wi.p, wi.q
     b, c, a = wi.B.entries, wi.C.entries, wi.A.entries
-    xa, ax = _k.mat_mul(x, n, n, a, n), _k.mat_mul(a, n, n, x, n)
-    tangent = [u - v for u, v in zip(xa, ax)] + _k.mat_mul(x, n, n, b, p)
-    return tangent + [-v for v in _k.mat_mul(c, q, n, x, n)]
+    by_f, by_fn = [f * t for t in range(n)], [f * n * t for t in range(n)]
+    xa = [sum(map(lshift, a[j::n], by_f)) for j in range(n)]
+    ax = [sum(map(lshift, a[i * n : (i + 1) * n], by_fn)) for i in range(n)]
+    xb = [sum(map(lshift, b[j::p], by_f)) for j in range(p)]
+    cx = [sum(map(lshift, c[i * n : (i + 1) * n], by_fn)) for i in range(q)]
+    tangent = [(u << s) - (v << t) for v, s in zip(ax, by_fn) for u, t in zip(xa, by_f)]
+    tangent += [u << s for s in by_fn for u in xb]
+    return tangent + [-(v << t) for v in cx for t in by_f]
 
 
 def _orbit_tangent_rows(wi: Point):
@@ -437,8 +458,7 @@ def _orbit_tangent_rows(wi: Point):
     2^(f-1) in size."""
     n, b, c, a = wi.n, wi.B.entries, wi.C.entries, wi.A.entries
     f = max(max(map(abs, b + c)), 2 * max(map(abs, a))).bit_length() + 1
-    tangent = _orbit_tangent(wi, [1 << (f * j) for j in range(n * n)])
-    return [_signed_fields(v, f, n * n) for v in tangent]
+    return [_signed_fields(v, f, n * n) for v in _orbit_tangent(wi, f)]
 
 
 def _jacobian_product(wi: Point, obs, ctrl, powers, t):
@@ -503,9 +523,8 @@ def _check_orbit_tangents(wi: Point, obs, ctrl) -> None:
     top = max(n * max(map(abs, powers)), (n - 1) * lo * ro, lo, ro)
     top *= max(max(map(abs, b + c)), 2 * max(map(abs, a)))
     f = (n * (n + p + q) * top).bit_length() + 1
-    tangent = _orbit_tangent(wi, [1 << (f * j) for j in range(n * n)])
-    fields = [((v & -v).bit_length() - 1) // f
-              for v in _jacobian_product(wi, obs, ctrl, powers, tangent) if v]
+    jt = _jacobian_product(wi, obs, ctrl, powers, _orbit_tangent(wi, f))
+    fields = [((v & -v).bit_length() - 1) // f for v in jt if v]
     if fields:
         x = divmod(min(fields), n)  # the first X_(i, t) that J fails on
         raise AssertionError(f"Jacobian does not annihilate the orbit tangent of X_{x}")

@@ -319,7 +319,7 @@ class RationalMatrix:
         return rank, tuple(pivots), out
 
     def inverse(self) -> "RationalMatrix":
-        l, h, d = _integer_inverse(self)
+        l, _, h, d = _integer_inverse(self)
         return _divided(self.rows, self.cols, h, l, d)
 
     def det(self) -> Rational:
@@ -351,24 +351,35 @@ def _scaled_to_int(values):
 
 
 def _integer_inverse(g: RationalMatrix):
-    """(l, H, d) with G = l * g integral and H = d * G^-1 integral (H flat,
-    row-major), so g^-1 = l * H / d; l and d are the least such integers.
-
-    One ``rre_int`` of [G | I]: its row i is p_i [e_i | row i of G^-1]
-    with p_i the least scale making that row integral, and d = lcm(p_i).
-    """
+    """(l, G, H, d) with G = l * g integral and H = d * G^-1 integral (G and
+    H flat, row-major), so g^-1 = l * H / d; l and d are the least such
+    integers (``_scaled_to_int``, ``_inverse_of_int``)."""
     if not g.is_square:
         raise ShapeError("inverse of a non-square matrix")
-    n = g.rows
     l, gi = _scaled_to_int(g.entries)
+    inverse = _inverse_of_int(gi, g.rows)
+    if inverse is None:
+        raise SingularMatrixError("matrix is singular")
+    return l, gi, *inverse
+
+
+def _inverse_of_int(gi, n):
+    """(H, d) with H = d * G^-1 integral (flat, row-major) and d the least
+    such integer, for the flat row-major integer n x n matrix G; None when
+    G is singular.
+
+    One ``rre_int`` of [G | I]: G is singular exactly when a pivot lies in
+    the I block; otherwise row i is p_i [e_i | row i of G^-1] with p_i the
+    least scale making that row integral, and d = lcm(p_i).
+    """
     aug = [gi[i * n : (i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
     _, pivots, rows = _k.rre_int(aug, 2 * n)
     if any(p >= n for p in pivots):
-        raise SingularMatrixError("matrix is singular")
+        return None
     d = 1
     for i in range(n):
         d = d * rows[i][i] // gcd(d, rows[i][i])
-    return l, [x * (d // rows[i][i]) for i in range(n) for x in rows[i][n:]], d
+    return [x * (d // rows[i][i]) for i in range(n) for x in rows[i][n:]], d
 
 
 def _divided(rows, cols, ints, num, den) -> RationalMatrix:

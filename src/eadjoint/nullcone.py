@@ -52,26 +52,28 @@ from . import _kernels as _k
 from .errors import NotAMemberError, NotInNullConeError, OutOfRangeError, ShapeError
 from .invariants import (
     Point,
+    _act_on_cleared,
     _controllability,
     _integer_rescaled_point,
     _observability,
     _orbit_tangent_rows,
     check_sizes,
-    group_action,
 )
 from .linalg import (
     RationalMatrix,
     Subspace,
     _divided,
     _integer_inverse,
+    _inverse_of_int,
     _kernel_span,
+    _power_traces,
     _span,
     kernel_subspace,
 )
 from .sampling import (
     DEFAULT_BOUND,
     as_rng,
-    random_invertible,
+    random_matrix,
     random_nonzero_int,
 )
 
@@ -285,14 +287,14 @@ def _null_controllability(wi: Point) -> RationalMatrix | None:
     cone, else None.
 
     Every invariant vanishes exactly when A is nilpotent (all tau_k = 0)
-    and C A^k B = 0 for k < n, so the point is null exactly when
-    A^(2^m) = 0 for the least 2^m >= n and ctrl C^T = 0.
+    and C A^k B = 0 for k < n.  Over Q, A is nilpotent exactly when
+    tr A^k = 0 for k = 1..n: by Newton's identities the power sums then
+    make every coefficient of the characteristic polynomial but the
+    leading one vanish.  ``_power_traces`` reads them off the powers up to
+    A^ceil(n/2).  The point is then null exactly when ctrl C^T = 0.
     """
     n = wi.n
-    power, reach = wi.A.entries, 1
-    while reach < n:
-        power, reach = _k.mat_mul(power, n, n, power, n), 2 * reach
-    if any(power):
+    if any(_power_traces(wi.A.entries, n, n)):
         return None
     ctrl = _controllability(wi.A, wi.B)
     if any(_k.mat_mul(ctrl.entries, ctrl.rows, n, wi.C.transpose().entries, wi.q)):
@@ -501,7 +503,7 @@ def _certify(w: Point, only=None):
         # the flag basis has column j flag[j] / D_j, D_j its pivot entry, so
         # g, its inverse, is D Bint^-1 with Bint's columns the rows of flag
         cols = [v[i] for i in range(n) for v in flag]
-        _, h, den = _integer_inverse(RationalMatrix(n, n, cols, validate=False))
+        _, _, h, den = _integer_inverse(RationalMatrix(n, n, cols, validate=False))
         pivot_entries = [next(x for x in v if x) for v in flag]
         g = _divided(n, n, [pivot_entries[i // n] * x for i, x in enumerate(h)], 1, den)
         certs[k] = Certificate(k, g, standard_destabilizer(n, k))
@@ -528,43 +530,44 @@ def component_certificates(w: Point):
 
 
 def random_unstable_point(rng, n, p, q, k, bound=DEFAULT_BOUND) -> Point:
-    """Random point of U_k whose adjoint part has a full superdiagonal."""
-    b = [[0] * p for _ in range(n)]
-    for i in range(k):
-        for j in range(p):
-            b[i][j] = rng.randint(-bound, bound)
-    c = [[0] * n for _ in range(q)]
-    for i in range(q):
-        for j in range(k, n):
-            c[i][j] = rng.randint(-bound, bound)
-    v = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v[i][j] = (
-                random_nonzero_int(rng, bound)
-                if j == i + 1
-                else rng.randint(-bound, bound)
-            )
-    return Point(
-        RationalMatrix.from_rows(b),
-        RationalMatrix.from_rows(c),
-        (RationalMatrix.from_rows(v),),
-    )
+    """Random point of U_k whose adjoint part has a full superdiagonal:
+    B's first k rows, then C's last n - k columns, then A's strict upper
+    triangle (its superdiagonal nonzero), each drawn row by row into flat
+    integer lists."""
+    b = [rng.randint(-bound, bound) for _ in range(k * p)] + [0] * ((n - k) * p)
+    c = [rng.randint(-bound, bound) if j >= k else 0 for _ in range(q) for j in range(n)]
+    a = [0 if j <= i else random_nonzero_int(rng, bound) if j == i + 1
+         else rng.randint(-bound, bound) for i in range(n) for j in range(n)]
+    return Point(RationalMatrix(n, p, b, validate=False),
+                 RationalMatrix(q, n, c, validate=False),
+                 (RationalMatrix(n, n, a, validate=False),))
 
 
 def sample_component(n, p, q, k, seed) -> Point:
-    """A random point of C_k: a group element applied to a random U_k point.
+    """A random point of C_k = GL_n U_k: a random group element applied to
+    a random U_k point.
 
-    n, p and q outside 1..``MAX_SIZE``, or k outside 0..n, are an
-    ``OutOfRangeError``.
+    The point is ``group_action(random_invertible(rng, n),
+    random_unstable_point(rng, n, p, q, k))`` for ``rng = as_rng(seed)``,
+    with the same draws in the same order, but G is drawn as a flat
+    integer list and one ``rre_int`` of [G | I] both rejects a singular
+    draw, which is then drawn again, and gives H = d G^-1;
+    ``_act_on_cleared`` moves the point.  n, p and q outside
+    1..``MAX_SIZE``, or k outside 0..n, are an ``OutOfRangeError``, raised
+    before anything is drawn.
     """
     check_sizes(n, p, q)
     if not (0 <= k <= n):
         raise OutOfRangeError(f"k must lie in 0..{n}, got {k}")
     rng = as_rng(seed)
     u = random_unstable_point(rng, n, p, q, k)
-    g = random_invertible(rng, n)
-    return group_action(g, u)
+    while True:
+        g = list(random_matrix(rng, n, n).entries)
+        inverse = _inverse_of_int(g, n)
+        if inverse is not None:
+            break
+    h, d = inverse
+    return _act_on_cleared(g, h, d, 1, u, 1, 1, (1,))  # g and u are integral
 
 
 def component_tangent_dim(n, p, q, k, seed) -> int:
@@ -619,7 +622,8 @@ def nullcone_summary(n, p, q) -> NullconeSummary:
 def regular_nilpotent(n) -> RationalMatrix:
     """The regular nilpotent Jordan block: ones on the superdiagonal."""
     return RationalMatrix(
-        n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)]
+        n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)],
+        validate=False,
     )
 
 
@@ -637,20 +641,18 @@ def pinned_row_witness(n, p, q, k, seed=0) -> Point:
     if not (0 <= k <= n):
         raise ValueError("k must lie in [0, n]")
     rng = as_rng(seed)
-    b = [[0] * p for _ in range(n)]
+    b = [0] * (n * p)
     if k >= 1:
-        b[k - 1][0] = 1
+        b[(k - 1) * p] = 1
     for i in range(k):
         for j in range(1, p):
-            b[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
-    c = [[0] * n for _ in range(q)]
-    for i in range(q):
-        for j in range(k, n):
-            c[i][j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
+            b[i * p + j] = rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND)
+    c = [rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND) if j >= k else 0
+         for _ in range(q) for j in range(n)]
     if k < n:
-        c[0][k] = 1
+        c[k] = 1
     return Point(
-        RationalMatrix.from_rows(b),
-        RationalMatrix.from_rows(c),
+        RationalMatrix(n, p, b, validate=False),
+        RationalMatrix(q, n, c, validate=False),
         (regular_nilpotent(n),),
     )

@@ -178,6 +178,27 @@ def point_in_unstable_subspace(w: Point, k) -> bool:
     return True
 
 
+def nested_unstable_point(rng, n, p, q, k, bound=10) -> Point:
+    """A random U_k point drawn entry by entry into nested lists, validated
+    by ``from_rows``: B's first k rows, then C's last n - k columns, then
+    A's strict upper triangle with a nonzero superdiagonal (a magnitude
+    in 1..bound, then a sign)."""
+    b = [[rng.randint(-bound, bound) if i < k else 0 for _ in range(p)]
+         for i in range(n)]
+    c = [[rng.randint(-bound, bound) if j >= k else 0 for j in range(n)]
+         for _ in range(q)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1:
+                v = rng.randint(1, bound)
+                a[i][j] = -v if rng.randint(0, 1) else v
+            else:
+                a[i][j] = rng.randint(-bound, bound)
+    return Point(RationalMatrix.from_rows(b), RationalMatrix.from_rows(c),
+                 (RationalMatrix.from_rows(a),))
+
+
 def charpoly_from_power_sums(psums) -> PolynomialCoeffs:
     """Monic polynomial whose roots have the given power sums p_1..p_n."""
     e = elementary_from_power_sums(psums)
@@ -338,6 +359,18 @@ def first_unannihilated_tangent(w: Point, e, ncols):
         if any(naive_mat_mul(e, len(e) // ncols, ncols, tangent, 1)):
             return divmod(j, n)
     return None
+
+
+def packed_orbit_tangent(wi: Point, f):
+    """The orbit tangent ([X, A], XB, -CX) at the packed X with entry j
+    equal to 2^(f j), flat in J's column order, from four matrix products
+    at that X."""
+    n, p, q = wi.n, wi.p, wi.q
+    b, c, a = wi.B.entries, wi.C.entries, wi.A.entries
+    x = [1 << (f * j) for j in range(n * n)]
+    xa, ax = naive_mat_mul(x, n, n, a, n), naive_mat_mul(a, n, n, x, n)
+    tangent = [u - v for u, v in zip(xa, ax)] + naive_mat_mul(x, n, n, b, p)
+    return tangent + [-v for v in naive_mat_mul(c, q, n, x, n)]
 
 
 def positive_pairing_set(lam, candidates) -> frozenset:

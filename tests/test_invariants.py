@@ -40,6 +40,7 @@ from oracles import (
     fraction_word_invariants,
     matrix_powers,
     observability_blocks,
+    packed_orbit_tangent,
     trace,
     zero_point,
 )
@@ -950,6 +951,24 @@ class TestJacobianRankCertificate:
                                   RationalMatrix(q, n, t[nn + np_ :]),
                                   RationalMatrix(n, n, t[:nn]))
             assert jt == flat(differential(wi, along))
+
+    def test_shifted_tangent_matches_the_matrix_products(self):
+        # the tangent by packed rows and columns and shifts equals the one
+        # from matrix products at the packed X, on cleared rational points
+        # with negative entries, at the widths both callers use and at
+        # narrower ones, where the fields overlap
+        rng = random.Random(86)
+        points = list(cleared_path_points(rng, 1, 80, max_n=5))
+        points += [w for _, w in split_points(rng, per_family=3)]
+        negative = 0
+        for w in points:
+            wi = invariants._integer_rescaled_point(w)[0]
+            entries = wi.B.entries + wi.C.entries + wi.A.entries
+            negative += min(entries) < 0
+            top = max(max(map(abs, entries)), 1)
+            for f in (1, 2, 5, 2 * top.bit_length() + 2):
+                assert invariants._orbit_tangent(wi, f) == packed_orbit_tangent(wi, f)
+        assert negative >= len(points) // 2
 
     def test_tangent_rows_are_the_action_equations(self):
         # the decoded rows of T are the oracle's rows in J's order, dA, dB,

@@ -52,11 +52,14 @@ from eadjoint.nullcone import (
 from eadjoint.orbits import stabilizer
 from eadjoint.sampling import random_invertible, random_matrix, random_point
 from oracles import (
+    fraction_group_action,
     invariants_vanish,
+    nested_unstable_point,
     order_type_cocharacters,
     order_type_maximal_unstable,
     point_in_unstable_subspace,
     positive_pairing_set,
+    trace,
     zero_point,
 )
 
@@ -325,6 +328,25 @@ class TestMembership:
         )
         assert not in_null_cone(w)
 
+    def test_nilpotency_needs_the_trace_of_the_top_power(self):
+        # the cyclic permutation of three coordinates has tr A = tr A^2 = 0
+        # but tr A^3 = 3: it is not nilpotent
+        a = RM([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        w = Point(RationalMatrix.zeros(3, 1), RationalMatrix.zeros(1, 3), (a,))
+        assert [trace(a), trace(a @ a), trace(a @ a @ a)] == [0, 0, 3]
+        assert not invariants_vanish(w)
+        assert not in_null_cone(w)
+        assert not component_interval(w).in_null_cone
+
+    def test_nilpotent_with_a_nonzero_moment(self):
+        # A the regular nilpotent block, B = e_1, C = e_0^T: C B = 0 and
+        # C A^2 B = 0, but C A B = 1
+        a = principal_nilpotent(3)
+        w = Point(RM([[0], [1], [0]]), RM([[1, 0, 0]]), (a,))
+        assert (w.C @ a @ w.B).entries == (1,)
+        assert not in_null_cone(w)
+        assert not component_interval(w).in_null_cone
+
     def test_equivalence_three_ways(self):
         # invariants zero <=> char poly x^n and all C A^j B zero
         rng = random.Random(7)
@@ -503,6 +525,62 @@ class TestSampler:
 
     def test_deterministic_per_seed(self):
         assert sample_component(3, 2, 2, 1, 42) == sample_component(3, 2, 2, 1, 42)
+
+    def test_matches_the_oracle_composition(self):
+        # the same point, entry types and draws as a random U_k point moved
+        # by a random invertible g, through group_action and, on every
+        # tenth case, through Fraction products; at seeds 30..39 the first
+        # g drawn is singular, and drawn again, in 19 of the cases
+        checked = 0
+        for n in range(1, 7):
+            for p, q in itertools.product(range(1, 4), repeat=2):
+                for k in range(n + 1):
+                    for seed in range(30, 40):
+                        rng, oracle_rng = random.Random(seed), random.Random(seed)
+                        w = sample_component(n, p, q, k, rng)
+                        u = random_unstable_point(oracle_rng, n, p, q, k)
+                        g = random_invertible(oracle_rng, n)
+                        moved = group_action(g, u)
+                        assert w == moved
+                        assert entry_types(w) == entry_types(moved)
+                        assert rng.getstate() == oracle_rng.getstate()
+                        if seed == 30:
+                            assert w == fraction_group_action(g, u)
+                        checked += 1
+        assert checked == 2430
+
+    def test_unstable_point_matches_the_nested_draw(self):
+        for n in range(1, 6):
+            for k in range(n + 1):
+                for seed in range(5):
+                    rng, oracle_rng = random.Random(seed), random.Random(seed)
+                    u = random_unstable_point(rng, n, 2, 3, k, bound=5)
+                    assert u == nested_unstable_point(oracle_rng, n, 2, 3, k, bound=5)
+                    assert rng.getstate() == oracle_rng.getstate()
+
+    def test_singular_draw_is_redrawn(self):
+        # at seed 35, n = p = q = 1, k = 0 the U_0 draw is C = [7] and the
+        # first g drawn is [0]; the second, [-6], moves C to [-7/6]
+        replay = random.Random(35)
+        assert [replay.randint(-10, 10) for _ in range(3)] == [7, 0, -6]
+        rng = random.Random(35)
+        w = sample_component(1, 1, 1, 0, rng)
+        assert w.C.entries == (Fraction(-7, 6),)
+        assert w.B.entries == (0,) and w.A.entries == (0,)
+        assert rng.getstate() == replay.getstate()
+
+    def test_out_of_range_draws_nothing(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        for args in ((33, 1, 1, 0), (2, 0, 1, 0), (2, 1, 33, 1),
+                     (2, 1, 1, 3), (2, 1, 1, -1)):
+            with pytest.raises(OutOfRangeError):
+                sample_component(*args, rng)
+        assert rng.getstate() == state
+
+
+def entry_types(w):
+    return [type(x) for m in (w.B, w.C, *w.A_list) for x in m.entries]
 
 
 class TestCertificates:
@@ -1102,7 +1180,8 @@ class TestInverseFreeCheck:
         w = sample_component(4, 2, 2, 2, 5)
         _, certs = component_certificates(w)
         monkeypatch.setattr(RationalMatrix, "inverse", forbidden)
-        monkeypatch.setattr(nc, "group_action", forbidden)
+        monkeypatch.setattr(nc, "_integer_inverse", forbidden)
+        monkeypatch.setattr(nc, "_inverse_of_int", forbidden)
         for cert in certs.values():
             assert check_certificate(w, cert)
 
