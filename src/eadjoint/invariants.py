@@ -29,6 +29,7 @@ from .linalg import (
     _divided,
     _integer_inverse,
     _krylov_left,
+    _over,
     _power_traces,
     _signed_fields,
     elementary_from_power_sums,
@@ -174,11 +175,6 @@ def _integer_rescaled_point(w: Point):
     return Point(b, c, tuple(ai for _, ai in a)), lb, lc, tuple(l for l, _ in a)
 
 
-def _over(x: int, den: int) -> Rational:
-    """The rational x / den of two integers, an int when den divides x."""
-    return x // den if x % den == 0 else Fraction(x, den)
-
-
 def evaluate_invariants(w: Point) -> InvariantVector:
     """The quotient-map value of an r = 1 point, exactly.
 
@@ -186,7 +182,8 @@ def evaluate_invariants(w: Point) -> InvariantVector:
     tau_k = trace(A_int^k) / l_A^k from ``_power_traces``, which forms the
     powers only up to A^ceil(n/2), and Gamma_k = C_int A_int^k B_int /
     (l_C l_B l_A^k), block k of the observability matrix
-    [C; CA; ...; CA^(n-1)] times B, one division per entry.
+    [C; CA; ...; CA^(n-1)] (``_observability``) times B, one division per
+    entry.
     """
     if w.r != 1:
         raise MultipleCopiesError("invariant vector is defined for r = 1 points")
@@ -194,7 +191,7 @@ def evaluate_invariants(w: Point) -> InvariantVector:
     n, p, q = w.n, w.p, w.q
     a, qp = wi.A.entries, q * p
     tau = [_over(t, la**k) for k, t in enumerate(_power_traces(a, n, n), start=1)]
-    obs = _krylov_left(wi.C.entries, q, a, n, n)
+    obs = _observability(wi.A, wi.C).entries
     moments = _k.mat_mul(obs, n * q, n, wi.B.entries, p)
     gamma = [
         _divided(q, p, moments[k * qp : (k + 1) * qp], 1, lc * lb * la**k)
@@ -352,8 +349,7 @@ def word_invariants(w: Point, max_len: int) -> WordInvariants:
 
 def _jacobian_entries(wi: Point, obs, ctrl):
     """Row-major integer entries of the Jacobian at an integer r = 1 point,
-    for the rank on the fallback of ``jacobian_rank`` (the J T = 0 check
-    reads obs and ctrl instead, ``_jacobian_product``).
+    for the rank and the J T = 0 check on the fallback of ``jacobian_rank``.
 
     With L_i = C A^i (block i of obs = ``_observability``) and R_m = A^m B
     (R_m^T is block m of ctrl = ``_controllability``), the product rule gives
@@ -461,72 +457,26 @@ def _orbit_tangent_rows(wi: Point):
     return [_signed_fields(v, f, n * n) for v in _orbit_tangent(wi, f)]
 
 
-def _jacobian_product(wi: Point, obs, ctrl, powers, t):
-    """J t in J's row order (tau_1..tau_n, then Gamma_k row (i, j)) for a
-    flat tangent t = (dA, dB, dC), with no entry of J formed.
-
-    J is the Jacobian that ``_jacobian_entries`` builds from the same
-    entries: L_k is block k of obs, R_m^T block m of ctrl and A^m block m
-    of powers = [I; A; ...; A^{n-1}].  Forward-mode differentiation of the
-    Krylov blocks (the product rule) gives
-      d tau_k   = k tr(A^{k-1} dA),
-      d Gamma_k = L_k dB + dC R_k + sum_{s<k} (L_s dA) R_{k-1-s}.
-    With N_0 = dC and N_{s+1} = L_s dA (one product gives them all), row
-    (k, i) of d Gamma is row i of [L_k, N_k, ..., N_0, 0] times
-    [dB; R_0; ...; R_{n-1}], so all of d Gamma is one product with a
-    zero-padded, Toeplitz-like left factor.
-    """
-    n, p, q = wi.n, wi.p, wi.q
-    nn, np_, qn = n * n, n * p, q * n
-    da, db, dc = t[:nn], t[nn : nn + np_], t[nn + np_ :]
-    da_t = [x for j in range(n) for x in da[j::n]]
-    out = [k * sum(map(mul, powers[(k - 1) * nn : k * nn], da_t))
-           for k in range(1, n + 1)]
-    obs, ctrl = obs.entries, ctrl.entries
-    ns = dc + _k.mat_mul(obs, (n - 1) * q, n, da, n)  # N_0, ..., N_{n-1}
-    u, pad = [], [0] * nn
-    for k in range(n):
-        for i in range(0, qn, n):
-            u += obs[k * qn + i : k * qn + i + n]
-            for s in range(k * qn + i, -1, -qn):
-                u += ns[s : s + n]
-            u += pad[(k + 1) * n :]
-    v = db + [x for m in range(0, n * np_, np_) for b in range(n)
-              for x in ctrl[m + b : m + np_ : n]]  # R_m, n x p, row-major
-    return out + _k.mat_mul(u, n * q, (n + 1) * n, v, p)
-
-
-def _check_orbit_tangents(wi: Point, obs, ctrl) -> None:
+def _check_orbit_tangents(wi: Point, e, ncols) -> None:
     """Raise ``AssertionError`` unless J T = 0 exactly at an integer r = 1
-    point, for the J that ``_jacobian_entries(wi, obs, ctrl)`` would build;
-    J itself is never built.
+    point, J given by its row-major entries e (``_jacobian_entries``) and
+    its column count.
 
-    At a packed X as in ``_orbit_tangent_rows``, ``_jacobian_product`` of
-    the tangent holds (J T)_rj at bit f j of entry r.  The width f covers
-    every field:
-    - |J| <= max(n max|A^m|, (n - 1) max|obs| max|ctrl|, max|obs|,
-      max|ctrl|), m < n: a tau_k entry is k (A^{k-1})_ba with k <= n; a dA
-      entry of Gamma_k is a sum of k <= n - 1 products of an entry of obs
-      and one of ctrl; a dB (dC) entry is an entry of obs (ctrl);
-    - |T| <= max(|B|, |C|, 2|A|) (``_orbit_tangent_rows``);
-    - so |(J T)_rj| <= ncols max|J| max|T| < 2^(f-1), a sum over the ncols
-      columns of J.
-    Hence an entry is zero exactly when its fields are, and the lowest
-    nonzero field names the X_j the row fails on.
+    At the packed X of ``_orbit_tangent``, row r of J times the tangent
+    holds (J T)_rj at bit f j.  Each |(J T)_rj| <= ncols max|J| max(|B|,
+    |C|, 2|A|) < 2^(f-1), a sum over the ncols columns of J with |T| as in
+    ``_orbit_tangent_rows``, so a row is zero exactly when its fields are,
+    and the lowest nonzero field names the X_j the row fails on.
     """
-    n, p, q = wi.n, wi.p, wi.q
     b, c, a = wi.B.entries, wi.C.entries, wi.A.entries
-    ident = [0] * (n * n)
-    ident[:: n + 1] = (1,) * n
-    powers = ident + _krylov_left(a, n, a, n, n - 1)
-    lo, ro = max(map(abs, obs.entries)), max(map(abs, ctrl.entries))
-    top = max(n * max(map(abs, powers)), (n - 1) * lo * ro, lo, ro)
-    top *= max(max(map(abs, b + c)), 2 * max(map(abs, a)))
-    f = (n * (n + p + q) * top).bit_length() + 1
-    jt = _jacobian_product(wi, obs, ctrl, powers, _orbit_tangent(wi, f))
-    fields = [((v & -v).bit_length() - 1) // f for v in jt if v]
+    top = max(map(abs, e)) * max(max(map(abs, b + c)), 2 * max(map(abs, a)))
+    f = (ncols * top).bit_length() + 1
+    tangent = _orbit_tangent(wi, f)
+    fields = [((v & -v).bit_length() - 1) // f
+              for r in range(0, len(e), ncols)
+              if (v := sum(map(mul, e[r : r + ncols], tangent)))]
     if fields:
-        x = divmod(min(fields), n)  # the first X_(i, t) that J fails on
+        x = divmod(min(fields), wi.n)  # the first X_(i, t) that J fails on
         raise AssertionError(f"Jacobian does not annihilate the orbit tangent of X_{x}")
 
 
@@ -542,30 +492,27 @@ def jacobian_rank(w: Point) -> int:
 
     Lower bound from the block split (``_split_bound``): the Krylov
     matrices of b_0 and, for p >= 2, of c_0 have rank n mod ``PRIME``, so
-    rank J >= n(p + q) with no Jacobian built.  The matching upper bound:
-    - the row count n + npq = n(p + q) when p = 1 or q = 1 (coregular), so
-      n(p + q) is returned at once;
-    - for p, q >= 2, cols - n^2 = n(p + q) at a controllable point, which
-      the point is: the Krylov matrix of b_0 has rank n and its transpose
-      is rows of ctrl.  There X -> (XB, -CX, [X, A]) is injective (XB = 0
-      and [X, A] = 0 give X A^k B = 0 for every k, so X = 0), its
-      n^2-dimensional image lies in ker J because the invariants are
-      constant on orbits, and ``_check_orbit_tangents`` verifies J T = 0
-      exactly (one packed X, differentiated forward through obs and ctrl,
-      J never built), so rank J <= cols - n^2.
+    rank J >= n(p + q) with no Jacobian built, and n(p + q) is returned.
+    It is also an upper bound, with nothing left to check at run time:
+    - the row count n + npq = n(p + q) when p = 1 or q = 1 (coregular);
+    - cols - n^2 = n(p + q) for every p and q.  The invariants are constant
+      on orbits, so the orbit tangents T = (XB, -CX, [X, A]) lie in ker J.
+      The Krylov matrix of b_0 has rank n, so the point is controllable,
+      and there X -> T is injective (XB = 0 and [X, A] = 0 give
+      X A^k B = 0 for every k, so X = 0): ker J has dimension at least n^2.
     Otherwise ``_jacobian_entries`` builds J, the only place it is built,
     and its rank r mod ``PRIME`` is the lower bound: r is returned when
     r = min(rows, cols), or when r = cols - n^2, ctrl has rank n mod
-    ``PRIME`` and the same J T = 0 check passes.  Any other r falls back to
-    ``rank_int``.
+    ``PRIME`` (the point is controllable) and ``_check_orbit_tangents``
+    finds J T = 0 exactly on the entries that were ranked, so that
+    rank J <= cols - n^2 holds for the very matrix ranked.  Any other r
+    falls back to ``rank_int``.
     """
     wi = _integer_rescaled_point(w)[0]
     n, p, q = w.n, w.p, w.q
     nrows, ncols, full = n + n * q * p, n * (n + p + q), n * (p + q)
     obs, ctrl = _observability(wi.A, wi.C), _controllability(wi.A, wi.B)
     if _split_bound(wi, obs, ctrl):
-        if p > 1 and q > 1:
-            _check_orbit_tangents(wi, obs, ctrl)
         return full
     e = _jacobian_entries(wi, obs, ctrl)
     rows = [e[i : i + ncols] for i in range(0, nrows * ncols, ncols)]
@@ -573,7 +520,7 @@ def jacobian_rank(w: Point) -> int:
     if r == min(nrows, ncols):
         return r
     if r == full and rank_mod_prime(ctrl.to_rows(), n) == n:
-        _check_orbit_tangents(wi, obs, ctrl)
+        _check_orbit_tangents(wi, e, ncols)
         return r
     return _k.rank_int(rows, ncols)
 

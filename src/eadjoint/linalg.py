@@ -315,7 +315,7 @@ class RationalMatrix:
         for idx in range(rank):
             row = rows[idx]
             p = row[pivots[idx]]
-            out.append([_canon(Fraction(x, p)) if x else 0 for x in row])
+            out.append([_over(x, p) for x in row])
         return rank, tuple(pivots), out
 
     def inverse(self) -> "RationalMatrix":
@@ -382,13 +382,15 @@ def _inverse_of_int(gi, n):
     return [x * (d // rows[i][i]) for i in range(n) for x in rows[i][n:]], d
 
 
+def _over(x: int, den: int) -> Rational:
+    """The rational x / den of two integers, an int when den divides x."""
+    return x // den if x % den == 0 else Fraction(x, den)
+
+
 def _divided(rows, cols, ints, num, den) -> RationalMatrix:
-    """The matrix num * ints / den of integer entries, each entry canonical."""
-    out = []
-    for x in ints:
-        x *= num
-        out.append(x // den if x % den == 0 else Fraction(x, den))
-    return RationalMatrix(rows, cols, out, validate=False)
+    """The matrix num * ints / den of integer entries, each entry ``_over``."""
+    return RationalMatrix(rows, cols, [_over(x * num, den) for x in ints],
+                          validate=False)
 
 
 def _krylov_left(x, rows, a, n, count):
@@ -613,7 +615,7 @@ class Subspace:
                 p = row[self._pivots[j]]
                 for i, x in enumerate(row):
                     if x:
-                        e[i * d + j] = x // p if x % p == 0 else Fraction(x, p)
+                        e[i * d + j] = _over(x, p)
             b = self._basis = RationalMatrix(n, d, e, validate=False)
         return b
 

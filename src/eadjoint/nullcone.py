@@ -52,7 +52,6 @@ from . import _kernels as _k
 from .errors import NotAMemberError, NotInNullConeError, OutOfRangeError, ShapeError
 from .invariants import (
     Point,
-    _act_on_cleared,
     _controllability,
     _integer_rescaled_point,
     _observability,
@@ -64,7 +63,6 @@ from .linalg import (
     Subspace,
     _divided,
     _integer_inverse,
-    _inverse_of_int,
     _kernel_span,
     _power_traces,
     _span,
@@ -73,7 +71,7 @@ from .linalg import (
 from .sampling import (
     DEFAULT_BOUND,
     as_rng,
-    random_matrix,
+    random_move,
     random_nonzero_int,
 )
 
@@ -547,27 +545,17 @@ def sample_component(n, p, q, k, seed) -> Point:
     """A random point of C_k = GL_n U_k: a random group element applied to
     a random U_k point.
 
-    The point is ``group_action(random_invertible(rng, n),
-    random_unstable_point(rng, n, p, q, k))`` for ``rng = as_rng(seed)``,
-    with the same draws in the same order, but G is drawn as a flat
-    integer list and one ``rre_int`` of [G | I] both rejects a singular
-    draw, which is then drawn again, and gives H = d G^-1;
-    ``_act_on_cleared`` moves the point.  n, p and q outside
-    1..``MAX_SIZE``, or k outside 0..n, are an ``OutOfRangeError``, raised
-    before anything is drawn.
+    The point is ``random_move(rng, random_unstable_point(rng, n, p, q,
+    k))`` for ``rng = as_rng(seed)``: the point and the draws of
+    ``group_action(random_invertible(rng, n), u)``, with one elimination
+    per group element.  n, p and q outside 1..``MAX_SIZE``, or k outside
+    0..n, are an ``OutOfRangeError``, raised before anything is drawn.
     """
     check_sizes(n, p, q)
     if not (0 <= k <= n):
         raise OutOfRangeError(f"k must lie in 0..{n}, got {k}")
     rng = as_rng(seed)
-    u = random_unstable_point(rng, n, p, q, k)
-    while True:
-        g = list(random_matrix(rng, n, n).entries)
-        inverse = _inverse_of_int(g, n)
-        if inverse is not None:
-            break
-    h, d = inverse
-    return _act_on_cleared(g, h, d, 1, u, 1, 1, (1,))  # g and u are integral
+    return random_move(rng, random_unstable_point(rng, n, p, q, k))
 
 
 def component_tangent_dim(n, p, q, k, seed) -> int:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .invariants import Point
-from .linalg import RationalMatrix, is_regular_semisimple
+from .invariants import Point, _act_on_cleared, _integer_rescaled_point
+from .linalg import RationalMatrix, _inverse_of_int, is_regular_semisimple
 
 DEFAULT_BOUND = 10
 
@@ -46,6 +46,18 @@ def random_invertible(rng, n, bound=DEFAULT_BOUND) -> RationalMatrix:
         m = random_matrix(rng, n, n, bound)
         if m.rank() == n:
             return m
+
+
+def random_move(rng, w: Point, bound=DEFAULT_BOUND) -> Point:
+    """g.w for g drawn as ``random_invertible`` draws it, with the same rng
+    calls: one ``_inverse_of_int`` both rejects a singular draw and gives
+    H = d g^-1, and ``_act_on_cleared`` moves the point."""
+    n = w.n
+    while True:
+        g = list(random_matrix(rng, n, n, bound).entries)
+        inverse = _inverse_of_int(g, n)
+        if inverse is not None:
+            return _act_on_cleared(g, *inverse, 1, *_integer_rescaled_point(w))
 
 
 def random_point(rng, n, p, q, r=1, bound=DEFAULT_BOUND) -> Point:

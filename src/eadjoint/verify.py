@@ -20,7 +20,6 @@ from .errors import NotAMemberError, OutOfRangeError
 from .invariants import (
     Point,
     evaluate_invariants,
-    group_action,
     jacobian_rank,
     limit_point_is_outside_family_image,
     nonclosed_image_demo,
@@ -46,8 +45,8 @@ from .sampling import (
     as_rng,
     random_distinct_rationals,
     random_full_support_matrix,
-    random_invertible,
     random_matrix,
+    random_move,
     random_point,
     random_rank_one_factors,
     random_regular_semisimple,
@@ -123,8 +122,7 @@ def _fiber_data(rng, n, p, q):
 
 def _cell_invariance(rng, trial, n, p, q, r):
     w = random_point(rng, n, p, q, r)
-    g = random_invertible(rng, n)
-    moved = group_action(g, w)
+    moved = random_move(rng, w)
     a = word_invariants(w, n)
     if r == 1:
         # a wrong word formula can still be invariant; at r = 1 the words

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eadjoint import _kernels, invariants
+from eadjoint import _kernels, invariants, sampling
 from eadjoint.errors import FiberConditionError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     Point,
@@ -513,6 +513,26 @@ class TestClearedIntegerPath:
             ranks.add(rank)
         assert len(ranks) > 3
 
+    def test_random_move_is_the_action_of_a_random_invertible(self):
+        # the same point, entry types and draws as group_action of the g
+        # that random_invertible draws, on rational points with r <= 3; at
+        # bound 2 some first draws of g are singular and drawn again
+        def types(w):
+            return [type(x) for m in (w.B, w.C, *w.A_list) for x in m.entries]
+
+        moved = 0
+        for r in (1, 2, 3):
+            for w in cleared_path_points(random.Random(70 + r), r, 20):
+                for seed in range(3):
+                    rng, oracle_rng = random.Random(seed), random.Random(seed)
+                    got = sampling.random_move(rng, w, bound=2)
+                    g = sampling.random_invertible(oracle_rng, w.n, 2)
+                    want = group_action(g, w)
+                    assert got == want and types(got) == types(want)
+                    assert rng.getstate() == oracle_rng.getstate()
+                    moved += got != w
+        assert moved >= 150
+
 
 # ---------------------------------------------------------------------------
 # the certified Jacobian rank
@@ -632,31 +652,42 @@ def split_blocks(w):
 
 class TestJacobianRankCertificate:
     def test_matches_the_exact_rank_on_every_branch(self, monkeypatch):
+        # the split path builds, checks and eliminates nothing; on the
+        # fallback J is built once, and its rank is returned at once
+        # ("full"), certified by J T = 0 or eliminated exactly
+        bound = Spy(invariants._split_bound)
+        entries = Spy(invariants._jacobian_entries)
         tangents = Spy(invariants._check_orbit_tangents)
         exact = Spy(_kernels.rank_int)
+        monkeypatch.setattr(invariants, "_split_bound", bound)
+        monkeypatch.setattr(invariants, "_jacobian_entries", entries)
         monkeypatch.setattr(invariants, "_check_orbit_tangents", tangents)
         monkeypatch.setattr(_kernels, "rank_int", exact)
         branches = {}
         for kind, w in certificate_points(random.Random(74)):
-            before = tangents.calls, exact.calls
+            before = entries.calls, tangents.calls, exact.calls
             rank = jacobian_rank(w)
-            if exact.calls > before[1]:
-                branch = "exact"
-            elif tangents.calls > before[0]:
-                branch = "certified"
+            built, checked, eliminated = (
+                x.calls - y for x, y in zip((entries, tangents, exact), before))
+            if bound.result:
+                branch = "split"
+                assert built == checked == eliminated == 0
             else:
-                branch = "full"
+                branch = ("exact" if eliminated else
+                          "certified" if checked else "full")
+                assert built == 1 and checked + eliminated <= 1
             assert rank == exact_jacobian_rank(w)
             branches.setdefault(kind, set()).add(branch)
-        assert branches["coregular"] == {"full"}
-        assert branches["generic"] == {"certified"}
+        assert branches["coregular"] == {"split"}
+        assert branches["generic"] == {"split", "certified"}
         assert "exact" in branches["non-controllable"]
-        assert "certified" not in branches["non-controllable"]
+        assert not {"split", "certified"} & branches["non-controllable"]
 
     def test_split_bound_on_the_degenerate_families(self, monkeypatch):
         # the rank is exact on every family; the split bound certifies it
-        # alone (coregular) or with J T = 0 (p, q >= 2), and J is never
-        # built there; otherwise J is eliminated
+        # alone, for every p and q, and J is never built there; otherwise
+        # J is built once and its rank returned, certified by J T = 0 on
+        # those entries, or eliminated exactly
         bound = Spy(invariants._split_bound)
         entries = Spy(invariants._jacobian_entries)
         tangents = Spy(invariants._check_orbit_tangents)
@@ -672,8 +703,8 @@ class TestJacobianRankCertificate:
             built, checked, eliminated = (
                 x.calls - y for x, y in zip((entries, tangents, exact), before))
             if bound.result:
-                branch = "split, tangents" if checked else "split"
-                assert built == 0 and checked == (w.p > 1 and w.q > 1)
+                branch = "split, p, q >= 2" if w.p > 1 and w.q > 1 else "split"
+                assert built == checked == 0
             else:
                 branch = ("fallback, exact" if eliminated else
                           "fallback, tangents" if checked else "fallback")
@@ -684,8 +715,23 @@ class TestJacobianRankCertificate:
             seen.add(family)
         assert seen == set(SPLIT_FAMILIES)
         assert all(branches.get(branch, 0) >= 10 for branch in (
-            "split", "split, tangents", "fallback", "fallback, tangents",
+            "split", "split, p, q >= 2", "fallback", "fallback, tangents",
             "fallback, exact")), branches
+
+    def test_the_oracle_guards_the_split_path(self, monkeypatch):
+        # nothing is checked at run time on the split path, so these tests
+        # are what guard it: a split bound that always held would answer
+        # n(p + q) where the rank is lower (B = 0, scalar A, ...), and the
+        # oracle must see that; with the bound never holding, the fallback
+        # alone must still give the exact rank on every family
+        points = list(split_points(random.Random(87), per_family=5))
+        ranks = [exact_jacobian_rank(w) for _, w in points]
+        monkeypatch.setattr(invariants, "_split_bound", lambda *args: True)
+        wrong = {family for (family, w), rank in zip(points, ranks)
+                 if jacobian_rank(w) != rank}
+        assert {"B = 0", "scalar A"} <= wrong, wrong
+        monkeypatch.setattr(invariants, "_split_bound", lambda *args: False)
+        assert [jacobian_rank(w) for _, w in points] == ranks
 
     @pytest.mark.parametrize("b, c", [
         ([[1, 0], [0, 1]], [[1, 1], [1, 0]]),  # b_0 an eigenvector of A
@@ -740,29 +786,41 @@ class TestJacobianRankCertificate:
             assert exact.calls == calls + 1
 
     def test_sign_flip_in_the_dB_block_is_caught(self, monkeypatch):
-        # negating dB in the forward-mode product flips its L_k dB term,
-        # as negating the dB columns of J would; the split bound (read off
-        # obs and ctrl) still holds, so the tangent check is reached, and
-        # it fails on the dB part of every tangent
-        product = invariants._jacobian_product
+        # with b_0 = 0 the split bound fails, but the point is controllable
+        # and J has rank cols - n^2 mod PRIME, so the tangent check runs on
+        # the J that was ranked.  Negating its dB columns keeps that rank,
+        # and the check fails on the dB part of the tangents
+        entries = invariants._jacobian_entries
 
-        def flipped(wi, obs, ctrl, powers, t):
-            nn, np_ = wi.n * wi.n, wi.n * wi.p
-            return product(wi, obs, ctrl, powers,
-                           t[:nn] + [-x for x in t[nn : nn + np_]] + t[nn + np_ :])
+        def flipped(wi, obs, ctrl):
+            ncols = wi.n * (wi.n + wi.p + wi.q)
+            dB = range(wi.n * wi.n, wi.n * wi.n + wi.n * wi.p)
+            return [-x if t % ncols in dB else x
+                    for t, x in enumerate(entries(wi, obs, ctrl))]
 
-        monkeypatch.setattr(invariants, "_jacobian_product", flipped)
         rng = random.Random(76)
         for n, p, q in ((2, 2, 2), (3, 2, 3), (4, 3, 2)):
-            with pytest.raises(AssertionError, match="annihilate"):
-                jacobian_rank(random_point(rng, n, p, q))
+            w = random_point(rng, n, p, q)
+            w = Point(RM([[0] + row[1:] for row in w.B.to_rows()]), w.C, w.A_list)
+            obs, ctrl = _observability(w.A, w.C), _controllability(w.A, w.B)
+            ncols = n * (n + p + q)
+            e = flipped(w, obs, ctrl)
+            rows = [e[i : i + ncols] for i in range(0, len(e), ncols)]
+            assert not invariants._split_bound(w, obs, ctrl)
+            assert rank_mod_prime(rows, ncols) == n * (p + q)
+            assert rank_mod_prime(ctrl.to_rows(), n) == n
+            assert jacobian_rank(w) == n * (p + q)
+            with monkeypatch.context() as m:
+                m.setattr(invariants, "_jacobian_entries", flipped)
+                with pytest.raises(AssertionError, match="annihilate"):
+                    jacobian_rank(w)
 
     def test_prime_multiple_fault_in_j_changes_no_answer(self, monkeypatch):
         # adding p to an entry of a dB column of J leaves J unchanged mod p
-        # but can raise its rank over Q.  The split path never builds J,
-        # and the fallback only ranks it mod p and certifies the upper
-        # bound from obs and ctrl, so the faulted J changes no answer: a
-        # J T check or an exact elimination run on it would
+        # but can raise its rank over Q.  The split path never builds J, so
+        # the fault changes nothing there; the fallback ranks the faulted J
+        # mod p and then checks J T = 0 on those very entries, which fails,
+        # so no answer is returned from it
         rng = random.Random(77)
         generic, base = random_point(rng, 3, 2, 2), random_point(rng, 3, 2, 2)
         b0_zero = Point(RM([[0, x] for x in base.B.col_list(1)]), base.C, base.A_list)
@@ -781,15 +839,14 @@ class TestJacobianRankCertificate:
             assert _kernels.rank_int(rows, ncols) == rank + 1
             faulted[w] = [x for row in rows for x in row]
         entries = Spy(lambda wi, obs, ctrl: faulted[wi])
-        tangents = Spy(invariants._check_orbit_tangents)
         exact = Spy(_kernels.rank_int)
         monkeypatch.setattr(invariants, "_jacobian_entries", entries)
-        monkeypatch.setattr(invariants, "_check_orbit_tangents", tangents)
         monkeypatch.setattr(_kernels, "rank_int", exact)
-        for w, built in ((generic, 0), (b0_zero, 1)):
-            before = entries.calls, tangents.calls
-            assert jacobian_rank(w) == 3 * (2 + 2)
-            assert (entries.calls - before[0], tangents.calls - before[1]) == (built, 1)
+        assert jacobian_rank(generic) == 3 * (2 + 2)
+        assert entries.calls == 0
+        with pytest.raises(AssertionError, match=r"annihilate .*X_\(0, 0\)"):
+            jacobian_rank(b0_zero)
+        assert entries.calls == 1
         assert exact.calls == 0
 
     def test_tangent_check_is_not_trusted_at_a_non_controllable_point(
@@ -822,18 +879,31 @@ class TestJacobianRankCertificate:
 
     def test_jacobian_matrix_matches_the_differential_exactly(self):
         # the entries that jacobian_rank eliminates, at the cleared integer
-        # point of each rational point of the cleared-path tests, are the
-        # differential's, entry by entry and type by type
+        # point of each rational point of the cleared-path tests and of
+        # every split family, are the differential's, entry by entry and
+        # type by type, and J t is the differential along a random integer
+        # direction t
         rng = random.Random(78)
-        for w in cleared_path_points(rng, 1, 24, max_n=3):
+        points = list(cleared_path_points(rng, 1, 24, max_n=3))
+        points += [w for _, w in split_points(rng, per_family=3)]
+        for w in points:
             wi = invariants._integer_rescaled_point(w)[0]
             n, p, q = w.n, w.p, w.q
+            nn, np_, ncols = n * n, n * p, n * (n + p + q)
             entries = invariants._jacobian_entries(
                 wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B))
-            jac = RationalMatrix(n + n * q * p, n * (n + p + q), entries)
+            jac = RationalMatrix(n + n * q * p, ncols, entries)
             ref = differential_jacobian_matrix(wi)
             assert jac == ref
             assert [type(x) for x in jac.entries] == [type(x) for x in ref.entries]
+            t = [rng.randint(-50, 50) for _ in range(ncols)]
+            along = differential(wi, TangentVector(
+                RationalMatrix(n, p, t[nn : nn + np_]),
+                RationalMatrix(q, n, t[nn + np_ :]),
+                RationalMatrix(n, n, t[:nn])))
+            jt = [sum(u * v for u, v in zip(entries[r : r + ncols], t))
+                  for r in range(0, len(entries), ncols)]
+            assert jt == list(along.tau) + [v for g in along.gamma for v in g.entries]
 
     def test_the_oracle_sees_a_zeroed_column(self, monkeypatch):
         # C_n points (C = 0 up to the action) outside the split bound go to
@@ -862,12 +932,10 @@ class TestJacobianRankCertificate:
         assert any(jacobian_rank(w) != exact_jacobian_rank(w) for w in points)
 
     def test_field_width_covers_the_sum_over_the_columns(self):
-        # with these obs and ctrl, J T_X for X = E_00 is zero on every row
-        # but Gamma_3, where it is -64, a sum over the columns of J.  A
-        # width without the column count, bitlen(max|J| max|T|) + 1 = 6
-        # bits (also for the bound 15 on |J| that the check uses, from
-        # (n - 1) max|obs| max|ctrl|), would carry -2^6 into the field of
-        # X_(0, 1) and name that X
+        # J built from these obs and ctrl has J T_X, X = E_00, zero on
+        # every row but Gamma_3, where it is -64, a sum over the columns of
+        # J.  A width without the column count, bitlen(max|J| max|T|) + 1 =
+        # 6 bits, would carry -2^6 into the field of X_(0, 1) and name that X
         n = 4
         a = RM([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
         w = Point(RM([[-2], [0], [0], [0]]), RM([[-2, 0, 0, 0]]), (a,))
@@ -882,75 +950,32 @@ class TestJacobianRankCertificate:
                 for r in range(0, len(e), ncols)] == [0] * 7 + [-(2**6)]
         assert first_unannihilated_tangent(w, e, ncols) == (0, 0)
         with pytest.raises(AssertionError, match=r"annihilate .*X_\(0, 0\)"):
-            invariants._check_orbit_tangents(w, obs, ctrl)
+            invariants._check_orbit_tangents(w, e, ncols)
 
     def test_packed_check_names_the_first_x_the_oracle_finds(self):
-        # 0-3 faults of +-1, +-7 or +-2^k (k <= 200) in the obs and ctrl
-        # entries the check reads, at random integer points: the packed
-        # check raises exactly when J T_X is nonzero for some X, J built
-        # by _jacobian_entries from the faulted entries, and names the
-        # first such X
+        # 0-3 faults of +-1, +-7 or +-2^k (k <= 200) in J at random
+        # integer points: the packed check raises exactly when some J T_X
+        # is nonzero, and names the first such X
         rng = random.Random(81)
         raised = 0
         for _ in range(300):
             n, p, q = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
             wi = random_point(rng, n, p, q, bound=rng.choice((1, 10, 1000)))
             ncols = n * (n + p + q)
-            blocks = [list(_observability(wi.A, wi.C).entries),
-                      list(_controllability(wi.A, wi.B).entries)]
+            e = invariants._jacobian_entries(
+                wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B))
             for _ in range(rng.randint(0, 3)):
                 fault = rng.choice((1, 7, 1 << rng.randint(0, 200)))
-                block = rng.choice(blocks)
-                block[rng.randrange(len(block))] += rng.choice((fault, -fault))
-            obs = RationalMatrix(n * q, n, blocks[0])
-            ctrl = RationalMatrix(n * p, n, blocks[1])
-            x = first_unannihilated_tangent(
-                wi, invariants._jacobian_entries(wi, obs, ctrl), ncols)
+                e[rng.randrange(len(e))] += rng.choice((fault, -fault))
+            x = first_unannihilated_tangent(wi, e, ncols)
             if x is None:
-                invariants._check_orbit_tangents(wi, obs, ctrl)
+                invariants._check_orbit_tangents(wi, e, ncols)
                 continue
             with pytest.raises(AssertionError,
                                match=rf"annihilate .*X_\({x[0]}, {x[1]}\)$"):
-                invariants._check_orbit_tangents(wi, obs, ctrl)
+                invariants._check_orbit_tangents(wi, e, ncols)
             raised += 1
         assert 100 <= raised <= 280, raised
-
-    def test_forward_mode_product_matches_the_oracles(self):
-        # the forward-mode values equal the oracle differential along the
-        # orbit tangent ([X, A], XB, -CX) of a random integer X, formed by
-        # Fraction products (all zero: the invariants are constant on
-        # orbits), and J t for a random integer t, J from
-        # _jacobian_entries, which is the differential along t; on every
-        # split family and on cleared rational points
-        rng = random.Random(85)
-        points = [w for _, w in split_points(rng, per_family=5)]
-        points += list(cleared_path_points(rng, 1, 60, max_n=5))
-        for w in points:
-            wi = invariants._integer_rescaled_point(w)[0]
-            n, p, q = wi.n, wi.p, wi.q
-            nn, np_, ncols = n * n, n * p, n * (n + p + q)
-            obs, ctrl = _observability(wi.A, wi.C), _controllability(wi.A, wi.B)
-            powers = [v for m in matrix_powers(wi.A, n - 1) for v in m.entries]
-
-            def product(t):
-                return invariants._jacobian_product(wi, obs, ctrl, powers, t)
-
-            def flat(iv):
-                return list(iv.tau) + [v for g in iv.gamma for v in g.entries]
-
-            x = RationalMatrix(n, n, [rng.randint(-9, 9) for _ in range(nn)])
-            orbit = TangentVector(x @ wi.B, -(wi.C @ x), x @ wi.A - wi.A @ x)
-            t = list(orbit.dA.entries + orbit.dB.entries + orbit.dC.entries)
-            assert product(t) == flat(differential(wi, orbit)) == [0] * (n + n * q * p)
-            e = invariants._jacobian_entries(wi, obs, ctrl)
-            t = [rng.randint(-50, 50) for _ in range(ncols)]
-            jt = [sum(u * v for u, v in zip(e[r : r + ncols], t))
-                  for r in range(0, len(e), ncols)]
-            assert product(t) == jt
-            along = TangentVector(RationalMatrix(n, p, t[nn : nn + np_]),
-                                  RationalMatrix(q, n, t[nn + np_ :]),
-                                  RationalMatrix(n, n, t[:nn]))
-            assert jt == flat(differential(wi, along))
 
     def test_shifted_tangent_matches_the_matrix_products(self):
         # the tangent by packed rows and columns and shifts equals the one
