@@ -394,33 +394,45 @@ def _jacobian_entries(wi: Point, obs, ctrl):
     return flat
 
 
-def _split_bound(wi: Point, obs: RationalMatrix, ctrl: RationalMatrix) -> bool:
+def _krylov_has_rank_n(a, n, v, on_left=False) -> bool:
+    """Whether the Krylov matrix [v, a v, ..., a^(n-1) v] of the integer
+    n-vector v under the flat n x n integer matrix a, or with on_left the
+    matrix [v; v a; ...; v a^(n-1)], has rank n mod ``PRIME``.  True
+    proves rank n over Q.  Each a^m v (v a^m) is one product of a by the
+    previous vector, so a is never transposed; the rows ranked are
+    (a^m v)^T, row m p of ``_controllability`` for v the column 0 of its
+    b, or v a^m, row m q of ``_observability`` for v the row 0 of its c.
+    """
+    rows = [v]
+    for _ in range(1, n):
+        v = _k.mat_mul(v, 1, n, a, n) if on_left else _k.mat_mul(a, n, n, v, 1)
+        rows.append(v)
+    return rank_mod_prime(rows, n) == n
+
+
+def _split_bound(wi: Point) -> bool:
     """Whether rank J >= n(p + q) follows from the block split of J, by one
-    or two n x n ranks mod ``PRIME`` read off the observability and
-    controllability matrices obs and ctrl of the integer point wi.
+    or two n x n ranks mod ``PRIME`` (``_krylov_has_rank_n``) at the
+    integer point wi, with neither obs nor ctrl built.
 
     The tau rows of J are zero on the dB and dC columns, so J contains the
     block-triangular submatrix [[T_A, 0], [G_A, G]], where T_A is the tau
     rows on the dA columns and G the n(p + q - 1) rows (k, 0, j) and
     (k, i, 0), i >= 1, of the Gamma_k on the dB and dC columns.  Hence
     rank J >= rank T_A + rank G = n + n(p + q - 1) when
-    - K = [b_0, A b_0, ..., A^{n-1} b_0], whose transpose is rows 0, p,
-      2p, ... of ctrl, has rank n: the rows k vec(A^{k-1})^T of T_A span
-      the polynomials in A, of dimension at least rank K (A is cyclic); and
-    - for p >= 2, O = [c_0; c_0 A; ...; c_0 A^{n-1}], rows 0, q, 2q, ... of
-      obs, has rank n.
+    - K = [b_0, A b_0, ..., A^{n-1} b_0] has rank n: the rows
+      k vec(A^{k-1})^T of T_A span the polynomials in A, of dimension at
+      least rank K (A is cyclic); and
+    - for p >= 2, O = [c_0; c_0 A; ...; c_0 A^{n-1}] has rank n.
     Then G is block upper triangular with invertible diagonal blocks: the
     dB columns (b, j), j >= 1, meet only the rows (k, 0, j), in O; the dC
     columns (i, c), i >= 1, only the rows (k, i, 0), in K^T; and the rows
     (k, 0, 0) are [O | K^T] on the dB columns (b, 0) and the dC columns
     (0, c).  A rank mod ``PRIME`` is a lower bound for the rank over Q.
     """
-    n, p = wi.n, wi.p
-    np_, qn = n * p, wi.q * n
-    krylov_b = [ctrl.entries[s : s + n] for s in range(0, n * np_, np_)]
-    krylov_c = [obs.entries[s : s + n] for s in range(0, n * qn, qn)]
-    return rank_mod_prime(krylov_b, n) == n and (
-        p == 1 or rank_mod_prime(krylov_c, n) == n)
+    n, p, a = wi.n, wi.p, wi.A.entries
+    return _krylov_has_rank_n(a, n, wi.B.entries[::p]) and (
+        p == 1 or _krylov_has_rank_n(a, n, wi.C.entries[:n], on_left=True))
 
 
 def _orbit_tangent(wi: Point, f):
@@ -487,22 +499,23 @@ def jacobian_rank(w: Point) -> int:
     scaling s is a linear isomorphism of the domain, and pi(s v) = D pi(v)
     with D invertible and diagonal (tau_k scales by l_A^k, Gamma_k by
     l_C l_A^k l_B).  So d pi(s w) s = D d pi(w), and the two Jacobians
-    have the same rank.  obs and ctrl are built once and shared by every
-    step below.
+    have the same rank.
 
     Lower bound from the block split (``_split_bound``): the Krylov
     matrices of b_0 and, for p >= 2, of c_0 have rank n mod ``PRIME``, so
-    rank J >= n(p + q) with no Jacobian built, and n(p + q) is returned.
-    It is also an upper bound, with nothing left to check at run time:
+    rank J >= n(p + q) with no obs, ctrl or Jacobian built, and n(p + q)
+    is returned.  It is also an upper bound, with nothing left to check at
+    run time:
     - the row count n + npq = n(p + q) when p = 1 or q = 1 (coregular);
     - cols - n^2 = n(p + q) for every p and q.  The invariants are constant
       on orbits, so the orbit tangents T = (XB, -CX, [X, A]) lie in ker J.
       The Krylov matrix of b_0 has rank n, so the point is controllable,
       and there X -> T is injective (XB = 0 and [X, A] = 0 give
       X A^k B = 0 for every k, so X = 0): ker J has dimension at least n^2.
-    Otherwise ``_jacobian_entries`` builds J, the only place it is built,
-    and its rank r mod ``PRIME`` is the lower bound: r is returned when
-    r = min(rows, cols), or when r = cols - n^2, ctrl has rank n mod
+    Otherwise obs and ctrl are built, ``_jacobian_entries`` builds J from
+    them, the only place it is built, and its rank r mod ``PRIME`` is the
+    lower bound: r is returned when r = min(rows, cols), or when
+    r = cols - n^2, ctrl has rank n mod
     ``PRIME`` (the point is controllable) and ``_check_orbit_tangents``
     finds J T = 0 exactly on the entries that were ranked, so that
     rank J <= cols - n^2 holds for the very matrix ranked.  Any other r
@@ -511,9 +524,9 @@ def jacobian_rank(w: Point) -> int:
     wi = _integer_rescaled_point(w)[0]
     n, p, q = w.n, w.p, w.q
     nrows, ncols, full = n + n * q * p, n * (n + p + q), n * (p + q)
-    obs, ctrl = _observability(wi.A, wi.C), _controllability(wi.A, wi.B)
-    if _split_bound(wi, obs, ctrl):
+    if _split_bound(wi):
         return full
+    obs, ctrl = _observability(wi.A, wi.C), _controllability(wi.A, wi.B)
     e = _jacobian_entries(wi, obs, ctrl)
     rows = [e[i : i + ncols] for i in range(0, nrows * ncols, ncols)]
     r = rank_mod_prime(rows, ncols)

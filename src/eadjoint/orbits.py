@@ -22,6 +22,7 @@ from .invariants import (
     Point,
     _controllability,
     _integer_rescaled_point,
+    _krylov_has_rank_n,
     _observability,
     check_sizes,
 )
@@ -32,7 +33,6 @@ from .linalg import (
     _kernel_vectors,
     _signed_fields,
     _span,
-    rank_mod_prime,
     rank_one_pivot,
     rational_from_str,
     vandermonde_solve,
@@ -71,10 +71,14 @@ def stabilizer(w: Point) -> StabilizerReport:
     X = P Y N = sum_ab y_ab p_a n_b^T, where the columns p_a of P are a
     basis of K and the rows n_b of N span the kernel of ctrl, and
     XB = 0, CX = 0 hold for every Y: the stabilizer is Hom_A(V/S, K).  It
-    is zero when rank ctrl = n mod a prime (no exact elimination at all),
-    or when N or P is empty (S = V, K = 0).  Otherwise the dim K (n - dim S)
-    unknowns y_ab solve ``_hom_equations``, and each solution is mapped
-    back to vec(P Y N) and spanned canonically.
+    is zero, with neither ctrl nor obs built, when the Krylov matrix
+    [b_0, A b_0, ..., A^{n-1} b_0] of the first column of B has rank n mod
+    ``PRIME`` (``_krylov_has_rank_n``): then S = V.  Otherwise ctrl is
+    built, and the stabilizer is zero when N is empty (S = V: ctrl has rank
+    n over Q although b_0 is not cyclic); then obs is built, and it is
+    zero when P is empty (K = 0).  Otherwise the dim K (n - dim S) unknowns
+    y_ab solve ``_hom_equations``, and each solution is mapped back to
+    vec(P Y N) and spanned canonically.
 
     Two checks guard that answer: the rank of the mapped-back matrices
     against the number of solutions, and the re-substitution of every
@@ -84,11 +88,9 @@ def stabilizer(w: Point) -> StabilizerReport:
     wi = _integer_rescaled_point(w)[0]
     n = w.n
     zero = StabilizerReport(0, n * n, Subspace.zero(n * n))
-    ctrl = _controllability(wi.A, wi.B)
-    # ranked wide, the n columns of ctrl: faster mod p than its np rows
-    if rank_mod_prime([ctrl.entries[i::n] for i in range(n)], ctrl.rows) == n:
+    if _krylov_has_rank_n(wi.A.entries, n, wi.B.entries[:: w.p]):
         return zero
-    ns = _kernel_vectors(ctrl.to_rows(), n)
+    ns = _kernel_vectors(_controllability(wi.A, wi.B).to_rows(), n)
     if not ns:
         return zero
     ps = _kernel_vectors(_observability(wi.A, wi.C).to_rows(), n)

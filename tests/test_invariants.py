@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eadjoint import _kernels, invariants, sampling
+from eadjoint import _kernels, invariants, orbits, sampling
 from eadjoint.errors import FiberConditionError, ShapeError, SingularMatrixError
 from eadjoint.invariants import (
     Point,
@@ -21,12 +21,19 @@ from eadjoint.invariants import (
     sl_relation_check,
     word_invariants,
 )
-from eadjoint.linalg import PRIME, RationalMatrix, kernel_subspace, rank_mod_prime
+from eadjoint.linalg import (
+    PRIME,
+    RationalMatrix,
+    is_regular_semisimple,
+    kernel_subspace,
+    rank_mod_prime,
+)
 from eadjoint.nullcone import (
     pinned_row_witness,
     random_unstable_point,
     sample_component,
 )
+from eadjoint.orbits import stabilizer
 from oracles import (
     TangentVector,
     action_equations,
@@ -744,7 +751,7 @@ class TestJacobianRankCertificate:
         w = Point(RM(b), RM(c), (RationalMatrix.diagonal([1, 2]),))
         obs, ctrl = _observability(w.A, w.C), _controllability(w.A, w.B)
         assert obs.rank() == ctrl.rank() == 2
-        assert not invariants._split_bound(w, obs, ctrl)
+        assert not invariants._split_bound(w)
         assert jacobian_rank(w) == exact_jacobian_rank(w) == 8
 
     def test_split_bound_holds_on_the_blocks_of_the_jacobian(self):
@@ -758,8 +765,7 @@ class TestJacobianRankCertificate:
         for family, w in split_points(rng, per_family=12):
             n, p, q = w.n, w.p, w.q
             wi = invariants._integer_rescaled_point(w)[0]
-            got = invariants._split_bound(
-                wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B))
+            got = invariants._split_bound(wi)
             k, o, t_a, g = split_blocks(w)
             cyclic = k.rank() == n and (p == 1 or o.rank() == n)
             assert got == (cyclic and family != "scaled by PRIME"), (family, w)
@@ -806,7 +812,7 @@ class TestJacobianRankCertificate:
             ncols = n * (n + p + q)
             e = flipped(w, obs, ctrl)
             rows = [e[i : i + ncols] for i in range(0, len(e), ncols)]
-            assert not invariants._split_bound(w, obs, ctrl)
+            assert not invariants._split_bound(w)
             assert rank_mod_prime(rows, ncols) == n * (p + q)
             assert rank_mod_prime(ctrl.to_rows(), n) == n
             assert jacobian_rank(w) == n * (p + q)
@@ -917,8 +923,7 @@ class TestJacobianRankCertificate:
             n, p, q = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 3)
             w = sample_component(n, p, q, n, rng.randrange(2**32))
             wi = invariants._integer_rescaled_point(w)[0]
-            if not invariants._split_bound(
-                    wi, _observability(wi.A, wi.C), _controllability(wi.A, wi.B)):
+            if not invariants._split_bound(wi):
                 points.append(w)
         assert all(jacobian_rank(w) == exact_jacobian_rank(w) for w in points)
         entries = invariants._jacobian_entries
@@ -1013,6 +1018,82 @@ class TestJacobianRankCertificate:
             tangents = eqs[nc:] + eqs[:nb] + [[-x for x in row] for row in eqs[nb:nc]]
             assert invariants._orbit_tangent_rows(wi) == tangents
         assert invariants._orbit_tangent_rows(points[0])[2] == [0, 0, 2, 0]
+
+
+class TestKrylovShortcut:
+    """jacobian_rank and stabilizer decide a point whose b_0 (and, for the
+    Jacobian with p >= 2, c_0) is cyclic from those Krylov matrices alone;
+    obs, ctrl and J are built only where a later step reads them."""
+
+    BUILDERS = (
+        (invariants, "_observability"), (invariants, "_controllability"),
+        (invariants, "_jacobian_entries"), (orbits, "_controllability"),
+        (orbits, "_observability"),
+    )
+
+    def spies(self, monkeypatch):
+        spies = {}
+        for module, name in self.BUILDERS:
+            spies[module.__name__.split(".")[-1], name] = spy = Spy(
+                getattr(module, name))
+            monkeypatch.setattr(module, name, spy)
+        return spies
+
+    def test_generic_points_build_no_kalman_matrix(self, monkeypatch):
+        # where the Krylov matrix of b_0 (for the Jacobian with p >= 2 also
+        # that of c_0, Fraction products here) has rank n, which is almost
+        # every generic point, no builder runs in either function.  Else,
+        # as on every b_0 = 0 and scalar-A (n >= 2) point: jacobian_rank
+        # builds obs, ctrl and J, and stabilizer builds ctrl, then obs
+        # exactly when ctrl has rank below n
+        spies = self.spies(monkeypatch)
+        counts = {"generic, nothing built": 0, "b0 not cyclic": 0,
+                  "stabilizer builds obs": 0}
+        for family, w in split_points(random.Random(88)):
+            if family not in ("generic", "b0 = 0", "scalar A") or (
+                    family == "scalar A" and w.n == 1):
+                continue
+            n, p = w.n, w.p
+            k = controllability_blocks(w.A, RationalMatrix.column(w.B.col_list(0)))
+            o = observability_blocks(w.A, RationalMatrix(1, n, w.C.row_list(0)))
+            cyclic = k.rank() == n
+            assert not cyclic or family == "generic"
+            before = {key: spy.calls for key, spy in spies.items()}
+            assert jacobian_rank(w) == exact_jacobian_rank(w)
+            built = {key: spy.calls - before[key] for key, spy in spies.items()}
+            if cyclic and (p == 1 or o.rank() == n):
+                assert not any(built.values()), (w, built)
+            else:
+                assert built["invariants", "_observability"] >= 1
+                assert built["invariants", "_controllability"] == 1
+                assert built["invariants", "_jacobian_entries"] == 1
+            before = {key: spy.calls for key, spy in spies.items()}
+            report = stabilizer(w)
+            built = {key: spy.calls - before[key] for key, spy in spies.items()}
+            if cyclic:
+                assert not any(built.values()), (w, built)
+                assert report.stab_dim == 0
+                counts["generic, nothing built"] += family == "generic"
+            else:
+                full = controllability_blocks(w.A, w.B).rank() == n
+                assert built["orbits", "_controllability"] == 1
+                assert built["orbits", "_observability"] == (not full)
+                counts["b0 not cyclic"] += 1
+                counts["stabilizer builds obs"] += not full
+        assert min(counts.values()) >= 20, counts
+
+    @pytest.mark.parametrize("eigenvalue", [0, 3])
+    def test_jordan_block_with_cyclic_b0(self, monkeypatch, eigenvalue):
+        # n = 2, p = q = 1, B = e_1, C = e_0^T, A a Jordan block: A is not
+        # semisimple, but b_0 is cyclic (K = [e_1, e_0]), so the stabilizer
+        # is 0 and the Jacobian has rank n(p + q) = 4, both read off K with
+        # no obs or ctrl built
+        w = Point(RM([[0], [1]]), RM([[1, 0]]), (RM([[eigenvalue, 1], [0, eigenvalue]]),))
+        assert not is_regular_semisimple(w.A)
+        spies = self.spies(monkeypatch)
+        assert stabilizer(w).stab_dim == 0
+        assert jacobian_rank(w) == 4 == exact_jacobian_rank(w)
+        assert not any(spy.calls for spy in spies.values())
 
 
 # ---------------------------------------------------------------------------

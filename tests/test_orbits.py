@@ -34,11 +34,13 @@ from eadjoint.sampling import (
     random_full_support_matrix,
     random_invertible,
     random_matrix,
+    random_move,
     random_rank_one_factors,
 )
 from oracles import (
     action_equations,
     closed_form_stab_dim,
+    controllability_blocks,
     controllable,
     fraction_rank_one_factor,
     fraction_vandermonde_solve,
@@ -140,9 +142,11 @@ def block_sum(u, v):
 
 class TestKalmanCertificate:
     def test_equals_the_exact_kernel_on_both_sides(self, monkeypatch):
-        # controllable and observable points take a shortcut, the others
-        # the reduced solve on Hom_A(V/S, K); all must give the canonical
-        # kernel of the full system
+        # points whose b_0 is cyclic take the Krylov shortcut, with no
+        # elimination; the other controllable points the exact ctrl kernel,
+        # observable ones the obs kernel, and the others the reduced solve
+        # on Hom_A(V/S, K); all must give the canonical kernel of the full
+        # system
         from eadjoint.invariants import (
             _controllability,
             _integer_rescaled_point,
@@ -179,22 +183,45 @@ class TestKalmanCertificate:
                 w = block_sum(w, v)
             g = random_invertible(rng, w.n).scale(Fraction(1, rng.randint(2, 9)))
             points += [w, group_action(g, w)]
+        # B's first column zero, g-moved or not: b_0 = 0 is never cyclic,
+        # but the other columns of B mostly make the point controllable
+        for _ in range(20):
+            n, p, q = rng.randint(1, 4), rng.randint(2, 3), rng.randint(1, 3)
+            b = [[0] + row[1:] for row in random_matrix(rng, n, p).to_rows()]
+            w = Point(RM(b), random_matrix(rng, q, n), (random_matrix(rng, n, n),))
+            g = random_invertible(rng, n).scale(Fraction(1, rng.randint(2, 9)))
+            points += [w, group_action(g, w)]
         # C_k points at n = 8 and 10 against the full (n^2 + 2n + 2n) x n^2 system
         points += [sample_component(n, 2, 2, k, seed=n) for n, k in ((8, 3), (10, 5))]
         built = []
         real = orbits._hom_equations
         monkeypatch.setattr(orbits, "_hom_equations",
                             lambda *args: built.append(1) or real(*args))
-        paths = {"controllable": 0, "observable": 0, "reduced": 0, "proper": 0}
+        eliminated, obs_built = [], []
+        rre, obs = _kernels.rre_int, orbits._observability
+        monkeypatch.setattr(_kernels, "rre_int",
+                            lambda *args: eliminated.append(1) or rre(*args))
+        monkeypatch.setattr(orbits, "_observability",
+                            lambda *args: obs_built.append(1) or obs(*args))
+        paths = {"cyclic b0": 0, "controllable, b0 not cyclic": 0, "observable": 0,
+                 "reduced": 0, "proper": 0}
         for w in points:
             wi = _integer_rescaled_point(w)[0]
             s = _controllability(wi.A, wi.B).rank()
             kappa = w.n - _observability(wi.A, wi.C).rank()
-            path = ("controllable" if controllable(wi)
+            b0 = Point(RationalMatrix.column(wi.B.col_list(0)), wi.C, wi.A_list)
+            path = ("cyclic b0" if controllable(b0)
+                    else "controllable, b0 not cyclic" if controllable(wi)
                     else "observable" if kappa == 0 else "reduced")
-            del built[:]
+            del built[:], eliminated[:], obs_built[:]
             rep = stabilizer(w)
             assert len(built) == (path == "reduced")
+            if path == "cyclic b0":
+                assert not eliminated and not obs_built
+            elif path == "controllable, b0 not cyclic":
+                assert len(eliminated) == 1 and not obs_built
+            else:
+                assert len(eliminated) >= 2 and len(obs_built) == 1
             exact = kernel_subspace(RM(action_equations(w)))
             assert rep.kernel_basis.basis == exact.basis and rep.stab_dim == exact.dim
             assert rep.stab_dim + rep.orbit_dim == w.n ** 2
@@ -202,7 +229,8 @@ class TestKalmanCertificate:
                 assert exact.dim == 0
             paths[path] += 1
             paths["proper"] += path == "reduced" and 0 < s and kappa < w.n
-        minimum = {"controllable": 50, "observable": 50, "reduced": 30, "proper": 25}
+        minimum = {"cyclic b0": 50, "controllable, b0 not cyclic": 25,
+                   "observable": 50, "reduced": 30, "proper": 25}
         assert all(paths[path] >= minimum[path] for path in paths), paths
 
     def test_controllable_points_build_no_system(self, monkeypatch):
@@ -214,7 +242,7 @@ class TestKalmanCertificate:
         controllable = Point(RM([[2], [3]]), RM([[0, 0]]), a)
         observable = Point(RM([[0], [0]]), RM([[5, 7]]), a)
         assert stabilizer(observable).stab_dim == 0
-        with monkeypatch.context() as m:  # the mod-p rank decides, no elimination
+        with monkeypatch.context() as m:  # K(b_0) mod p decides, no elimination
             m.setattr(_kernels, "rre_int", built)
             assert stabilizer(controllable).stab_dim == 0
         with pytest.raises(AssertionError, match="system built"):  # the reduced path
@@ -258,6 +286,38 @@ class TestClosedFormStabilizer:
                             (on_v[m - 1] - on_v[m]) * (on_k[m - 1] - on_k[m])
                             for m in range(1, n + 1))
         assert nonzero >= 30 and on_v_wrong >= 30, (nonzero, on_v_wrong)
+
+    def test_jordan_types_on_v_mod_s_and_on_k_are_orbit_invariants(self):
+        # c_m(V/S) and c_m(K), the Jordan counts of A on the quotient by the
+        # A-span of im B and on the largest A-invariant subspace of ker C,
+        # are equal at w and at g.w on C_k samples and pinned witnesses,
+        # n <= 6.  Read with g.w's A but w's own S and K, they change on
+        # some points: the counts see the subspaces move with g
+        from eadjoint.nullcone import pinned_row_witness, sample_component
+
+        def jordan_counts(a, s_rows, k_rows):
+            on_q = image_dims_on_quotient(a, s_rows)
+            on_k = image_dims_on_kernel(a, k_rows)
+            return [(on_q[m - 1] - on_q[m], on_k[m - 1] - on_k[m])
+                    for m in range(1, a.rows + 1)]
+
+        def subspace_rows(w):
+            return (controllability_blocks(w.A, w.B).T.to_rows(),
+                    observability_blocks(w.A, w.C).to_rows())
+
+        rng = random.Random(89)
+        points = mixed = 0
+        for n in range(1, 7):
+            for p, q in ((1, 1), (1, 3), (2, 2), (3, 1)):
+                k = rng.randint(0, n)
+                for w in (sample_component(n, p, q, k, rng.randrange(2**32)),
+                          pinned_row_witness(n, p, q, k, seed=rng.randrange(100))):
+                    moved = random_move(rng, w, 3)
+                    counts = jordan_counts(w.A, *subspace_rows(w))
+                    assert jordan_counts(moved.A, *subspace_rows(moved)) == counts
+                    mixed += jordan_counts(moved.A, *subspace_rows(w)) != counts
+                    points += 1
+        assert points == 48 and mixed >= 10, (points, mixed)
 
 
 def kronecker_system(w):
