@@ -22,6 +22,28 @@ class TestSuiteRegistry:
             "psi",
         )
 
+    def test_every_check_has_cells_in_exactly_one_suite(self):
+        # a check named in _RUNNERS but in no suite, or in two, is a table
+        # out of step; so is a one-trial check no suite runs
+        checks = {f for name, f in vars(verify).items()
+                  if name.startswith("_cell_") and name != "_cell_seed"}
+        assert set(verify._RUNNERS.values()) == checks
+        suites_of = {runner: set() for runner in verify._RUNNERS}
+        for suite in SUITE_NAMES:
+            cells = suite_cells(suite)
+            for runner, _, _ in cells:
+                suites_of[runner].add(suite)
+            labels = [label for _, label, _ in cells]
+            assert len(set(labels)) == len(labels), suite
+        assert all(len(suites) == 1 for suites in suites_of.values()), suites_of
+
+    def test_one_shot_cells_carry_no_trials(self):
+        one_shot = {"nullcone-classes", "nullcone-summary", "psi-demo"}
+        for suite in SUITE_NAMES:
+            for trials in (None, 1, 7):
+                for runner, label, params in suite_cells(suite, trials):
+                    assert ("trials" in params) != (runner in one_shot), label
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             suite_cells("bogus")
