@@ -109,7 +109,8 @@ class Point:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Point":
-        """Parse a point; n, p, q or r above ``MAX_SIZE`` is rejected first."""
+        """Parse a point; n, p, q or r above ``MAX_SIZE`` is rejected first.
+        A declared n, p, q or r must be a JSON integer equal to the shape."""
         if not isinstance(obj, dict):
             raise ValueError("point must be a JSON object")
         try:
@@ -127,7 +128,11 @@ class Point:
         except (KeyError, TypeError, IndexError, ShapeError) as exc:
             raise ValueError(f"malformed point: {exc}") from exc
         for key in ("n", "p", "q", "r"):
-            if key in obj and obj[key] != getattr(pt, key):
+            if key not in obj:
+                continue
+            if type(obj[key]) is not int:  # true and 1.0 equal 1 but are no integers
+                raise ValueError(f"declared {key} must be a JSON integer")
+            if obj[key] != getattr(pt, key):
                 raise ValueError(f"declared {key} does not match matrix shapes")
         return pt
 
@@ -402,6 +407,8 @@ def _krylov_has_rank_n(a, n, v, on_left=False) -> bool:
     previous vector, so a is never transposed; the rows ranked are
     (a^m v)^T, row m p of ``_controllability`` for v the column 0 of its
     b, or v a^m, row m q of ``_observability`` for v the row 0 of its c.
+    For any v in im b (row span of c) rank n proves that ctrl (obs) has
+    rank n.
     """
     rows = [v]
     for _ in range(1, n):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import NotAMemberError, OutOfRangeError
 from .invariants import (
@@ -321,161 +320,70 @@ def _cell_psi_demo(rng, trial, n, p, q):
     return None
 
 
-_RUNNERS = {
-    "invariance": _cell_invariance,
-    "jacobian": _cell_jacobian,
-    "stabilizer-witness": _cell_stabilizer_witness,
-    "nullcone-classes": _cell_nullcone_classes,
-    "nullcone-equivalence": _cell_nullcone_equivalence,
-    "nullcone-tangent": _cell_nullcone_tangent,
-    "nullcone-summary": _cell_nullcone_summary,
-    "classifier": _cell_classifier,
-    "certificates": _cell_certificates,
-    "reconstruction-roundtrip": _cell_reconstruction_roundtrip,
-    "reconstruction-regular": _cell_reconstruction_regular,
-    "reconstruction-coregular": _cell_reconstruction_coregular,
-    "sl-relation": _cell_sl_relation,
-    "psi-symmetry": _cell_psi_symmetry,
-    "psi-demo": _cell_psi_demo,
-}
-
-
 # ---------------------------------------------------------------------------
-# cell builders
+# the suites: rows of (runner, check, label format, parameter grid, default
+# trials), one cell per grid entry; a default of None marks a one-shot cell,
+# which runs once whatever ``trials`` says
 
+_PQ = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
+_NPQ = [{"n": n, "p": p, "q": q} for n in range(1, 5) for p, q in _PQ]
+# one cell per component C_k, n <= 4
+_NPQK = [{"n": n, "p": p, "q": q, "k": k}
+         for n in range(1, 5) for p, q in _PQ for k in range(n + 1)]
 
-def _grid(ns, ps=(1, 2, 3), qs=(1, 2, 3)):
-    for n in ns:
-        for p in ps:
-            for q in qs:
-                yield n, p, q
-
-
-def _cells_invariance(trials):
-    trials = 200 if trials is None else trials
-    for n, p, q in _grid(range(1, 5)):
-        for r in (1, 2):
-            yield (
-                "invariance",
-                f"n={n} p={p} q={q} r={r}",
-                {"n": n, "p": p, "q": q, "r": r, "trials": trials},
-            )
-
-
-def _cells_jacobian(trials):
-    trials = 200 if trials is None else trials
-    for n, p, q in _grid(range(1, 5)):
-        yield (
-            "jacobian",
-            f"n={n} p={p} q={q}",
-            {"n": n, "p": p, "q": q, "trials": trials},
-        )
-
-
-def _cells_stabilizer(trials):
-    trials = 3 if trials is None else trials
-    for n, p, q in _grid(range(1, 7)):
-        for k in range(n + 1):
-            yield (
-                "stabilizer-witness",
-                f"witness n={n} p={p} q={q} k={k}",
-                {"n": n, "p": p, "q": q, "k": k, "trials": trials},
-            )
-
-
-def _cells_nullcone(trials):
-    eq_trials = 125 if trials is None else trials
-    tangent_trials = 20 if trials is None else trials
-    for n in range(1, 6):
-        yield ("nullcone-classes", f"classes n={n}", {"n": n})
-    for n in range(1, 5):
-        yield (
-            "nullcone-equivalence",
-            f"equivalence n={n}",
-            {"n": n, "trials": eq_trials},
-        )
-    for n, p, q in _grid((2, 3, 4)):
-        for k in range(n + 1):
-            yield (
-                "nullcone-tangent",
-                f"tangent n={n} p={p} q={q} k={k}",
-                {"n": n, "p": p, "q": q, "k": k, "trials": tangent_trials},
-            )
-    for n, p, q in _grid(range(1, 7)):
-        yield (
-            "nullcone-summary",
-            f"summary n={n} p={p} q={q}",
-            {"n": n, "p": p, "q": q},
-        )
-
-
-def _cells_components(runner, trials):
-    """One cell per component C_k, n <= 4, for the classifier and the
-    certificates suites."""
-    trials = 1000 if trials is None else trials
-    for n, p, q in _grid(range(1, 5)):
-        for k in range(n + 1):
-            yield (
-                runner,
-                f"n={n} p={p} q={q} k={k}",
-                {"n": n, "p": p, "q": q, "k": k, "trials": trials},
-            )
-
-
-def _cells_reconstruction(trials):
-    round_trials = 200 if trials is None else trials
-    regular_trials = 20 if trials is None else trials
-    for n, p, q in _grid(range(1, 6)):
-        yield (
-            "reconstruction-roundtrip",
-            f"roundtrip n={n} p={p} q={q}",
-            {"n": n, "p": p, "q": q, "trials": round_trials},
-        )
-    for n, p, q in _grid(range(1, 5)):
-        yield (
-            "reconstruction-regular",
-            f"regular n={n} p={p} q={q}",
-            {"n": n, "p": p, "q": q, "trials": regular_trials},
-        )
-    for n, p, q in _grid(range(1, 5)):
-        yield (
-            "reconstruction-coregular",
-            f"coregular n={n} p={p} q={q}",
-            {"n": n, "p": p, "q": q, "trials": regular_trials},
-        )
-
-
-def _cells_sl_relation(trials):
-    trials = 100 if trials is None else trials
-    for n in range(1, 5):
-        yield ("sl-relation", f"n={n}", {"n": n, "trials": trials})
-
-
-def _cells_psi(trials):
-    trials = 25 if trials is None else trials
-    for n in (2, 3, 4):
-        for p, q in ((1, 1), (2, 3), (3, 2)):
-            yield (
-                "psi-symmetry",
-                f"symmetry n={n} p={p} q={q}",
-                {"n": n, "p": p, "q": q, "trials": trials},
-            )
-    for n, p, q in ((2, 1, 1), (3, 2, 2)):
-        yield ("psi-demo", f"demo n={n}", {"n": n, "p": p, "q": q})
-
-
-_BUILDERS = {
-    "invariance": _cells_invariance,
-    "jacobian": _cells_jacobian,
-    "stabilizer": _cells_stabilizer,
-    "nullcone": _cells_nullcone,
-    "classifier": partial(_cells_components, "classifier"),
-    "certificates": partial(_cells_components, "certificates"),
-    "reconstruction": _cells_reconstruction,
-    "sl-relation": _cells_sl_relation,
-    "psi": _cells_psi,
+_SUITES = {
+    "invariance": [
+        ("invariance", _cell_invariance, "n={n} p={p} q={q} r={r}",
+         [{"n": n, "p": p, "q": q, "r": r}
+          for n in range(1, 5) for p, q in _PQ for r in (1, 2)], 200),
+    ],
+    "jacobian": [
+        ("jacobian", _cell_jacobian, "n={n} p={p} q={q}", _NPQ, 200),
+    ],
+    "stabilizer": [
+        ("stabilizer-witness", _cell_stabilizer_witness, "witness n={n} p={p} q={q} k={k}",
+         [{"n": n, "p": p, "q": q, "k": k}
+          for n in range(1, 7) for p, q in _PQ for k in range(n + 1)], 3),
+    ],
+    "nullcone": [
+        ("nullcone-classes", _cell_nullcone_classes, "classes n={n}",
+         [{"n": n} for n in range(1, 6)], None),
+        ("nullcone-equivalence", _cell_nullcone_equivalence, "equivalence n={n}",
+         [{"n": n} for n in range(1, 5)], 125),
+        ("nullcone-tangent", _cell_nullcone_tangent, "tangent n={n} p={p} q={q} k={k}",
+         [{"n": n, "p": p, "q": q, "k": k}
+          for n in (2, 3, 4) for p, q in _PQ for k in range(n + 1)], 20),
+        ("nullcone-summary", _cell_nullcone_summary, "summary n={n} p={p} q={q}",
+         [{"n": n, "p": p, "q": q} for n in range(1, 7) for p, q in _PQ], None),
+    ],
+    "classifier": [
+        ("classifier", _cell_classifier, "n={n} p={p} q={q} k={k}", _NPQK, 1000),
+    ],
+    "certificates": [
+        ("certificates", _cell_certificates, "n={n} p={p} q={q} k={k}", _NPQK, 1000),
+    ],
+    "reconstruction": [
+        ("reconstruction-roundtrip", _cell_reconstruction_roundtrip,
+         "roundtrip n={n} p={p} q={q}",
+         [{"n": n, "p": p, "q": q} for n in range(1, 6) for p, q in _PQ], 200),
+        ("reconstruction-regular", _cell_reconstruction_regular,
+         "regular n={n} p={p} q={q}", _NPQ, 20),
+        ("reconstruction-coregular", _cell_reconstruction_coregular,
+         "coregular n={n} p={p} q={q}", _NPQ, 20),
+    ],
+    "sl-relation": [
+        ("sl-relation", _cell_sl_relation, "n={n}", [{"n": n} for n in range(1, 5)], 100),
+    ],
+    "psi": [
+        ("psi-symmetry", _cell_psi_symmetry, "symmetry n={n} p={p} q={q}",
+         [{"n": n, "p": p, "q": q}
+          for n in (2, 3, 4) for p, q in ((1, 1), (2, 3), (3, 2))], 25),
+        ("psi-demo", _cell_psi_demo, "demo n={n}",
+         [{"n": 2, "p": 1, "q": 1}, {"n": 3, "p": 2, "q": 2}], None),
+    ],
 }
-SUITE_NAMES = tuple(_BUILDERS)
+SUITE_NAMES = tuple(_SUITES)
+_RUNNERS = {row[0]: row[1] for rows in _SUITES.values() for row in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +427,18 @@ def _run_task(task):
 
 
 def suite_cells(name, trials=None):
-    """The (runner, label, params) cells of a suite; ``trials`` overrides
-    every per-cell trial count and must lie in 1..``MAX_TRIALS``."""
+    """The (runner, label, params) cells of a suite, read off ``_SUITES``;
+    ``trials`` overrides the default trial count of every cell but the
+    one-shot ones and must lie in 1..``MAX_TRIALS``."""
     if trials is not None and not 1 <= trials <= MAX_TRIALS:
         raise OutOfRangeError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
-    if name not in _BUILDERS:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return list(_BUILDERS[name](trials))
+    cells = []
+    for runner, _, label, grid, default in _SUITES[name]:
+        extra = {} if default is None else {"trials": default if trials is None else trials}
+        cells += [(runner, label.format(**cell), {**cell, **extra}) for cell in grid]
+    return cells
 
 
 def run_suite(name, seed=0, trials=None, jobs=1) -> VerifyReport:

@@ -266,6 +266,16 @@ class TestReconstructAndClassify:
             assert code == 2
             assert json.loads(out)["error"] == "malformed_input"
 
+    def test_declared_sizes_must_be_json_integers(self, capsys, monkeypatch):
+        # the point has n = 2, p = q = r = 1; true == 1 and 2.0 == 2 in
+        # Python, so a comparison alone would accept these
+        for key, bad in (("n", 2.0), ("p", True), ("q", 1.0), ("r", True), ("r", 1.0)):
+            point = dict(DIAG_POINT_JSON, **{key: bad})
+            code, out = run_cli(capsys, ["classify"], point, monkeypatch)
+            assert (code, json.loads(out)["error"]) == (2, "malformed_input"), (key, bad)
+        code, out = run_cli(capsys, ["classify"], DIAG_POINT_JSON, monkeypatch)
+        assert code == 0
+
     def test_t_and_gamma_must_be_lists(self, capsys, monkeypatch):
         # a string or an object t would otherwise be iterated as a spectrum
         for req in (
