@@ -322,64 +322,73 @@ def _cell_psi_demo(rng, trial, n, p, q):
 
 # ---------------------------------------------------------------------------
 # the suites: rows of (runner, check, label format, parameter grid, default
-# trials), one cell per grid entry; a default of None marks a one-shot cell,
-# which runs once whatever ``trials`` says
+# trials), one cell per grid entry.  A grid is a function yielding the cells'
+# parameters, so that no cell is built before a suite is asked for.  A
+# default of None marks a one-shot cell, which runs once whatever ``trials``
+# says.
 
 _PQ = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
-_NPQ = [{"n": n, "p": p, "q": q} for n in range(1, 5) for p, q in _PQ]
-# one cell per component C_k, n <= 4
-_NPQK = [{"n": n, "p": p, "q": q, "k": k}
-         for n in range(1, 5) for p, q in _PQ for k in range(n + 1)]
+
+
+def _npq():
+    return ({"n": n, "p": p, "q": q} for n in range(1, 5) for p, q in _PQ)
+
+
+def _npqk():
+    """One cell per component C_k, n <= 4."""
+    return ({"n": n, "p": p, "q": q, "k": k}
+            for n in range(1, 5) for p, q in _PQ for k in range(n + 1))
+
 
 _SUITES = {
     "invariance": [
         ("invariance", _cell_invariance, "n={n} p={p} q={q} r={r}",
-         [{"n": n, "p": p, "q": q, "r": r}
-          for n in range(1, 5) for p, q in _PQ for r in (1, 2)], 200),
+         lambda: ({"n": n, "p": p, "q": q, "r": r}
+                  for n in range(1, 5) for p, q in _PQ for r in (1, 2)), 200),
     ],
     "jacobian": [
-        ("jacobian", _cell_jacobian, "n={n} p={p} q={q}", _NPQ, 200),
+        ("jacobian", _cell_jacobian, "n={n} p={p} q={q}", _npq, 200),
     ],
     "stabilizer": [
         ("stabilizer-witness", _cell_stabilizer_witness, "witness n={n} p={p} q={q} k={k}",
-         [{"n": n, "p": p, "q": q, "k": k}
-          for n in range(1, 7) for p, q in _PQ for k in range(n + 1)], 3),
+         lambda: ({"n": n, "p": p, "q": q, "k": k}
+                  for n in range(1, 7) for p, q in _PQ for k in range(n + 1)), 3),
     ],
     "nullcone": [
         ("nullcone-classes", _cell_nullcone_classes, "classes n={n}",
-         [{"n": n} for n in range(1, 6)], None),
+         lambda: ({"n": n} for n in range(1, 6)), None),
         ("nullcone-equivalence", _cell_nullcone_equivalence, "equivalence n={n}",
-         [{"n": n} for n in range(1, 5)], 125),
+         lambda: ({"n": n} for n in range(1, 5)), 125),
         ("nullcone-tangent", _cell_nullcone_tangent, "tangent n={n} p={p} q={q} k={k}",
-         [{"n": n, "p": p, "q": q, "k": k}
-          for n in (2, 3, 4) for p, q in _PQ for k in range(n + 1)], 20),
+         lambda: ({"n": n, "p": p, "q": q, "k": k}
+                  for n in (2, 3, 4) for p, q in _PQ for k in range(n + 1)), 20),
         ("nullcone-summary", _cell_nullcone_summary, "summary n={n} p={p} q={q}",
-         [{"n": n, "p": p, "q": q} for n in range(1, 7) for p, q in _PQ], None),
+         lambda: ({"n": n, "p": p, "q": q} for n in range(1, 7) for p, q in _PQ), None),
     ],
     "classifier": [
-        ("classifier", _cell_classifier, "n={n} p={p} q={q} k={k}", _NPQK, 1000),
+        ("classifier", _cell_classifier, "n={n} p={p} q={q} k={k}", _npqk, 1000),
     ],
     "certificates": [
-        ("certificates", _cell_certificates, "n={n} p={p} q={q} k={k}", _NPQK, 1000),
+        ("certificates", _cell_certificates, "n={n} p={p} q={q} k={k}", _npqk, 1000),
     ],
     "reconstruction": [
         ("reconstruction-roundtrip", _cell_reconstruction_roundtrip,
          "roundtrip n={n} p={p} q={q}",
-         [{"n": n, "p": p, "q": q} for n in range(1, 6) for p, q in _PQ], 200),
+         lambda: ({"n": n, "p": p, "q": q} for n in range(1, 6) for p, q in _PQ), 200),
         ("reconstruction-regular", _cell_reconstruction_regular,
-         "regular n={n} p={p} q={q}", _NPQ, 20),
+         "regular n={n} p={p} q={q}", _npq, 20),
         ("reconstruction-coregular", _cell_reconstruction_coregular,
-         "coregular n={n} p={p} q={q}", _NPQ, 20),
+         "coregular n={n} p={p} q={q}", _npq, 20),
     ],
     "sl-relation": [
-        ("sl-relation", _cell_sl_relation, "n={n}", [{"n": n} for n in range(1, 5)], 100),
+        ("sl-relation", _cell_sl_relation, "n={n}", lambda: ({"n": n} for n in range(1, 5)), 100),
     ],
     "psi": [
         ("psi-symmetry", _cell_psi_symmetry, "symmetry n={n} p={p} q={q}",
-         [{"n": n, "p": p, "q": q}
-          for n in (2, 3, 4) for p, q in ((1, 1), (2, 3), (3, 2))], 25),
+         lambda: ({"n": n, "p": p, "q": q}
+                  for n in (2, 3, 4) for p, q in ((1, 1), (2, 3), (3, 2))), 25),
         ("psi-demo", _cell_psi_demo, "demo n={n}",
-         [{"n": 2, "p": 1, "q": 1}, {"n": 3, "p": 2, "q": 2}], None),
+         lambda: ({"n": 2, "p": 1, "q": 1}, {"n": 3, "p": 2, "q": 2}), None),
     ],
 }
 SUITE_NAMES = tuple(_SUITES)
@@ -437,7 +446,7 @@ def suite_cells(name, trials=None):
     cells = []
     for runner, _, label, grid, default in _SUITES[name]:
         extra = {} if default is None else {"trials": default if trials is None else trials}
-        cells += [(runner, label.format(**cell), {**cell, **extra}) for cell in grid]
+        cells += [(runner, label.format(**cell), {**cell, **extra}) for cell in grid()]
     return cells
 
 
