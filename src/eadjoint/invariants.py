@@ -407,8 +407,6 @@ def _krylov_has_rank_n(a, n, v, on_left=False) -> bool:
     previous vector, so a is never transposed; the rows ranked are
     (a^m v)^T, row m p of ``_controllability`` for v the column 0 of its
     b, or v a^m, row m q of ``_observability`` for v the row 0 of its c.
-    For any v in im b (row span of c) rank n proves that ctrl (obs) has
-    rank n.
     """
     rows = [v]
     for _ in range(1, n):

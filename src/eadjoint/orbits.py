@@ -72,13 +72,11 @@ def stabilizer(w: Point) -> StabilizerReport:
     basis of K and the rows n_b of N span the kernel of ctrl, and
     XB = 0, CX = 0 hold for every Y: the stabilizer is Hom_A(V/S, K).  It
     is zero, with neither ctrl nor obs built, when the Krylov matrix
-    [v, A v, ..., A^{n-1} v] of v = B (1, ..., 1), the row sums of B, has
-    rank n mod ``PRIME`` (``_krylov_has_rank_n``): v lies in im B, so then
-    S = V.  For generic B that holds whenever A is cyclic; it never holds
-    for a derogatory A (A scalar, n >= 2).  Otherwise ctrl is built, and
-    the stabilizer is zero when N is empty (S = V: ctrl has rank n over Q
-    although v is not cyclic); then obs is built, and it is zero when P is
-    empty (K = 0).  Otherwise the dim K (n - dim S) unknowns
+    [b_0, A b_0, ..., A^{n-1} b_0] of the first column of B has rank n mod
+    ``PRIME`` (``_krylov_has_rank_n``): then S = V.  Otherwise ctrl is
+    built, and the stabilizer is zero when N is empty (S = V: ctrl has rank
+    n over Q although b_0 is not cyclic); then obs is built, and it is
+    zero when P is empty (K = 0).  Otherwise the dim K (n - dim S) unknowns
     y_ab solve ``_hom_equations``, and each solution is mapped back to
     vec(P Y N) and spanned canonically.
 
@@ -88,9 +86,9 @@ def stabilizer(w: Point) -> StabilizerReport:
     defining equations by matrix products.
     """
     wi = _integer_rescaled_point(w)[0]
-    n, p, b = w.n, w.p, wi.B.entries
+    n = w.n
     zero = StabilizerReport(0, n * n, Subspace.zero(n * n))
-    if _krylov_has_rank_n(wi.A.entries, n, [sum(b[i * p : (i + 1) * p]) for i in range(n)]):
+    if _krylov_has_rank_n(wi.A.entries, n, wi.B.entries[:: w.p]):
         return zero
     ns = _kernel_vectors(_controllability(wi.A, wi.B).to_rows(), n)
     if not ns:
@@ -102,10 +100,10 @@ def stabilizer(w: Point) -> StabilizerReport:
     ker = _span(n * n, [_hom_matrix(ps, ns, y) for y in ys])
     if ker.dim != len(ys):
         raise AssertionError("stabilizer solutions lost rank when mapped back")
-    a, c = wi.A.entries, wi.C.entries
+    a, b, c = wi.A.entries, wi.B.entries, wi.C.entries
     for x in ker._rows:
         if (
-            any(_k.mat_mul(x, n, n, b, p))
+            any(_k.mat_mul(x, n, n, b, w.p))
             or any(_k.mat_mul(c, w.q, n, x, n))
             or _k.mat_mul(x, n, n, a, n) != _k.mat_mul(a, n, n, x, n)
         ):

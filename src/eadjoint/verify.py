@@ -321,78 +321,74 @@ def _cell_psi_demo(rng, trial, n, p, q):
 
 
 # ---------------------------------------------------------------------------
-# the suites: rows of (runner, check, label format, parameter grid, default
-# trials), one cell per grid entry.  A grid is a function yielding the cells'
+# the suites: rows of (check, label format, parameter grid, default
+# trials), one cell per grid entry.  A check ``_cell_psi_demo`` runs under
+# the runner name ``psi-demo``.  A grid is a function yielding the cells'
 # parameters, so that no cell is built before a suite is asked for.  A
-# default of None marks a one-shot cell, which runs once whatever ``trials``
-# says.
+# default of None marks a one-shot cell, which runs once whatever
+# ``trials`` says.
 
 _PQ = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
 
 
-def _npq():
-    return ({"n": n, "p": p, "q": q} for n in range(1, 5) for p, q in _PQ)
+def _npq(ns=range(1, 5)):
+    return ({"n": n, "p": p, "q": q} for n in ns for p, q in _PQ)
 
 
-def _npqk():
-    """One cell per component C_k, n <= 4."""
+def _npqk(ns=range(1, 5)):
+    """One cell per component C_k."""
     return ({"n": n, "p": p, "q": q, "k": k}
-            for n in range(1, 5) for p, q in _PQ for k in range(n + 1))
+            for n in ns for p, q in _PQ for k in range(n + 1))
+
+
+def _ns(ns):
+    return lambda: ({"n": n} for n in ns)
 
 
 _SUITES = {
     "invariance": [
-        ("invariance", _cell_invariance, "n={n} p={p} q={q} r={r}",
+        (_cell_invariance, "n={n} p={p} q={q} r={r}",
          lambda: ({"n": n, "p": p, "q": q, "r": r}
                   for n in range(1, 5) for p, q in _PQ for r in (1, 2)), 200),
     ],
-    "jacobian": [
-        ("jacobian", _cell_jacobian, "n={n} p={p} q={q}", _npq, 200),
-    ],
+    "jacobian": [(_cell_jacobian, "n={n} p={p} q={q}", _npq, 200)],
     "stabilizer": [
-        ("stabilizer-witness", _cell_stabilizer_witness, "witness n={n} p={p} q={q} k={k}",
-         lambda: ({"n": n, "p": p, "q": q, "k": k}
-                  for n in range(1, 7) for p, q in _PQ for k in range(n + 1)), 3),
+        (_cell_stabilizer_witness, "witness n={n} p={p} q={q} k={k}",
+         lambda: _npqk(range(1, 7)), 3),
     ],
     "nullcone": [
-        ("nullcone-classes", _cell_nullcone_classes, "classes n={n}",
-         lambda: ({"n": n} for n in range(1, 6)), None),
-        ("nullcone-equivalence", _cell_nullcone_equivalence, "equivalence n={n}",
-         lambda: ({"n": n} for n in range(1, 5)), 125),
-        ("nullcone-tangent", _cell_nullcone_tangent, "tangent n={n} p={p} q={q} k={k}",
-         lambda: ({"n": n, "p": p, "q": q, "k": k}
-                  for n in (2, 3, 4) for p, q in _PQ for k in range(n + 1)), 20),
-        ("nullcone-summary", _cell_nullcone_summary, "summary n={n} p={p} q={q}",
-         lambda: ({"n": n, "p": p, "q": q} for n in range(1, 7) for p, q in _PQ), None),
+        (_cell_nullcone_classes, "classes n={n}", _ns(range(1, 6)), None),
+        (_cell_nullcone_equivalence, "equivalence n={n}", _ns(range(1, 5)), 125),
+        (_cell_nullcone_tangent, "tangent n={n} p={p} q={q} k={k}",
+         lambda: _npqk((2, 3, 4)), 20),
+        (_cell_nullcone_summary, "summary n={n} p={p} q={q}",
+         lambda: _npq(range(1, 7)), None),
     ],
-    "classifier": [
-        ("classifier", _cell_classifier, "n={n} p={p} q={q} k={k}", _npqk, 1000),
-    ],
-    "certificates": [
-        ("certificates", _cell_certificates, "n={n} p={p} q={q} k={k}", _npqk, 1000),
-    ],
+    "classifier": [(_cell_classifier, "n={n} p={p} q={q} k={k}", _npqk, 1000)],
+    "certificates": [(_cell_certificates, "n={n} p={p} q={q} k={k}", _npqk, 1000)],
     "reconstruction": [
-        ("reconstruction-roundtrip", _cell_reconstruction_roundtrip,
-         "roundtrip n={n} p={p} q={q}",
-         lambda: ({"n": n, "p": p, "q": q} for n in range(1, 6) for p, q in _PQ), 200),
-        ("reconstruction-regular", _cell_reconstruction_regular,
-         "regular n={n} p={p} q={q}", _npq, 20),
-        ("reconstruction-coregular", _cell_reconstruction_coregular,
-         "coregular n={n} p={p} q={q}", _npq, 20),
+        (_cell_reconstruction_roundtrip, "roundtrip n={n} p={p} q={q}",
+         lambda: _npq(range(1, 6)), 200),
+        (_cell_reconstruction_regular, "regular n={n} p={p} q={q}", _npq, 20),
+        (_cell_reconstruction_coregular, "coregular n={n} p={p} q={q}", _npq, 20),
     ],
-    "sl-relation": [
-        ("sl-relation", _cell_sl_relation, "n={n}", lambda: ({"n": n} for n in range(1, 5)), 100),
-    ],
+    "sl-relation": [(_cell_sl_relation, "n={n}", _ns(range(1, 5)), 100)],
     "psi": [
-        ("psi-symmetry", _cell_psi_symmetry, "symmetry n={n} p={p} q={q}",
+        (_cell_psi_symmetry, "symmetry n={n} p={p} q={q}",
          lambda: ({"n": n, "p": p, "q": q}
                   for n in (2, 3, 4) for p, q in ((1, 1), (2, 3), (3, 2))), 25),
-        ("psi-demo", _cell_psi_demo, "demo n={n}",
+        (_cell_psi_demo, "demo n={n}",
          lambda: ({"n": 2, "p": 1, "q": 1}, {"n": 3, "p": 2, "q": 2}), None),
     ],
 }
 SUITE_NAMES = tuple(_SUITES)
-_RUNNERS = {row[0]: row[1] for rows in _SUITES.values() for row in rows}
+
+
+def _runner(check):
+    return check.__name__.removeprefix("_cell_").replace("_", "-")
+
+
+_RUNNERS = {_runner(row[0]): row[0] for rows in _SUITES.values() for row in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +440,13 @@ def suite_cells(name, trials=None):
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     cells = []
-    for runner, _, label, grid, default in _SUITES[name]:
-        extra = {} if default is None else {"trials": default if trials is None else trials}
-        cells += [(runner, label.format(**cell), {**cell, **extra}) for cell in grid()]
+    for check, label, grid, default in _SUITES[name]:
+        runner = _runner(check)
+        for cell in grid():
+            text = label.format_map(cell)
+            if default is not None:
+                cell["trials"] = default if trials is None else trials
+            cells.append((runner, text, cell))
     return cells
 
 

@@ -1021,10 +1021,9 @@ class TestJacobianRankCertificate:
 
 
 class TestKrylovShortcut:
-    """jacobian_rank decides a point whose b_0 (and, with p >= 2, c_0) is
-    cyclic, and stabilizer one whose v = B (1, ..., 1) is cyclic, from those
-    Krylov matrices alone; obs, ctrl and J are built only where a later
-    step reads them."""
+    """jacobian_rank and stabilizer decide a point whose b_0 (and, for the
+    Jacobian with p >= 2, c_0) is cyclic from those Krylov matrices alone;
+    obs, ctrl and J are built only where a later step reads them."""
 
     BUILDERS = (
         (invariants, "_observability"), (invariants, "_controllability"),
@@ -1041,17 +1040,15 @@ class TestKrylovShortcut:
         return spies
 
     def test_generic_points_build_no_kalman_matrix(self, monkeypatch):
-        # where the Krylov matrix of b_0 (with p >= 2 also that of c_0,
-        # Fraction products here) has rank n, which is almost every generic
-        # point, jacobian_rank builds nothing; else, as on every b_0 = 0
-        # and scalar-A (n >= 2) point, it builds obs, ctrl and J.  Where
-        # the Krylov matrix of v has rank n, which b_0 = 0 does not
-        # prevent, stabilizer builds nothing; else, as on every scalar-A
-        # (n >= 2) point, it builds ctrl, then obs exactly when ctrl has
-        # rank below n
+        # where the Krylov matrix of b_0 (for the Jacobian with p >= 2 also
+        # that of c_0, Fraction products here) has rank n, which is almost
+        # every generic point, no builder runs in either function.  Else,
+        # as on every b_0 = 0 and scalar-A (n >= 2) point: jacobian_rank
+        # builds obs, ctrl and J, and stabilizer builds ctrl, then obs
+        # exactly when ctrl has rank below n
         spies = self.spies(monkeypatch)
-        counts = {"generic, nothing built": 0, "b0 = 0, v cyclic": 0,
-                  "v not cyclic": 0, "stabilizer builds obs": 0}
+        counts = {"generic, nothing built": 0, "b0 not cyclic": 0,
+                  "stabilizer builds obs": 0}
         for family, w in split_points(random.Random(88)):
             if family not in ("generic", "b0 = 0", "scalar A") or (
                     family == "scalar A" and w.n == 1):
@@ -1059,8 +1056,7 @@ class TestKrylovShortcut:
             n, p = w.n, w.p
             k = controllability_blocks(w.A, RationalMatrix.column(w.B.col_list(0)))
             o = observability_blocks(w.A, RationalMatrix(1, n, w.C.row_list(0)))
-            v = RationalMatrix.column([sum(row, Fraction(0)) for row in w.B.to_rows()])
-            cyclic, v_cyclic = k.rank() == n, controllability_blocks(w.A, v).rank() == n
+            cyclic = k.rank() == n
             assert not cyclic or family == "generic"
             before = {key: spy.calls for key, spy in spies.items()}
             assert jacobian_rank(w) == exact_jacobian_rank(w)
@@ -1074,16 +1070,15 @@ class TestKrylovShortcut:
             before = {key: spy.calls for key, spy in spies.items()}
             report = stabilizer(w)
             built = {key: spy.calls - before[key] for key, spy in spies.items()}
-            if v_cyclic:
+            if cyclic:
                 assert not any(built.values()), (w, built)
                 assert report.stab_dim == 0
-                counts["generic, nothing built"] += family == "generic" and cyclic
-                counts["b0 = 0, v cyclic"] += family == "b0 = 0"
+                counts["generic, nothing built"] += family == "generic"
             else:
                 full = controllability_blocks(w.A, w.B).rank() == n
                 assert built["orbits", "_controllability"] == 1
                 assert built["orbits", "_observability"] == (not full)
-                counts["v not cyclic"] += 1
+                counts["b0 not cyclic"] += 1
                 counts["stabilizer builds obs"] += not full
         assert min(counts.values()) >= 20, counts
 
