@@ -13,8 +13,16 @@ import json
 import random
 from fractions import Fraction
 
+from eadjoint.errors import NotInNullConeError
 from eadjoint.invariants import Point, group_action
 from eadjoint.linalg import RationalMatrix
+from eadjoint.nullcone import (
+    component_certificates,
+    component_interval,
+    in_null_cone,
+    pinned_row_witness,
+    sample_component,
+)
 from eadjoint.orbits import stabilizer
 from eadjoint.verify import MAX_TRIALS, SUITE_NAMES, suite_cells
 
@@ -84,3 +92,62 @@ def test_stabilizer_reports_are_pinned():
     assert sum(rep["stab_dim"] > 0 for rep in reports) == 202
     assert digest(reports, sort_keys=True) == (
         "52fc99aedf3b00449f53dc8a93506a108c5348881d35eda9543bc9b2f89cadeb")
+
+
+def moved(rng, w):
+    """w moved by a unimodular g scaled by 1/m, so entries turn rational."""
+    g = RationalMatrix.from_rows(unimodular(rng, w.n)).scale(Fraction(1, rng.randint(2, 9)))
+    return group_action(g, w)
+
+
+def nullcone_points(rng, per_family=40):
+    """For every n <= 8, twice with p and q drawn in 1..4:
+    ``sample_component`` and a moved ``pinned_row_witness`` at every k.
+    Then per_family moved points of each of five more families, n <= 8:
+    a U_k point (B in the first k rows, C in the last n - k columns, A
+    strictly upper triangular) with B = 0, with C = 0, with b_0 = 0 or
+    with A = 0, all null; and a point with random entries, not null."""
+    for n in [m for m in range(1, 9) for _ in range(2)]:
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        for k in range(n + 1):
+            yield sample_component(n, p, q, k, rng.randrange(2**32))
+            yield moved(rng, pinned_row_witness(n, p, q, k, seed=rng.randrange(2**32)))
+    for t in range(5 * per_family):
+        family = t % 5
+        n, p, q = rng.randint(1, 8), rng.randint(1, 4), rng.randint(1, 4)
+        k = rng.randint(0, n)
+        b = [ints(rng, p) if i < k else [0] * p for i in range(n)]
+        c = [[rng.randint(-3, 3) if j >= k else 0 for j in range(n)] for _ in range(q)]
+        a = [[rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+        if family == 0:
+            b = [[0] * p for _ in range(n)]
+        elif family == 1:
+            c = [[0] * n for _ in range(q)]
+        elif family == 2:
+            for row in b:
+                row[0] = 0
+        elif family == 3:
+            a = [[0] * n for _ in range(n)]
+        else:
+            b, c, a = ([ints(rng, cols) for _ in range(rows)]
+                       for rows, cols in ((n, p), (q, n), (n, n)))
+        w = Point(RationalMatrix.from_rows(b), RationalMatrix.from_rows(c),
+                  (RationalMatrix.from_rows(a),))
+        yield moved(rng, w)
+
+
+def nullcone_answer(w):
+    try:
+        interval, certs = component_certificates(w)
+        certs = [interval.to_json_obj(), [c.to_json_obj() for _, c in sorted(certs.items())]]
+    except NotInNullConeError:
+        certs = "NotInNullConeError"
+    return [in_null_cone(w), component_interval(w).to_json_obj(), certs]
+
+
+def test_nullcone_answers_are_pinned():
+    answers = [nullcone_answer(w) for w in nullcone_points(random.Random(32))]
+    assert len(answers) == 376
+    assert sum(not a[0] for a in answers) == 40
+    assert digest(answers) == (
+        "4da32fccb72ef79b3fc1abb0a3f4cb9b0dd5916d82e0a9fb0840c8822fe63947")
