@@ -696,6 +696,36 @@ def _span(n, rows) -> Subspace:
     return Subspace(n, tuple(tuple(r) for r in red[:rank]), tuple(pivots))
 
 
+def _invariant_basis(a, n, vecs, on_left=False):
+    """Independent integer rows, echelon once sorted by leading column,
+    spanning the smallest subspace of Q^n that contains the integer vectors
+    vecs and is invariant under v -> a v (v -> v a with on_left), a flat
+    row-major n x n integer matrix.
+
+    Grown one vector at a time, vecs first and then the images of the kept
+    rows in turn: each vector is reduced against the kept rows by
+    ``_forward``'s two-term step, and one that does not reduce to zero is
+    made primitive, kept and its image queued; at most n rows are kept.
+    """
+    queue, rows, lead = list(vecs), [], []
+    for v in queue:
+        for r, c in zip(rows, lead):
+            x = v[c]
+            if x:
+                g = gcd(r[c], x)
+                f, s = r[c] // g, x // g
+                v = [y * f - z * s for y, z in zip(v, r)]
+        g = gcd(*v)
+        if g:
+            v = [y // g for y in v]
+            rows.append(v)
+            if len(rows) == n:
+                break
+            lead.append(next(j for j, y in enumerate(v) if y))
+            queue.append(_k.mat_mul(v, 1, n, a, n) if on_left else _k.mat_mul(a, n, n, v, 1))
+    return rows
+
+
 def _kernel_vectors(rows, n):
     """Integer vectors spanning {x in Q^n : row . x = 0 for every row}.
 

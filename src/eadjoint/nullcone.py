@@ -15,13 +15,14 @@ This criterion is validated against the component sampler by the
 verification suites before anything downstream relies on it.
 
 Both subspaces are classical Kalman subspaces (Kalman 1963): S is the row
-span of the controllability matrix ctrl = [B, AB, ..., A^{n-1}B]^T, by
-Kalman duality the observability matrix of (A^T, B^T), and K is the kernel
-of the observability matrix obs = [C; CA; ...; CA^{n-1}].  So the interval
-is [rank ctrl, n - rank obs], two integer ranks, and S and K are one
-elimination each; no fixed-point iteration is needed.  The same ctrl decides
-membership: the invariants tau_k = tr(A^k) all vanish exactly when A is
-nilpotent, and the Gamma_k = C A^k B exactly when ctrl C^T = 0.
+span of the controllability matrix ctrl = [B, AB, ..., A^{n-1}B]^T and K
+the kernel of the observability matrix obs = [C; CA; ...; CA^{n-1}].
+Neither matrix is built: ``_invariant_basis`` grows S from the columns of
+B, and ann K from the rows of C under v -> v A, one vector at a time and
+at most n rows each, so the interval is [dim S, dim K], two row counts.
+The rows of S decide membership: the invariants tau_k = tr(A^k) all
+vanish exactly when A is nilpotent, and the Gamma_k = C A^k B exactly
+when C S = 0.
 
 The components come from the maximal unstable weight sets, which form the
 ladder X_0..X_n up to relabelling the coordinates (Hilbert-Mumford).  The
@@ -63,6 +64,7 @@ from .linalg import (
     Subspace,
     _divided,
     _integer_inverse,
+    _invariant_basis,
     _kernel_span,
     _power_traces,
     _span,
@@ -280,29 +282,30 @@ def enumerate_maximal_unstable(n, p, q):
 # membership
 
 
-def _null_controllability(wi: Point) -> RationalMatrix | None:
-    """ctrl, the rows (A^m B)^T for m < n, of an integer point in the null
-    cone, else None.
+def _null_span(wi: Point):
+    """The rows of S, the A-span of im B (``_invariant_basis``), of an
+    integer point in the null cone, else None; [] when B = 0.
 
     Every invariant vanishes exactly when A is nilpotent (all tau_k = 0)
     and C A^k B = 0 for k < n.  Over Q, A is nilpotent exactly when
     tr A^k = 0 for k = 1..n: by Newton's identities the power sums then
     make every coefficient of the characteristic polynomial but the
     leading one vanish.  ``_power_traces`` reads them off the powers up to
-    A^ceil(n/2).  The point is then null exactly when ctrl C^T = 0.
+    A^ceil(n/2).  The point is then null exactly when C S = 0, since S is
+    spanned by the A^k b_j.
     """
     n = wi.n
     if any(_power_traces(wi.A.entries, n, n)):
         return None
-    ctrl = _controllability(wi.A, wi.B)
-    if any(_k.mat_mul(ctrl.entries, ctrl.rows, n, wi.C.transpose().entries, wi.q)):
+    s = _invariant_basis(wi.A.entries, n, wi.B.transpose().to_rows())
+    if any(_k.mat_mul([x for v in s for x in v], len(s), n, wi.C.transpose().entries, wi.q)):
         return None
-    return ctrl
+    return s
 
 
 def in_null_cone(w: Point) -> bool:
     """True exactly when every generating invariant vanishes at w."""
-    return _null_controllability(_integer_rescaled_point(w)[0]) is not None
+    return _null_span(_integer_rescaled_point(w)[0]) is not None
 
 
 @dataclass(frozen=True)
@@ -347,19 +350,19 @@ def component_interval(w: Point) -> ComponentInterval:
 
     For a null point the answer is the interval [dim S, dim K] with S the
     A-span of the image of B and K the largest A-invariant subspace of
-    ker C, that is [rank ctrl, n - rank obs] for the controllability and
-    observability matrices.  A point with nonzero invariants gets the empty
-    interval.
+    ker C: d_min counts the rows of S (``_null_span``) and d_max is n less
+    the rows grown from those of C under v -> v A, which span ann K.  No
+    elimination runs beyond that growth.  A point with nonzero invariants
+    gets the empty interval.
     """
     wi = _integer_rescaled_point(w)[0]
-    ctrl = _null_controllability(wi)
-    if ctrl is None:
+    s = _null_span(wi)
+    if s is None:
         return ComponentInterval(None, None, False)
-    d_min = ctrl.rank()
-    d_max = w.n - _observability(wi.A, wi.C).rank()
-    if d_min > d_max:
+    d_max = w.n - len(_invariant_basis(wi.A.entries, w.n, wi.C.to_rows(), on_left=True))
+    if len(s) > d_max:
         raise AssertionError("membership interval inverted on a null point")
-    return ComponentInterval(d_min, d_max, True)
+    return ComponentInterval(len(s), d_max, True)
 
 
 # ---------------------------------------------------------------------------
@@ -467,18 +470,19 @@ def _certify(w: Point, only=None):
     interval or for k = ``only`` alone; raises outside the cone or, for
     ``only``, outside the interval.
 
-    F starts at S, the row span of ctrl, and K enters only through its
-    annihilator, the reduced rows of obs.  Each growth step adds the first
-    new row of A^-1 F inside K.  The flag of F_k climbs by ``_layer`` from
-    0, each layer the preimage of the last under A: cut by ann(F) below F,
-    where it is ker(A^j) inside F, and uncut above F, where it is A^-j F.
+    F starts at S (``_null_span``), and K enters only through its
+    annihilator, the reduced rows grown from those of C under v -> v A.
+    Each growth step adds the first new row of A^-1 F inside K.  The flag
+    of F_k climbs by ``_layer`` from 0, each layer the preimage of the last
+    under A: cut by ann(F) below F, where it is ker(A^j) inside F, and
+    uncut above F, where it is A^-j F.
     """
     wi = _integer_rescaled_point(w)[0]
-    ctrl = _null_controllability(wi)
-    if ctrl is None:
+    s = _null_span(wi)
+    if s is None:
         raise NotInNullConeError("certificates exist only for null points")
-    n, a, f = wi.n, wi.A, _span(wi.n, ctrl.to_rows())
-    rank, _, red = _k.rre_int(_observability(a, wi.C).to_rows(), n)
+    n, a, f = wi.n, wi.A, _span(wi.n, s)
+    rank, _, red = _k.rre_int(_invariant_basis(a.entries, n, wi.C.to_rows(), on_left=True), n)
     interval = ComponentInterval(f.dim, n - rank, True)
     if only is not None and only not in interval:
         raise NotAMemberError(

@@ -2,9 +2,10 @@
 
 The stabilizer of a point is Hom_A(V/S, K): every X with X B = 0, C X = 0
 and [X, A] = 0 kills S, the A-span of im B, and maps into K, the largest
-A-invariant subspace of ker C (the Kalman subspaces).  It is computed as
-the exact kernel of [X, A] = 0 on X = P Y N, with P a basis of K and N the
-rows annihilating S, or read off as zero when S = V or K = 0; the orbit
+A-invariant subspace of ker C (the Kalman subspaces), both grown one
+vector at a time (``_invariant_basis``).  It is computed as the exact
+kernel of [X, A] = 0 on X = P Y N, with P a basis of K and N the rows
+annihilating S, or read off as zero when S = V or K = 0; the orbit
 dimension is its codimension.  Over a regular semisimple spectrum the
 fiber of the quotient map is reconstructed from its invariant data by a
 Vandermonde solve followed by rank-one factorization, both on integers:
@@ -20,16 +21,15 @@ from . import _kernels as _k
 from .errors import FiberConditionError, ShapeError
 from .invariants import (
     Point,
-    _controllability,
     _integer_rescaled_point,
     _krylov_has_rank_n,
-    _observability,
     check_sizes,
 )
 from .linalg import (
     RationalMatrix,
     Subspace,
     _divided,
+    _invariant_basis,
     _kernel_vectors,
     _signed_fields,
     _span,
@@ -66,19 +66,20 @@ def stabilizer(w: Point) -> StabilizerReport:
     orbit_dim = n^2 - stab_dim.
 
     XB = 0 and XA = AX give X A^k B = A^k X B = 0, so X kills S, the
-    row span of ctrl, the rows (A^k B)^T; CX = 0 gives C A^k X = 0, so
-    im X lies in K = ker [C; CA; ...; CA^{n-1}].  Hence
-    X = P Y N = sum_ab y_ab p_a n_b^T, where the columns p_a of P are a
-    basis of K and the rows n_b of N span the kernel of ctrl, and
-    XB = 0, CX = 0 hold for every Y: the stabilizer is Hom_A(V/S, K).  It
-    is zero, with neither ctrl nor obs built, when the Krylov matrix
-    [b_0, A b_0, ..., A^{n-1} b_0] of the first column of B has rank n mod
-    ``PRIME`` (``_krylov_has_rank_n``): then S = V.  Otherwise ctrl is
-    built, and the stabilizer is zero when N is empty (S = V: ctrl has rank
-    n over Q although b_0 is not cyclic); then obs is built, and it is
-    zero when P is empty (K = 0).  Otherwise the dim K (n - dim S) unknowns
-    y_ab solve ``_hom_equations``, and each solution is mapped back to
-    vec(P Y N) and spanned canonically.
+    span of the A^k b_j; CX = 0 gives C A^k X = 0, so im X lies in K, the
+    kernel of the rows c_i A^k.  Hence X = P Y N = sum_ab y_ab p_a n_b^T,
+    where the columns p_a of P are a basis of K and the rows n_b of N span
+    the annihilator of S, and XB = 0, CX = 0 hold for every Y: the
+    stabilizer is Hom_A(V/S, K).  It is zero, with nothing grown, when the
+    Krylov matrix [b_0, A b_0, ..., A^{n-1} b_0] of the first column of B
+    has rank n mod ``PRIME`` (``_krylov_has_rank_n``): then S = V.
+    Otherwise S is grown from the columns of B (``_invariant_basis``), and
+    the stabilizer is zero when it has n rows (S = V although b_0 is not
+    cyclic); then ann K is grown from the rows of C under v -> v A, and it
+    is zero when that has n rows (K = 0).  Otherwise N and P are the exact
+    kernels of the two, the dim K (n - dim S) unknowns y_ab solve
+    ``_hom_equations``, and each solution is mapped back to vec(P Y N) and
+    spanned canonically.
 
     Two checks guard that answer: the rank of the mapped-back matrices
     against the number of solutions, and the re-substitution of every
@@ -90,12 +91,13 @@ def stabilizer(w: Point) -> StabilizerReport:
     zero = StabilizerReport(0, n * n, Subspace.zero(n * n))
     if _krylov_has_rank_n(wi.A.entries, n, wi.B.entries[:: w.p]):
         return zero
-    ns = _kernel_vectors(_controllability(wi.A, wi.B).to_rows(), n)
-    if not ns:
+    s = _invariant_basis(wi.A.entries, n, wi.B.transpose().to_rows())
+    if len(s) == n:
         return zero
-    ps = _kernel_vectors(_observability(wi.A, wi.C).to_rows(), n)
-    if not ps:
+    t = _invariant_basis(wi.A.entries, n, wi.C.to_rows(), on_left=True)
+    if len(t) == n:
         return zero
+    ns, ps = _kernel_vectors(s, n), _kernel_vectors(t, n)
     ys = _kernel_vectors(_hom_equations(wi.A, ps, ns), len(ps) * len(ns))
     ker = _span(n * n, [_hom_matrix(ps, ns, y) for y in ys])
     if ker.dim != len(ys):

@@ -552,9 +552,9 @@ class Spy:
     def __init__(self, fn):
         self.fn, self.calls, self.result = fn, 0, None
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.calls += 1
-        self.result = self.fn(*args)
+        self.result = self.fn(*args, **kwargs)
         return self.result
 
 
@@ -1023,12 +1023,12 @@ class TestJacobianRankCertificate:
 class TestKrylovShortcut:
     """jacobian_rank and stabilizer decide a point whose b_0 (and, for the
     Jacobian with p >= 2, c_0) is cyclic from those Krylov matrices alone;
-    obs, ctrl and J are built only where a later step reads them."""
+    obs, ctrl and J (in stabilizer, S and ann K) are built only where a
+    later step reads them."""
 
     BUILDERS = (
         (invariants, "_observability"), (invariants, "_controllability"),
-        (invariants, "_jacobian_entries"), (orbits, "_controllability"),
-        (orbits, "_observability"),
+        (invariants, "_jacobian_entries"), (orbits, "_invariant_basis"),
     )
 
     def spies(self, monkeypatch):
@@ -1044,8 +1044,8 @@ class TestKrylovShortcut:
         # that of c_0, Fraction products here) has rank n, which is almost
         # every generic point, no builder runs in either function.  Else,
         # as on every b_0 = 0 and scalar-A (n >= 2) point: jacobian_rank
-        # builds obs, ctrl and J, and stabilizer builds ctrl, then obs
-        # exactly when ctrl has rank below n
+        # builds obs, ctrl and J, and stabilizer grows S, then ann K
+        # exactly when dim S is below n
         spies = self.spies(monkeypatch)
         counts = {"generic, nothing built": 0, "b0 not cyclic": 0,
                   "stabilizer builds obs": 0}
@@ -1076,8 +1076,8 @@ class TestKrylovShortcut:
                 counts["generic, nothing built"] += family == "generic"
             else:
                 full = controllability_blocks(w.A, w.B).rank() == n
-                assert built["orbits", "_controllability"] == 1
-                assert built["orbits", "_observability"] == (not full)
+                # S is grown, then ann K exactly when S falls short of V
+                assert built["orbits", "_invariant_basis"] == 1 + (not full)
                 counts["b0 not cyclic"] += 1
                 counts["stabilizer builds obs"] += not full
         assert min(counts.values()) >= 20, counts

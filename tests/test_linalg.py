@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eadjoint import _kernels as _k
 from eadjoint.errors import DegenerateSpectrumError, ShapeError, SingularMatrixError
+from eadjoint.invariants import Point, _integer_rescaled_point, group_action
 from eadjoint.linalg import (
     MAX_RATIONAL_DIGITS,
     PRIME,
@@ -15,6 +16,7 @@ from eadjoint.linalg import (
     RationalMatrix,
     Subspace,
     char_poly,
+    _invariant_basis,
     _kernel_span,
     _kernel_vectors,
     _krylov_left,
@@ -31,9 +33,11 @@ from eadjoint.linalg import (
 from oracles import (
     charpoly_from_power_sums,
     contains,
+    controllability_blocks,
     evaluate_polynomial,
     fraction_rank,
     matrix_powers,
+    observability_blocks,
     polynomial_derivative,
     rref_inverse,
     trace,
@@ -565,6 +569,58 @@ class TestKrylov:
                 )
             else:
                 assert left == []
+
+    @staticmethod
+    def kalman_points(rng, rounds=140):
+        """Integer points, n <= 8, entries up to 2^200, in seven families:
+        random; b_0 = 0; B = 0; C = 0; scalar A; a U_k point (B in the
+        first k rows, C in the last n - k columns, A strictly upper
+        triangular); that U_k point moved by a random g and cleared."""
+        for t in range(rounds):
+            family = t % 7
+            n, p, q = rng.randint(1, 8), rng.randint(1, 3), rng.randint(1, 3)
+            bound = 2 ** rng.choice((3, 64, 200))
+            k = rng.randint(0, n)
+
+            def draw(rows, cols, keep=lambda i, j: True):
+                return RM([[rng.randint(-bound, bound) if keep(i, j) else 0
+                            for j in range(cols)] for i in range(rows)])
+
+            if family < 5:
+                b, c, a = draw(n, p), draw(q, n), draw(n, n)
+            else:
+                b, c = draw(n, p, lambda i, j: i < k), draw(q, n, lambda i, j: j >= k)
+                a = draw(n, n, lambda i, j: j > i)
+            if family == 1:
+                b = RM([[0] + row[1:] for row in b.to_rows()])
+            elif family == 2:
+                b = RationalMatrix.zeros(n, p)
+            elif family == 3:
+                c = RationalMatrix.zeros(q, n)
+            elif family == 4:
+                a = RationalMatrix.diagonal([rng.randint(-bound, bound)] * n)
+            w = Point(b, c, (a,))
+            if family == 6:
+                w = _integer_rescaled_point(group_action(random_invertible(rng, n), w))[0]
+            yield w
+
+    def test_invariant_basis_spans_the_kalman_row_spaces(self):
+        # the grown rows are independent, echelon once sorted by leading
+        # column, and have the reduced form of the full Krylov matrices:
+        # ctrl = [B, AB, ..., A^(n-1) B]^T and, with on_left, obs
+        ranks = set()
+        for w in self.kalman_points(random.Random(39)):
+            n, a = w.n, list(w.A.entries)
+            for on_left, vecs, full in (
+                    (False, w.B.transpose().to_rows(), controllability_blocks(w.A, w.B).T),
+                    (True, w.C.to_rows(), observability_blocks(w.A, w.C))):
+                rows = _invariant_basis(a, n, vecs, on_left)
+                rank, pivots, red = _k.rre_int(full.to_rows(), n)
+                assert _k.rre_int(rows, n) == (rank, pivots, red[:rank])
+                leads = sorted(next(j for j, x in enumerate(v) if x) for v in rows)
+                assert len(set(leads)) == len(rows) == rank
+                ranks.add((on_left, 0 < rank < n))
+        assert ranks == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_power_traces_are_traces_of_the_powers(self):
         # m = 0 (no power formed) through m = 2n, odd and even

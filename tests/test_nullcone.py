@@ -1023,6 +1023,33 @@ class TestKalmanSubspaces:
             assert core == core_fixed_point(w.A, w.C)
             assert core.basis == core_fixed_point(w.A, w.C).basis
 
+    def test_interval_runs_no_elimination_and_builds_no_kalman_matrix(self, monkeypatch):
+        # S and ann K are grown one vector at a time (_invariant_basis), so
+        # component_interval ranks and reduces nothing, and neither it nor
+        # membership nor the certificates build ctrl or obs
+        from eadjoint import _kernels, invariants
+
+        points = [w for w in sparse_null_points(43, 240) if w.p >= 2 and w.q >= 2]
+        points += [sample_component(n, p, q, k, seed=n + k)
+                   for n in range(1, 7) for p, q in ((2, 2), (3, 2), (2, 3))
+                   for k in range(n + 1)]
+        calls = []
+        for module, name in ((_kernels, "rank_int"), (_kernels, "rre_int"),
+                             (invariants, "_controllability"), (invariants, "_observability"),
+                             (nullcone, "_controllability"), (nullcone, "_observability")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name, _fn=getattr(
+                module, name): calls.append(_name) or _fn(*args))
+        widths = 0
+        for w in points:
+            calls.clear()
+            iv = component_interval(w)
+            assert iv.in_null_cone and calls == []
+            assert in_null_cone(w) and calls == []
+            component_certificates(w)
+            assert set(calls) <= {"rank_int", "rre_int"}
+            widths += iv.d_max - iv.d_min
+        assert len(points) >= 100 and widths >= 30, (len(points), widths)
+
     def test_certificates_of_moved_points_cover_the_interval(self):
         for kind, w in differential_points(41, 60):
             if kind == "generic":

@@ -143,10 +143,11 @@ def block_sum(u, v):
 class TestKalmanCertificate:
     def test_equals_the_exact_kernel_on_both_sides(self, monkeypatch):
         # points whose b_0 is cyclic take the Krylov shortcut, with no
-        # elimination; the other controllable points the exact ctrl kernel,
-        # observable ones the obs kernel, and the others the reduced solve
-        # on Hom_A(V/S, K); all must give the canonical kernel of the full
-        # system
+        # elimination; the other controllable points stop after growing S
+        # (one _invariant_basis call), observable ones after growing ann K
+        # (a second call), with no elimination either, and the others take
+        # the reduced solve on Hom_A(V/S, K); all must give the canonical
+        # kernel of the full system
         from eadjoint.invariants import (
             _controllability,
             _integer_rescaled_point,
@@ -197,12 +198,13 @@ class TestKalmanCertificate:
         real = orbits._hom_equations
         monkeypatch.setattr(orbits, "_hom_equations",
                             lambda *args: built.append(1) or real(*args))
-        eliminated, obs_built = [], []
-        rre, obs = _kernels.rre_int, orbits._observability
+        eliminated, grown = [], []
+        rre, grow = _kernels.rre_int, orbits._invariant_basis
         monkeypatch.setattr(_kernels, "rre_int",
                             lambda *args: eliminated.append(1) or rre(*args))
-        monkeypatch.setattr(orbits, "_observability",
-                            lambda *args: obs_built.append(1) or obs(*args))
+        monkeypatch.setattr(
+            orbits, "_invariant_basis",
+            lambda a, n, vecs, on_left=False: grown.append(on_left) or grow(a, n, vecs, on_left))
         paths = {"cyclic b0": 0, "controllable, b0 not cyclic": 0, "observable": 0,
                  "reduced": 0, "proper": 0}
         for w in points:
@@ -213,15 +215,17 @@ class TestKalmanCertificate:
             path = ("cyclic b0" if controllable(b0)
                     else "controllable, b0 not cyclic" if controllable(wi)
                     else "observable" if kappa == 0 else "reduced")
-            del built[:], eliminated[:], obs_built[:]
+            del built[:], eliminated[:], grown[:]
             rep = stabilizer(w)
             assert len(built) == (path == "reduced")
             if path == "cyclic b0":
-                assert not eliminated and not obs_built
+                assert not eliminated and not grown
             elif path == "controllable, b0 not cyclic":
-                assert len(eliminated) == 1 and not obs_built
+                assert not eliminated and grown == [False]
+            elif path == "observable":
+                assert not eliminated and grown == [False, True]
             else:
-                assert len(eliminated) >= 2 and len(obs_built) == 1
+                assert len(eliminated) >= 2 and grown == [False, True]
             exact = kernel_subspace(RM(action_equations(w)))
             assert rep.kernel_basis.basis == exact.basis and rep.stab_dim == exact.dim
             assert rep.stab_dim + rep.orbit_dim == w.n ** 2
