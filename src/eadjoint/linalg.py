@@ -696,6 +696,28 @@ def _span(n, rows) -> Subspace:
     return Subspace(n, tuple(tuple(r) for r in red[:rank]), tuple(pivots))
 
 
+def _reduced(v, rows, lead):
+    """The integer vector v reduced against kept rows and made primitive,
+    or None when v lies in their span.
+
+    The kept rows are independent, row t has its leading column lead[t]
+    and is zero at the leading columns of the rows before it.  Each is
+    cleared from v by ``_forward``'s two-term step, so the result is zero
+    exactly when v lies in their span, and otherwise is zero at every
+    leading column and can be kept as the next row.
+    """
+    for r, c in zip(rows, lead):
+        x = v[c]
+        if x:
+            g = gcd(r[c], x)
+            f, s = r[c] // g, x // g
+            v = [y * f - z * s for y, z in zip(v, r)]
+    g = gcd(*v)
+    if g:
+        return [y // g for y in v] if g > 1 else v
+    return None
+
+
 def _invariant_basis(a, n, vecs, on_left=False):
     """Independent integer rows, echelon once sorted by leading column,
     spanning the smallest subspace of Q^n that contains the integer vectors
@@ -703,21 +725,14 @@ def _invariant_basis(a, n, vecs, on_left=False):
     row-major n x n integer matrix.
 
     Grown one vector at a time, vecs first and then the images of the kept
-    rows in turn: each vector is reduced against the kept rows by
-    ``_forward``'s two-term step, and one that does not reduce to zero is
-    made primitive, kept and its image queued; at most n rows are kept.
+    rows in turn: each vector that does not reduce to zero against the kept
+    rows (``_reduced``) is kept and its image queued; at most n rows are
+    kept.
     """
     queue, rows, lead = list(vecs), [], []
     for v in queue:
-        for r, c in zip(rows, lead):
-            x = v[c]
-            if x:
-                g = gcd(r[c], x)
-                f, s = r[c] // g, x // g
-                v = [y * f - z * s for y, z in zip(v, r)]
-        g = gcd(*v)
-        if g:
-            v = [y // g for y in v]
+        v = _reduced(v, rows, lead)
+        if v is not None:
             rows.append(v)
             if len(rows) == n:
                 break

@@ -40,8 +40,9 @@ refines each F_k to a complete flag along which A strictly descends, g the
 inverse of the flag's basis.  A certificate is checked from g alone: g.w
 lies in U_k exactly when g is invertible, rows k.. of gB vanish, the rows
 of C lie in the span of the rows k.. of g, and each row g_i A lies in the
-span of the rows of g below row i.  Those are integer rank tests on g with
-its rows cleared of denominators.
+span of the rows of g below row i.  One pass over the rows of g, cleared
+of denominators, decides those spans bottom row first, reducing each
+vector against the rows kept so far; no rank is taken.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .linalg import (
     _invariant_basis,
     _kernel_span,
     _power_traces,
+    _reduced,
     _span,
     kernel_subspace,
 )
@@ -295,7 +297,7 @@ def _null_span(wi: Point):
     spanned by the A^k b_j.
     """
     n = wi.n
-    if any(_power_traces(wi.A.entries, n, n)):
+    if sum(wi.A.entries[:: n + 1]) or any(_power_traces(wi.A.entries, n, n)):
         return None
     s = _invariant_basis(wi.A.entries, n, wi.B.transpose().to_rows())
     if any(_k.mat_mul([x for v in s for x in v], len(s), n, wi.C.transpose().entries, wi.q)):
@@ -399,36 +401,48 @@ def _certificate_defect(wi: Point, cert: Certificate):
     lies in U_k exactly when
     - "rank g": g is invertible;
     - "g B": rows k.. of gB vanish;
-    - "C g^-1": the rows of C lie in the span of g_k..g_{n-1}, that is
-      rank [g_{k:}; C] = n - k, so the first k columns of C g^-1 vanish;
-    - "g A g^-1": every g_i A lies in the span of g_{i+1}..g_{n-1}, that is
-      rank [g_{i+1:}; g_i A] = n - i - 1, so g A g^-1 is strictly upper
-      triangular.
+    - "C g^-1": the rows of C lie in the span of g_k..g_{n-1}, so the
+      first k columns of C g^-1 vanish;
+    - "g A g^-1": every g_i A lies in the span of g_{i+1}..g_{n-1}, so
+      g A g^-1 is strictly upper triangular.
     Scaling a row of g changes none of these, so each row is cleared to
-    integers and only integer products and ranks are needed.  "lambda"
-    means some weight of U_k pairs non-positively with the cocharacter, "k"
-    that k lies outside 0..n.
+    integers.  One pass over the rows of g, bottom row first, decides the
+    spans: g_i A must reduce to zero against the rows kept so far
+    (``_reduced``) before g_i joins them, g_i must not, and once g_k has
+    joined, every row of C must.  "lambda" means some weight of X_k pairs
+    non-positively with the cocharacter, that is lambda is not strictly
+    decreasing or lambda_{k-1} <= 0 or lambda_k >= 0; "k" means that k
+    lies outside 0..n.
     """
-    n, k = wi.n, cert.k
+    n, k, lam = wi.n, cert.k, cert.lam.lam
     if cert.g.shape != (n, n):
         raise ShapeError("group element has wrong size")
-    if len(cert.lam.lam) != n:
+    if len(lam) != n:
         raise ShapeError("cocharacter length must be n")
     if not 0 <= k <= n:
         return "k"
     g = cert.g._int_rows()
-    if _k.rank_int(g, n) < n:
-        return "rank g"
+    ga = _k.mat_mul([x for row in g for x in row], n, n, wi.A.entries, n)
+    rows, lead, c_in, ga_in = [], [], True, True
+    for i in range(n, -1, -1):  # rows holds the span of g_i..g_{n-1}
+        if i == k:
+            c_in = all(_reduced(c, rows, lead) is None for c in wi.C.to_rows())
+        if i:
+            ga_in = ga_in and _reduced(ga[(i - 1) * n : i * n], rows, lead) is None
+            v = _reduced(g[i - 1], rows, lead)
+            if v is None:
+                return "rank g"
+            rows.append(v)
+            lead.append(next(j for j, x in enumerate(v) if x))
     tail = [x for row in g[k:] for x in row]
     if any(_k.mat_mul(tail, n - k, n, wi.B.entries, wi.p)):
         return "g B"
-    if _k.rank_int(g[k:] + wi.C._int_rows(), n) != n - k:
+    if not c_in:
         return "C g^-1"
-    ga = _k.mat_mul([x for row in g for x in row], n, n, wi.A.entries, n)
-    for i in range(n):
-        if _k.rank_int(g[i + 1 :] + [ga[i * n : (i + 1) * n]], n) != n - i - 1:
-            return "g A g^-1"
-    if not all(cert.lam.pairing(coeffs) > 0 for coeffs in x_k_weight_set(n, k)):
+    if not ga_in:
+        return "g A g^-1"
+    if any(x <= y for x, y in zip(lam, lam[1:])) or (k and lam[k - 1] <= 0) or (
+            k < n and lam[k] >= 0):
         return "lambda"
     return None
 
@@ -450,19 +464,30 @@ def _layer(a: RationalMatrix, current: Subspace, cut):
     """One step up a chain of subspaces of the integer matrix a: (layer, new).
 
     The layer is {x : a x in current} cut by the rows ``cut``, the kernel of
-    [ann(current) a; cut].  With current inside it, stored row j of the layer
-    is new, outside the span of current and the rows before it, exactly when
-    no vector of current in the layer's basis coordinates (its entries at the
-    layer's pivots) has its last nonzero coordinate at j.
+    [ann(current) a; cut], and holds current.  Stored row j of the layer is
+    new, outside the span of current and the rows before it, exactly when
+    its image under ann(current), whose kernel is current, is independent
+    of the images of the rows before it (``_reduced``).
+    From current = 0, where ann(current) is the identity, every row is new.
     """
     n = a.rows
+    if not current.dim:
+        layer = _kernel_span([a.entries[i * n : (i + 1) * n] for i in range(n)] + cut, n)
+        return layer, list(layer._rows)
     ann = current._annihilator()
-    prod = _k.mat_mul([x for row in ann for x in row], len(ann), n, a.entries, n)
-    layer = _kernel_span([prod[i * n : (i + 1) * n] for i in range(len(ann))] + cut, n)
-    d, back = layer.dim, layer._pivots[::-1]
-    _, last, _ = _k.rre_int([[row[i] for i in back] for row in current._rows], d)
-    taken = {d - 1 - j for j in last}
-    return layer, [row for j, row in enumerate(layer._rows) if j not in taken]
+    m = len(ann)
+    prod = _k.mat_mul([x for row in ann for x in row], m, n, a.entries, n)
+    layer = _kernel_span([prod[i * n : (i + 1) * n] for i in range(m)] + cut, n)
+    images = _k.mat_mul([x for row in layer._rows for x in row], layer.dim, n,
+                        [row[j] for j in range(n) for row in ann], m)
+    new, kept, lead = [], [], []
+    for j, row in enumerate(layer._rows):
+        v = _reduced(images[j * m : (j + 1) * m], kept, lead)
+        if v is not None:
+            kept.append(v)
+            lead.append(next(i for i, x in enumerate(v) if x))
+            new.append(row)
+    return layer, new
 
 
 def _certify(w: Point, only=None):
@@ -471,19 +496,22 @@ def _certify(w: Point, only=None):
     ``only``, outside the interval.
 
     F starts at S (``_null_span``), and K enters only through its
-    annihilator, the reduced rows grown from those of C under v -> v A.
+    annihilator, the independent rows grown from those of C under v -> v A,
+    so d_max is n less their count and they cut the growth unreduced.
     Each growth step adds the first new row of A^-1 F inside K.  The flag
     of F_k climbs by ``_layer`` from 0, each layer the preimage of the last
     under A: cut by ann(F) below F, where it is ker(A^j) inside F, and
-    uncut above F, where it is A^-j F.
+    uncut above F, where it is A^-j F.  The climb stops at dimension n - 1:
+    A is nilpotent, so the last layer is V, and its one new vector is e_j
+    for j the first nonzero entry of the single row of ann(current).
     """
     wi = _integer_rescaled_point(w)[0]
     s = _null_span(wi)
     if s is None:
         raise NotInNullConeError("certificates exist only for null points")
     n, a, f = wi.n, wi.A, _span(wi.n, s)
-    rank, _, red = _k.rre_int(_invariant_basis(a.entries, n, wi.C.to_rows(), on_left=True), n)
-    interval = ComponentInterval(f.dim, n - rank, True)
+    ann_k = _invariant_basis(a.entries, n, wi.C.to_rows(), on_left=True)
+    interval = ComponentInterval(f.dim, n - len(ann_k), True)
     if only is not None and only not in interval:
         raise NotAMemberError(
             f"point is not a member of component {only}: interval is "
@@ -492,16 +520,20 @@ def _certify(w: Point, only=None):
     certs = {}
     for k in range(f.dim, (interval.d_max if only is None else only) + 1):
         if k > f.dim:
-            new = _layer(a, f, red[:rank])[1]
+            new = _layer(a, f, ann_k)[1]
             if not new:
                 raise AssertionError("invariant subspace growth stalled")
             f = _span(n, [*f._rows, new[0]])
         if only is not None and k != only:
             continue
         ann_f, flag, current = f._annihilator(), [], Subspace.zero(n)
-        while current.dim < n:
+        while current.dim < n - 1:
             current, new = _layer(a, current, ann_f if current.dim < k else [])
             flag += new
+        if current.dim < n:
+            (top,) = current._annihilator()
+            j = next(i for i, x in enumerate(top) if x)
+            flag.append([int(i == j) for i in range(n)])
         # the flag basis has column j flag[j] / D_j, D_j its pivot entry, so
         # g, its inverse, is D Bint^-1 with Bint's columns the rows of flag
         cols = [v[i] for i in range(n) for v in flag]
@@ -516,7 +548,13 @@ def _certify(w: Point, only=None):
 
 def adapted_certificate(w: Point, k) -> Certificate:
     """A change of basis carrying a null point into U_k, with the strictly
-    decreasing cocharacter, re-verified bit-exactly (``_certify``)."""
+    decreasing cocharacter, re-verified bit-exactly (``_certify``).
+
+    k outside 0..n is an ``OutOfRangeError``, raised before the point is
+    cleared.
+    """
+    if not 0 <= k <= w.n:
+        raise OutOfRangeError(f"k must lie in 0..{w.n}, got {k}")
     return _certify(w, k)[1][k]
 
 

@@ -8,7 +8,7 @@ them.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from eadjoint import nullcone
+from eadjoint import _kernels, nullcone
 from eadjoint.errors import (
     DegenerateSpectrumError,
     FiberConditionError,
@@ -32,7 +32,7 @@ from eadjoint.linalg import (
     rank_mod_prime,
     trace_product,
 )
-from eadjoint.nullcone import UnstableSubset, x_k_weight_set
+from eadjoint.nullcone import Certificate, UnstableSubset, x_k_weight_set
 
 
 def trace(m: RationalMatrix):
@@ -589,3 +589,51 @@ def fraction_rank_one_factor(x: RationalMatrix):
     if c @ b != x:
         raise FiberConditionError("matrix has rank >= 2")
     return c, b
+
+
+def rank_certificate_defect(wi: Point, cert: Certificate):
+    """``nullcone._certificate_defect`` by n + 2 integer rank tests on the
+    rows of g and the pairing with every weight of X_k.
+
+    "rank g": rank g = n; "g B": rows k.. of gB vanish; "C g^-1":
+    rank [g_{k:}; C] = n - k; "g A g^-1": rank [g_{i+1:}; g_i A] = n - i - 1
+    for every i; "lambda": every weight of ``x_k_weight_set`` pairs
+    positively with the cocharacter; "k": k outside 0..n.
+    """
+    n, k = wi.n, cert.k
+    if cert.g.shape != (n, n):
+        raise ShapeError("group element has wrong size")
+    if len(cert.lam.lam) != n:
+        raise ShapeError("cocharacter length must be n")
+    if not 0 <= k <= n:
+        return "k"
+    g = cert.g._int_rows()
+    if _kernels.rank_int(g, n) < n:
+        return "rank g"
+    tail = [x for row in g[k:] for x in row]
+    if any(_kernels.mat_mul(tail, n - k, n, wi.B.entries, wi.p)):
+        return "g B"
+    if _kernels.rank_int(g[k:] + wi.C._int_rows(), n) != n - k:
+        return "C g^-1"
+    ga = _kernels.mat_mul([x for row in g for x in row], n, n, wi.A.entries, n)
+    for i in range(n):
+        if _kernels.rank_int(g[i + 1 :] + [ga[i * n : (i + 1) * n]], n) != n - i - 1:
+            return "g A g^-1"
+    if not all(cert.lam.pairing(coeffs) > 0 for coeffs in x_k_weight_set(n, k)):
+        return "lambda"
+    return None
+
+
+def reversed_rre_new_rows(layer: Subspace, current: Subspace):
+    """The rows of ``layer`` outside the span of ``current`` and the rows
+    before them, for current inside layer, by one reversed elimination.
+
+    Stored row j of the layer is new exactly when no vector of current in
+    the layer's basis coordinates (its entries at the layer's pivots) has
+    its last nonzero coordinate at j; ``rre_int`` of those coordinates with
+    the columns reversed puts the last nonzero coordinates at its pivots.
+    """
+    d, back = layer.dim, layer._pivots[::-1]
+    _, last, _ = _kernels.rre_int([[row[i] for i in back] for row in current._rows], d)
+    taken = {d - 1 - j for j in last}
+    return [row for j, row in enumerate(layer._rows) if j not in taken]

@@ -322,6 +322,15 @@ class TestCertify:
         assert code == 1
         assert json.loads(out)["error"] == "not_a_member"
 
+    def test_k_outside_0_to_n_is_a_domain_error(self, capsys, monkeypatch):
+        # out of range, not "not a member", on a null and a non-null point alike
+        for point in (self.NULL_POINT, DIAG_POINT_JSON):
+            for k in ("7", "3", "-1"):
+                code, out = run_cli(capsys, ["certify", "--k", k], point, monkeypatch)
+                assert code == 1
+                err = json.loads(out)
+                assert err["error"] == "out_of_range" and "0..2" in err["detail"]
+
     def test_not_null(self, capsys, monkeypatch):
         code, out = run_cli(capsys, ["certify", "--k", "1"], DIAG_POINT_JSON, monkeypatch)
         assert code == 1

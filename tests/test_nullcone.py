@@ -50,7 +50,12 @@ from eadjoint.nullcone import (
     x_k_weight_set,
 )
 from eadjoint.orbits import stabilizer
-from eadjoint.sampling import random_invertible, random_matrix, random_point
+from eadjoint.sampling import (
+    random_invertible,
+    random_matrix,
+    random_nonzero_int,
+    random_point,
+)
 from oracles import (
     fraction_group_action,
     invariants_vanish,
@@ -59,6 +64,8 @@ from oracles import (
     order_type_maximal_unstable,
     point_in_unstable_subspace,
     positive_pairing_set,
+    rank_certificate_defect,
+    reversed_rre_new_rows,
     trace,
     zero_point,
 )
@@ -634,6 +641,16 @@ class TestCertificates:
             with pytest.raises(NotAMemberError):
                 adapted_certificate(w, k)
 
+    def test_k_outside_0_to_n_is_out_of_range_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the point was cleared for a k outside 0..n")
+
+        w = Point(RM([[1], [0]]), RM([[0, 1]]), (RM([[0, 1], [0, 0]]),))
+        monkeypatch.setattr(nullcone, "_integer_rescaled_point", forbidden)
+        for k in (-1, 3, 7):
+            with pytest.raises(OutOfRangeError, match=f"0..2, got {k}"):
+                adapted_certificate(w, k)
+
     def test_non_null_rejected(self):
         w = Point(RM([[1], [1]]), RM([[1, 1]]), (RationalMatrix.diagonal([1, 2]),))
         with pytest.raises(NotInNullConeError):
@@ -1039,14 +1056,19 @@ class TestKalmanSubspaces:
                              (nullcone, "_controllability"), (nullcone, "_observability")):
             monkeypatch.setattr(module, name, lambda *args, _name=name, _fn=getattr(
                 module, name): calls.append(_name) or _fn(*args))
+        # the certificates span and invert with rre_int and rank nothing;
+        # checking one reduces g's rows against each other and eliminates nothing
         widths = 0
         for w in points:
             calls.clear()
             iv = component_interval(w)
             assert iv.in_null_cone and calls == []
             assert in_null_cone(w) and calls == []
-            component_certificates(w)
-            assert set(calls) <= {"rank_int", "rre_int"}
+            _, certs = component_certificates(w)
+            assert set(calls) <= {"rre_int"}
+            calls.clear()
+            assert all(check_certificate(w, cert) for cert in certs.values())
+            assert calls == []
             widths += iv.d_max - iv.d_min
         assert len(points) >= 100 and widths >= 30, (len(points), widths)
 
@@ -1099,6 +1121,53 @@ class TestFlagConstruction:
                 yield group_action(random_invertible(rng, n), w) if trial % 2 else w
 
         assert self.matches_kernel_powers(points())[0] >= 120
+
+
+def multi_row_chain_points(seed, count):
+    """U_k points whose flags grow by several rows at once: A = 0 or a sum
+    of at least two Jordan blocks, each with B and C as drawn, B = 0 or
+    C = 0, and each of those plain and moved by a random g."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = rng.randint(2, 6)
+        u = random_unstable_point(rng, n, rng.randint(1, 3), rng.randint(1, 3),
+                                  rng.randint(0, n))
+        a = [[0] * n for _ in range(n)]
+        if trial % 2:
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+            for i in range(n - 1):
+                if i + 1 not in cuts:
+                    a[i][i + 1] = random_nonzero_int(rng, 5)
+        b, c = u.B, u.C
+        if trial // 2 % 3 == 1:
+            b = RationalMatrix.zeros(n, u.p)
+        elif trial // 2 % 3 == 2:
+            c = RationalMatrix.zeros(u.q, n)
+        w = Point(b, c, (RM(a),))
+        yield group_action(random_invertible(rng, n), w) if trial // 6 % 2 else w
+
+
+class TestLayerRule:
+    def test_new_rows_match_the_reversed_elimination(self, monkeypatch):
+        # a layer row is new when its image under ann(current) is independent
+        # of the images before it: the rows the reversed rre_int leaves
+        # untaken, checked on every layer the certificates climb through
+        steps = []
+        layer = nullcone._layer
+
+        def recorded(a, current, cut):
+            out = layer(a, current, cut)
+            steps.append((current, *out))
+            return out
+
+        monkeypatch.setattr(nullcone, "_layer", recorded)
+        for w in multi_row_chain_points(71, 120):
+            component_certificates(w)
+        for current, grown, new in steps:
+            assert new == reversed_rre_new_rows(grown, current)
+            assert len(new) == grown.dim - current.dim
+        wide = sum(1 for current, _, new in steps if current.dim and len(new) >= 2)
+        assert wide >= 200, wide
 
 
 class TestOneChainPerPoint:
@@ -1177,20 +1246,41 @@ class TestInverseFreeCheck:
             if kind == "generic":
                 continue
             _, certs = component_certificates(w)
+            wi = _integer_rescaled_point(w)[0]
             for cert in certs.values():
                 assert check_certificate(w, cert)
                 assert group_action_check(w, cert)
                 valid += 1
+                assert rank_certificate_defect(wi, cert) is None
                 for bad in self.corrupted(rng, w, cert):
                     ok = check_certificate(w, bad)
                     assert ok == group_action_check(w, bad)
-                    reason = _certificate_defect(_integer_rescaled_point(w)[0], bad)
+                    reason = _certificate_defect(wi, bad)
                     assert (reason is None) == ok
+                    # the one-pass check names the condition the rank tests name first
+                    assert reason == rank_certificate_defect(wi, bad)
                     defects[reason] = defects.get(reason, 0) + 1
         assert valid >= 50
         # every rank condition rejects some corrupted certificate
         for reason in ("rank g", "g B", "C g^-1", "g A g^-1", "lambda"):
             assert defects.get(reason, 0) > 0, (reason, defects)
+
+    def test_lambda_rule_matches_the_weight_pairing(self):
+        # lambda strictly decreasing with lambda_{k-1} > 0 > lambda_k is
+        # exactly every weight of X_k pairing positively with it; the zero
+        # point with g = 1 meets every other condition
+        checked = {None: 0, "lambda": 0}
+        for n in range(1, 5):
+            w, g = zero_point(n, 1, 1), RationalMatrix.identity(n)
+            for lam in itertools.product(range(-2, 3), repeat=n):
+                for k in range(n + 1):
+                    cert = Certificate(k, g, OnePSG(lam))
+                    reason = _certificate_defect(w, cert)
+                    pairs = all(cert.lam.pairing(c) > 0 for c in x_k_weight_set(n, k))
+                    assert reason == (None if pairs else "lambda"), (lam, k)
+                    assert reason == rank_certificate_defect(w, cert)
+                    checked[reason] += 1
+        assert checked[None] >= 10 and checked["lambda"] >= 3000, checked
 
     def test_out_of_range_k_rejected(self):
         w = zero_point(2, 1, 1)
